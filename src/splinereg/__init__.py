@@ -9,6 +9,7 @@ from .chains import (
     ideal_complex,
     schumaker_local,
     spline_dim_formula,
+    spline_dim_formulas,
     spline_dim_oracle,
     vertex_ideal_dimension,
 )

@@ -45,6 +45,8 @@ class IdealComplexData:
     r: int
     groups: tuple[EdgeGroup, ...]
     vertex_forms: dict[int, tuple[LinearForm, ...]]  # slope-deduped, totally-interior first
+    frames: dict[int, _Frame]
+    frame_pairs: dict[int, tuple]  # each vertex form as (c1, c2) over its frame's (f1, f2)
 
 
 def ideal_complex(c: SimplicialComplex, r: int) -> IdealComplexData:
@@ -78,7 +80,12 @@ def ideal_complex(c: SimplicialComplex, r: int) -> IdealComplexData:
             if key not in seen:
                 seen[key] = c.edge_form(e)
         vertex_forms[v] = tuple(seen.values())
-    return IdealComplexData(r, tuple(groups), vertex_forms)
+    frames = {v: _Frame(v, forms) for v, forms in vertex_forms.items()}
+    frame_pairs = {
+        v: tuple(_solve_frame_pair(f, frames[v].f1, frames[v].f2) for f in forms)
+        for v, forms in vertex_forms.items()
+    }
+    return IdealComplexData(r, tuple(groups), vertex_forms, frames, frame_pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -225,11 +232,10 @@ def boundary_rank(c: SimplicialComplex, r: int, d: int, data: IdealComplexData |
     if d < r + 1 or not c.interior_vertices:
         return 0
     vpos = {v: i for i, v in enumerate(c.interior_vertices)}
-    frames = {v: _Frame(v, data.vertex_forms[v]) for v in c.interior_vertices}
     ech = SparseIntEchelon()
     big = d - r - 1
     for group in data.groups:
-        hf = frames[group.home]
+        hf = data.frames[group.home]
         c1, c2, c3 = hf.coords_of_form(group.form)
         assert c3 == 0
         home_base = [
@@ -241,7 +247,7 @@ def boundary_rank(c: SimplicialComplex, r: int, d: int, data: IdealComplexData |
         hsign = 1 if group.home == max(group.edge) else -1
         far_polys = None
         if group.far is not None:
-            ff = frames[group.far]
+            ff = data.frames[group.far]
             e1, e2, e3 = ff.coords_of_form(group.form)
             assert e3 == 0
             lpow = _poly_pow(_linear_poly((e1, e2, e3)), r + 1)
@@ -278,10 +284,13 @@ def vertex_ideal_dimension(c: SimplicialComplex, r: int, d: int, v: int) -> int:
 
 
 def _vertex_dim(data: IdealComplexData, r, d, v) -> int:
-    forms = data.vertex_forms[v]
-    frame = _Frame(v, forms)
-    pairs = tuple(_solve_frame_pair(f, frame.f1, frame.f2) for f in forms)
+    pairs = data.frame_pairs[v]
     return sum(_two_var_dim(pairs, r, e) for e in range(r + 1, d + 1))
+
+
+def _h0_dim(c: SimplicialComplex, r: int, d: int, data: IdealComplexData) -> int:
+    total = sum(_vertex_dim(data, r, d, v) for v in c.interior_vertices)
+    return total - boundary_rank(c, r, d, data)
 
 
 def h0_hilbert_oracle(c: SimplicialComplex, r: int, d: int) -> int:
@@ -289,22 +298,38 @@ def h0_hilbert_oracle(c: SimplicialComplex, r: int, d: int) -> int:
     the boundary rank, everything by exact elimination."""
     if d < 0:
         raise ValueError("degree must be nonnegative")
+    return _h0_dim(c, r, d, ideal_complex(c, r))
+
+
+def _h0_table(c: SimplicialComplex, r: int, top: int) -> list[int]:
+    """dim H0_d for d = 0..top, from one ideal complex.  Degrees below r+1
+    are zero, and from the first zero degree d >= r+1 on every degree is
+    zero (see `h0_regularity_oracle`), so those are filled without ranking."""
+    table = [0] * (top + 1)
     data = ideal_complex(c, r)
-    total = sum(_vertex_dim(data, r, d, v) for v in c.interior_vertices)
-    return total - boundary_rank(c, r, d, data)
+    for d in range(r + 1, top + 1):
+        table[d] = _h0_dim(c, r, d, data)
+        if not table[d]:
+            break
+    return table
 
 
 def h0_regularity_oracle(c: SimplicialComplex, r: int):
     """Largest d in [r+1, 4r+2] with nonzero H0, or None when the module is
-    zero on the whole window; errors if the cap degree is still nonzero."""
-    top = None
-    for d in range(r + 1, 4 * r + 3):
-        value = h0_hilbert_oracle(c, r, d)
-        if value:
-            top = d
-    if top == 4 * r + 2:
+    zero on the whole window; errors if the cap degree is still nonzero.
+
+    The scan stops at the first zero degree.  H0 is a quotient of the direct
+    sum of the J(v), and each J(v) is generated by (r+1)-st powers of linear
+    forms, so H0 is generated in degree r+1 (Schenck-Stillman, Local
+    cohomology of bivariate splines, 1997).  Hence H0_{d+1} = S_1 H0_d for
+    d >= r+1, and H0_d = 0 forces every later degree to vanish: the answer
+    is the degree just before the first zero degree d >= r+1, and None when
+    that degree is r+1 itself."""
+    top = 4 * r + 2
+    table = _h0_table(c, r, top)
+    if table[top]:
         raise CapExceeded(f"H0 nonzero at degree {top} = 4r+2")
-    return top
+    return next((d for d in range(top, r, -1) if table[d]), None)
 
 
 # ---------------------------------------------------------------------------
@@ -343,14 +368,24 @@ def schumaker_local(k: int, r: int) -> LocalResolution:
 def spline_dim_formula(c: SimplicialComplex, r: int, d: int) -> int:
     """Dimension of the degree-d smooth spline space from local data plus
     the homology correction term."""
+    if d < 0:
+        raise ValueError("degree must be nonnegative")
+    return spline_dim_formulas(c, r, d)[d]
+
+
+def spline_dim_formulas(c: SimplicialComplex, r: int, top: int) -> list[int]:
+    """`spline_dim_formula` for d = 0..top, from one set of interior
+    statistics and one H0 table."""
     stats = interior_stats(c, r)
-    f2 = len(c.triangles)
-    total = f2 * count_degree(d)
-    total -= len(c.interior_edges) * (count_degree(d) - count_degree(d - r - 1))
-    for v, st in stats.per_vertex.items():
-        total += schumaker_local(st.k, r).hilbert(d)
-    total += h0_hilbert_oracle(c, r, d)
-    return total
+    local = [schumaker_local(st.k, r) for st in stats.per_vertex.values()]
+    h0 = _h0_table(c, r, top)
+    dims = []
+    for d in range(top + 1):
+        total = len(c.triangles) * count_degree(d)
+        total -= len(c.interior_edges) * (count_degree(d) - count_degree(d - r - 1))
+        total += sum(lr.hilbert(d) for lr in local)
+        dims.append(total + h0[d])
+    return dims
 
 
 def spline_dim_oracle(c: SimplicialComplex, r: int, d: int) -> int:

@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from .chains import spline_dim_formula, spline_dim_oracle
+from .chains import spline_dim_formulas, spline_dim_oracle
 from .errors import SplineRegError
 from .geometry import parse_complex, interior_stats
 from .regularity import (
@@ -139,8 +139,8 @@ def cmd_analyze(args) -> dict:
         payload["note"] = "no totally interior edges: H0 vanishes"
     if args.d is not None:
         dims = []
-        for d in range(args.d + 1):
-            entry = {"d": d, "dim_formula": spline_dim_formula(c, args.r, d)}
+        for d, formula in enumerate(spline_dim_formulas(c, args.r, args.d)):
+            entry = {"d": d, "dim_formula": formula}
             if args.oracle:
                 entry["dim_oracle"] = spline_dim_oracle(c, args.r, d)
                 entry["agree"] = entry["dim_formula"] == entry["dim_oracle"]

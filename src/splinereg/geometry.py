@@ -166,11 +166,20 @@ def _fmt(v: Fraction) -> str:
     return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
 
 
+def _reject_duplicate_keys(pairs):
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ParseError(f"duplicate key {key!r}")
+        out[key] = value
+    return out
+
+
 def parse_complex(text: str) -> SimplicialComplex:
     """Strict JSON reader: exactly the keys `vertices` and `triangles`,
     coordinates as "p/q" or integer strings."""
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_reject_duplicate_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict) or set(data) != {"vertices", "triangles"}:
@@ -191,7 +200,11 @@ def parse_complex(text: str) -> SimplicialComplex:
         raise ParseError("'triangles' must be a list")
     tris = []
     for entry in data["triangles"]:
-        if not (isinstance(entry, list) and len(entry) == 3 and all(isinstance(i, int) for i in entry)):
+        if not (
+            isinstance(entry, list)
+            and len(entry) == 3
+            and all(isinstance(i, int) and not isinstance(i, bool) for i in entry)
+        ):
             raise ParseError(f"triangle {entry!r} is not a triple of vertex indices")
         tris.append(tuple(entry))
     return SimplicialComplex(verts, tris)
@@ -352,11 +365,15 @@ def _row_times(row, m):
     return tuple(sum(row[k] * m[k][j] for k in range(3)) for j in range(3))
 
 
-def normalize_one_edge(c: SimplicialComplex, r: int) -> OneEdgeNormalization:
+def normalize_one_edge(
+    c: SimplicialComplex, r: int, stats: InteriorData | None = None
+) -> OneEdgeNormalization:
     """Projective change of coordinates for a complex with exactly one
     totally interior edge: its endpoints go to [0,1,0] and [1,0,0], the edge
-    line to {z=0}, and one slope on each side is sheared to 0."""
-    stats = interior_stats(c, r)
+    line to {z=0}, and one slope on each side is sheared to 0.  `stats` is
+    `interior_stats(c, r)` when the caller already has it."""
+    if stats is None:
+        stats = interior_stats(c, r)
     if len(stats.totally_interior) != 1:
         raise NotOneEdge(
             f"complex has {len(stats.totally_interior)} totally interior edges, need exactly 1"

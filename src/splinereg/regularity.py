@@ -113,8 +113,8 @@ def regularity_from_complex(c: SimplicialComplex, r: int) -> RegularityReport:
     """Exact regularity of a one-edge complex: normalize coordinates, run the
     closed-form pipeline on (a, b) = (k(v1), k(v2)), then confirm with the
     chain-complex oracle; the three routes must agree."""
-    norm = normalize_one_edge(c, r)
     stats = interior_stats(c, r)
+    norm = normalize_one_edge(c, r, stats)
     for v, count in ((norm.v1, norm.a), (norm.v2, norm.b)):
         st = stats.per_vertex[v]
         assert st.k_00 == 1 and st.k == st.k_0b + 1

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from splinereg import chains
 from splinereg.chains import (
     boundary_rank,
     h0_hilbert_oracle,
@@ -13,6 +14,7 @@ from splinereg.chains import (
     vertex_ideal_dimension,
     _two_var_dim,
 )
+from splinereg.errors import CapExceeded
 from splinereg.monomials import count_degree, hilbert_function, monomials_of_degree
 from splinereg.ratlinalg import RatMatrix, rank
 from splinereg.staircase import build_q
@@ -144,6 +146,38 @@ def test_h0_regularity_one_edge_33(complex_one33):
 def test_h0_34_r8_boundary_degrees(complex_one34):
     assert h0_hilbert_oracle(complex_one34, 8, 14) != 0
     assert h0_hilbert_oracle(complex_one34, 8, 15) == 0
+
+
+@pytest.mark.parametrize(
+    "name,r",
+    [("complex_one33", 1), ("complex_one33", 2), ("complex_one33", 3),
+     ("complex_one34", 2),
+     ("complex_ce1", 1), ("complex_ce1", 2), ("complex_ce1", 3),
+     ("complex_star", 1), ("complex_star", 2)],
+)
+def test_early_stop_is_exact(request, name, r):
+    c = request.getfixturevalue(name)
+    window = range(r + 1, 4 * r + 3)
+    full = [h0_hilbert_oracle(c, r, d) for d in window]
+    first_zero = full.index(0)
+    assert not any(full[first_zero:])
+    nonzero = [d for d, value in zip(window, full) if value]
+    assert h0_regularity_oracle(c, r) == (nonzero[-1] if nonzero else None)
+    assert chains._h0_table(c, r, 4 * r + 2) == [0] * (r + 1) + full
+
+
+def test_cap_exceeded_when_h0_never_vanishes(monkeypatch, complex_one33):
+    r = 2
+    ranked = []
+
+    def nonzero_everywhere(c, r, d, data):
+        ranked.append(d)
+        return 1
+
+    monkeypatch.setattr(chains, "_h0_dim", nonzero_everywhere)
+    with pytest.raises(CapExceeded, match="degree 10 = 4r"):
+        h0_regularity_oracle(complex_one33, r)
+    assert ranked == list(range(r + 1, 4 * r + 3))
 
 
 def test_schumaker_values():

@@ -1,4 +1,7 @@
+import hashlib
 import json
+
+import pytest
 
 from splinereg.cli import main
 from splinereg.geometry import ce1_complex, one_edge_complex
@@ -134,6 +137,40 @@ def test_analyze_spline_dims(tmp_path, capsys):
     dims = data["spline_dimensions"]
     assert all(row["agree"] for row in dims)
     assert dims[0]["dim_formula"] == 1
+
+
+# sha256 of the analyze JSON for the two-edge complex ce1: the chain oracle's
+# early stop and shared H0 table must not change a byte of it
+CE1_GOLDEN = {
+    ("--r", "3", "--oracle"):
+        "ff26f5f9647f3b45f22983b17587dafc2d9076f5630d348735b9bedfc956d8f7",
+    ("--r", "2", "--d", "10", "--oracle"):
+        "5e7579c6b6c5a7633d3d7e6da0bb4467c1583dccb9b3460c346fe0a5f3e123f3",
+}
+
+
+@pytest.mark.parametrize("flags", sorted(CE1_GOLDEN))
+def test_analyze_ce1_golden_bytes(tmp_path, capsys, flags):
+    path = tmp_path / "ce1.json"
+    path.write_text(ce1_complex().to_json())
+    code, out, _ = run(capsys, "analyze", str(path), *flags)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CE1_GOLDEN[flags]
+
+
+def test_analyze_rejects_boolean_indices_and_duplicate_keys(tmp_path, capsys):
+    verts = '[["0", "0"], ["1", "0"], ["0", "1"]]'
+    for name, text in (
+        ("bools.json", '{"vertices": %s, "triangles": [[false, true, 2]]}' % verts),
+        ("dup.json", '{"vertices": %s, "triangles": [], "triangles": [[0, 1, 2]]}' % verts),
+    ):
+        path = tmp_path / name
+        path.write_text(text)
+        code, out, err = run(capsys, "analyze", str(path), "--r", "1")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ParseError:")
+        assert "Traceback" not in err
 
 
 def test_analyze_malformed_file(tmp_path, capsys):

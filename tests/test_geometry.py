@@ -89,6 +89,28 @@ def test_parse_rejects_float_coordinates():
         parse_complex(text)
 
 
+def test_parse_rejects_boolean_vertex_indices():
+    text = json.dumps(
+        {"vertices": [["0", "0"], ["1", "0"], ["0", "1"]], "triangles": [[False, True, 2]]}
+    )
+    with pytest.raises(ParseError, match="vertex indices"):
+        parse_complex(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"vertices": [["0", "0"], ["1", "0"], ["0", "1"]], "vertices": [["0", "0"], '
+        '["2", "0"], ["0", "2"]], "triangles": [[0, 1, 2]]}',
+        '{"vertices": [["0", "0"], ["1", "0"], ["0", "1"]], "triangles": [[0, 1, 2]], '
+        '"triangles": [[0, 1, 2]]}',
+    ],
+)
+def test_parse_rejects_duplicate_keys(text):
+    with pytest.raises(ParseError, match="duplicate key"):
+        parse_complex(text)
+
+
 def test_degenerate_triangle():
     with pytest.raises(DegenerateTriangle):
         SimplicialComplex([(0, 0), (1, 1), (2, 2)], [(0, 1, 2)])

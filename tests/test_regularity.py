@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from splinereg.errors import HypothesisViolated, InvalidSlopeCount, NotOneEdge
@@ -82,9 +84,14 @@ def test_from_complex_rejects_ce1(complex_ce1):
 
 @pytest.mark.slow
 def test_from_complex_34_r8(complex_one34):
+    # the chain oracle stops at the first zero degree of H0 (about 0.2 s);
+    # scanning the whole window [9, 34] takes about 20 s
+    start = time.monotonic()
     rep = regularity_from_complex(complex_one34, 8)
+    elapsed = time.monotonic() - start
     assert rep.exact == 14
     assert rep.routes == {"bottom_face": 14, "socle_shift": 14, "chain_oracle": 14}
+    assert elapsed < 2.0, f"took {elapsed:.2f}s, budget 2s"
 
 
 def test_from_complex_whole_grid_r2():
