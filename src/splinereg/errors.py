@@ -14,6 +14,12 @@ class DuplicateSlope(SplineRegError):
     """A slope list passed to an oracle contains repeats."""
 
 
+class StaircaseInvariant(SplineRegError):
+    """A staircase closed form broke its own invariants: the lambda endpoints
+    or strict decrease, i0 = floor((r+1)/s), the lambda' shape, or the pruned
+    In Q generator list against minimalize (hard failure)."""
+
+
 class NotArtinian(SplineRegError):
     """Socle-degree regularity requested for a quotient of infinite length."""
 

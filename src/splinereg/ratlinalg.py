@@ -3,8 +3,13 @@
 rank, pivot_rows and in_column_span all reduce to one fraction-free
 (Bareiss) elimination on an integer matrix obtained by clearing
 denominators column by column.  Row order is semantic: pivot rows come
-back in the order given, so callers read leading monomials straight off
-the result.  No floating point anywhere.
+back in the order given.  No floating point anywhere.
+
+The staircase oracles do not use this module: they build integer columns
+and run them through `_echelon.DenseIntEchelon`.  Its callers are the
+two-variable ranks of the chain complex, the upper-Koszul homology of the
+Betti oracle, and the tests, which use it as the Fraction-level reference
+for the integer kernels.
 """
 from __future__ import annotations
 

@@ -13,12 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, isqrt, lcm
 
-from ._echelon import DenseIntEchelon
-from .errors import DuplicateSlope, InvalidSlopeCount
+from ._echelon import DenseIntEchelon, _first_nonzero
+from .errors import DuplicateSlope, InvalidSlopeCount, StaircaseInvariant
 from .monomials import Monomial, MonomialIdeal, ideal_sum, minimalize
-from .ratlinalg import RatMatrix, pivot_rows
 
 
 @dataclass(frozen=True)
@@ -98,8 +97,10 @@ def staircase_closed_form(r: int, s: int) -> Staircase:
     if s < 2:
         raise InvalidSlopeCount(f"need at least 2 distinct slopes, got {s}")
     lam = tuple((r - i + 1) + (r - i) // (s - 1) for i in range(r + 1))
-    assert lam[-1] == 1 and lam[0] == r + 1 + r // (s - 1)
-    assert all(lam[i] > lam[i + 1] for i in range(r))
+    if lam[-1] != 1 or lam[0] != r + 1 + r // (s - 1):
+        raise StaircaseInvariant(f"lambda endpoints {lam[0]}..{lam[-1]} wrong for r={r}, s={s}")
+    if any(lam[i] <= lam[i + 1] for i in range(r)):
+        raise StaircaseInvariant(f"lambda {lam} is not strictly decreasing")
     return Staircase(r, s, lam)
 
 
@@ -107,10 +108,11 @@ def colon_staircase(st: Staircase) -> ColonStaircase:
     """The staircase of In(J') : z^{r+1}; i0 is the least i with lambda_i <= r+1."""
     r = st.r
     i0 = next(i for i in range(r + 1) if st.lam[i] <= r + 1)
-    assert i0 == (r + 1) // st.s
+    if i0 != (r + 1) // st.s:
+        raise StaircaseInvariant(f"i0 = {i0}, expected floor((r+1)/s) = {(r + 1) // st.s}")
     lam_prime = tuple(max(0, st.lam[i] - r - 1) for i in range(i0 + 1))
-    assert lam_prime[-1] == 0
-    assert all(lam_prime[i] > lam_prime[i + 1] for i in range(i0))
+    if lam_prime[-1] != 0 or any(lam_prime[i] <= lam_prime[i + 1] for i in range(i0)):
+        raise StaircaseInvariant(f"lambda' {lam_prime} does not fall strictly to 0")
     return ColonStaircase(r, st.s, i0, lam_prime)
 
 
@@ -133,7 +135,8 @@ def build_q(a: int, b: int, r: int) -> QData:
     l0 = next(i for i in range(colon1.i0 + 1) if colon1.lam_prime[i] < eta0)
     expected = {_axis_monomial("x", i, colon1.lam_prime[i]) for i in range(l0, colon1.i0 + 1)}
     expected |= {_axis_monomial("y", j, colon2.lam_prime[j]) for j in range(colon2.i0 + 1)}
-    assert set(in_q.gens) == expected, "pruned generator list disagrees with minimalize"
+    if set(in_q.gens) != expected:
+        raise StaircaseInvariant("pruned generator list disagrees with minimalize")
     return QData(a, b, r, colon1, colon2, l0, in_q, swapped)
 
 
@@ -150,21 +153,18 @@ def _check_slopes(slopes):
     return slopes
 
 
-def _power_matrix(r: int, slopes, d: int) -> RatMatrix:
-    """Columns are (v + c*z)^{r+1} times the degree-(d-r-1) monomials, in the
-    two-variable basis (v^d, v^{d-1} z, ..., z^d)."""
-    rows = d + 1
+def _power_columns(r: int, slopes, d: int) -> list[list[int]]:
+    """Columns are (q*v + p*z)^{r+1}, for each slope c = p/q, times the
+    degree-(d-r-1) monomials, in the two-variable basis (v^d, v^{d-1} z,
+    ..., z^d).  Each is q^{r+1} times the column of (v + c*z)^{r+1}, so the
+    span is that of the Fraction coefficient matrix."""
     cols = []
-    binoms = [comb(r + 1, m) for m in range(r + 2)]
     for c in slopes:
-        powers = [c**m for m in range(r + 2)]
+        p, q = c.numerator, c.denominator
+        form = [comb(r + 1, m) * p**m * q ** (r + 1 - m) for m in range(r + 2)]
         for k in range(d - r):
-            col = [Fraction(0)] * rows
-            for m in range(r + 2):
-                col[m + k] = Fraction(binoms[m]) * powers[m]
-            cols.append(col)
-    ent = tuple(cols[j][i] for i in range(rows) for j in range(len(cols)))
-    return RatMatrix(rows, len(cols), ent)
+            cols.append([0] * k + form + [0] * (d - r - 1 - k))
+    return cols
 
 
 def default_oracle_bound(r: int, s: int) -> int:
@@ -175,90 +175,53 @@ def default_oracle_bound(r: int, s: int) -> int:
 
 
 def initial_ideal_oracle(r, slopes, d_max=None, axis: str = "x") -> MonomialIdeal:
-    """In<(v+c_i z)^{r+1}> recomputed degree by degree: pivot rows of the
-    coefficient matrix are the leading monomials, and new minimal generators
-    are the ones no earlier generator divides."""
+    """In<(v+c_i z)^{r+1}> recomputed degree by degree: the pivot rows of an
+    echelon basis of the coefficient columns are the leading monomials, and
+    new minimal generators are the ones no earlier generator divides."""
     slopes = _check_slopes(slopes)
     if d_max is None:
         d_max = default_oracle_bound(r, len(slopes))
     gens: list[Monomial] = []
     for d in range(r + 1, d_max + 1):
-        mat = _power_matrix(r, slopes, d)
-        for t in pivot_rows(mat):
+        ech = DenseIntEchelon(d + 1)
+        for col in _power_columns(r, slopes, d):
+            ech.insert(col)
+        for t in ech.pivot_rows():
             m = _axis_monomial(axis, d - t, t)
             if not any(g.divides(m) for g in gens):
                 gens.append(m)
     return minimalize(gens)
 
 
-# -- colon membership machinery (Fraction-level, desk scale) ----------------
-
-
-def _first_nonzero(vec):
-    for i, v in enumerate(vec):
-        if v:
-            return i
-    return None
-
-
-def _reduce_against(vec, ech):
-    """Eliminate vec against an echelon dict {lead: vector}; returns the
-    reduced vector whose first nonzero index (if any) is not a pivot."""
-    vec = list(vec)
-    i = _first_nonzero(vec)
-    while i is not None and i in ech:
-        piv = ech[i]
-        cf = vec[i] / piv[i]
-        vec = [a - cf * b for a, b in zip(vec, piv)]
-        i = _first_nonzero(vec)
-    return vec
-
-
 def colon_degree_basis(r, slopes, e: int):
     """Echelonized basis of (J' : z^{r+1})_e as two-variable coefficient
     vectors over (v^e, v^{e-1} z, ..., z^e): all f with z^{r+1} f in J'.
 
-    Solved by reducing the shifted basis vectors against J'_{e+r+1} and
-    taking the kernel of the residuals.
+    One echelon runs over [degree-(e+r+1) coordinates | f coordinates]: the
+    columns of J'_{e+r+1} padded with zeros, then z^{r+1} v^{e-i} z^i next
+    to the unit vector e_i.  A vector of that span with zero first block is
+    (0, f) with z^{r+1} f in J', so the pivots leading in the f block are an
+    echelon basis of the colon.  Each comes back divided by its lead entry.
     """
     slopes = _check_slopes(slopes)
     if e < 0:
         return []
-    mat = _power_matrix(r, slopes, e + r + 1)
-    ech: dict[int, list[Fraction]] = {}
-    for j in range(mat.cols):
-        col = _reduce_against(mat.column(j), ech)
-        lead = _first_nonzero(col)
-        if lead is not None:
-            ech[lead] = col
-    rows = e + r + 2
-    res_ech: dict[int, tuple[list[Fraction], list[Fraction]]] = {}
-    kernel: list[list[Fraction]] = []
+    n = e + r + 2
+    ech = DenseIntEchelon(n + e + 1)
+    pad = [0] * (e + 1)
+    for col in _power_columns(r, slopes, e + r + 1):
+        ech.insert(col + pad)
     for i in range(e + 1):
-        shifted = [Fraction(0)] * rows
-        shifted[i + r + 1] = Fraction(1)
-        rho = _reduce_against(shifted, ech)
-        combo = [Fraction(0)] * (e + 1)
-        combo[i] = Fraction(1)
-        lead = _first_nonzero(rho)
-        while lead is not None and lead in res_ech:
-            prho, pcombo = res_ech[lead]
-            cf = rho[lead] / prho[lead]
-            rho = [a - cf * b for a, b in zip(rho, prho)]
-            combo = [a - cf * b for a, b in zip(combo, pcombo)]
-            lead = _first_nonzero(rho)
-        if lead is None:
-            kernel.append(combo)
-        else:
-            res_ech[lead] = (rho, combo)
-    # echelonize the kernel in the two-variable coordinates for stable leads
-    out: dict[int, list[Fraction]] = {}
-    for combo in kernel:
-        vec = _reduce_against(combo, out)
-        lead = _first_nonzero(vec)
-        if lead is not None:
-            out[lead] = [v / vec[lead] for v in vec]
-    return [out[k] for k in sorted(out)]
+        vec = [0] * (n + e + 1)
+        vec[i + r + 1] = 1
+        vec[n + i] = 1
+        ech.insert(vec)
+    out = []
+    for lead in ech.pivot_rows():
+        if lead >= n:
+            f = ech.pivots[lead][n:]
+            out.append([Fraction(v, f[lead - n]) for v in f])
+    return out
 
 
 def colon_initial_oracle(r, slopes, d_max=None, axis: str = "x") -> MonomialIdeal:
@@ -346,10 +309,7 @@ def sum_initial_oracle(r, slopes1, slopes2, d_max=None) -> MonomialIdeal:
 
 
 def _index_to_exps(idx: int, d: int) -> tuple[int, int]:
-    k = 0
-    while (k + 1) * (k + 2) // 2 <= idx:
-        k += 1
-    rem = idx - k * (k + 1) // 2
-    ex = d - k
-    ey = k - rem
-    return ex, ey
+    """Inverse of _monomial_index: k = d - ex is the largest k with
+    k(k+1)/2 <= idx."""
+    k = (isqrt(8 * idx + 1) - 1) // 2
+    return d - k, k - (idx - k * (k + 1) // 2)

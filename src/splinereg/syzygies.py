@@ -169,18 +169,13 @@ class BettiTable:
 
 
 def _lcm_closure(gens):
-    seen = set(gens)
-    frontier = set(gens)
-    while frontier:
-        new = set()
-        for a in frontier:
-            for b in seen:
-                m = mono_lcm(a, b)
-                if m not in seen and m not in new:
-                    new.add(m)
-        seen |= new
-        frontier = new
-    return seen
+    """Every lcm of a nonempty set of generators.  In three variables such
+    an lcm is the lcm of at most three of them, one reaching the maximum of
+    each exponent, so the generators, pairs and triples give the whole set."""
+    out = set(gens)
+    out.update(mono_lcm(a, b) for a, b in itertools.combinations(gens, 2))
+    out.update(mono_lcm(mono_lcm(a, b), c) for a, b, c in itertools.combinations(gens, 3))
+    return out
 
 
 def _koszul_homology(ideal: MonomialIdeal, b: Monomial):

@@ -1,14 +1,28 @@
+import os
 import random
+import subprocess
+import sys
+import time
 from fractions import Fraction
+from math import comb
+from pathlib import Path
 
 import pytest
 
+import splinereg
+from splinereg._echelon import DenseIntEchelon
 from splinereg.errors import DuplicateSlope, InvalidSlopeCount
 from splinereg.monomials import Monomial, colon_by_monomial, minimalize
+from splinereg.ratlinalg import RatMatrix, in_column_span, pivot_rows, rank
 from splinereg.staircase import (
+    _index_to_exps,
+    _monomial_index,
+    _power_columns,
     build_q,
+    colon_degree_basis,
     colon_initial_oracle,
     colon_staircase,
+    default_oracle_bound,
     initial_ideal_oracle,
     staircase_closed_form,
     sum_initial_oracle,
@@ -193,3 +207,111 @@ def test_sum_oracle_34_r8():
 def test_sum_oracle_r0_trivial():
     got = sum_initial_oracle(0, [Fraction(0), Fraction(5)], [Fraction(0), Fraction(-2)])
     assert got == minimalize([M()])
+
+
+# -- the integer kernels against Fraction-level references -------------------
+
+
+def fraction_power_matrix(r, slopes, d):
+    """(v + c z)^{r+1} times the degree-(d-r-1) monomials over the basis
+    v^d, v^{d-1} z, ..., z^d, with Fraction entries."""
+    cols = []
+    for c in slopes:
+        for k in range(d - r):
+            col = [Fraction(0)] * (d + 1)
+            for m in range(r + 2):
+                col[m + k] = comb(r + 1, m) * c**m
+            cols.append(col)
+    return RatMatrix.from_rows([[col[i] for col in cols] for i in range(d + 1)])
+
+
+def slopes_with_zero(rng, s):
+    out = {Fraction(0)}
+    while len(out) < s:
+        out.add(Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("s", range(2, 5))
+def test_colon_degree_basis_solves_the_colon(s):
+    rng = random.Random(5100 + s)
+    for r in range(0, 9):
+        slopes = slopes_with_zero(rng, s)
+        for e in range(0, r + 4):
+            basis = colon_degree_basis(r, slopes, e)
+            mat = fraction_power_matrix(r, slopes, e + r + 1)
+            shifts = RatMatrix.from_rows(
+                [[int(t == i + r + 1) for i in range(e + 1)] for t in range(e + r + 2)]
+            )
+            # dim (J' : z^{r+1})_e = dim of the shifts' preimage in J'_{e+r+1}
+            assert len(basis) == (e + 1) + rank(mat) - rank(mat.hstack(shifts))
+            leads = []
+            for f in basis:
+                assert len(f) == e + 1
+                lead = next(t for t, v in enumerate(f) if v)
+                assert f[lead] == 1
+                leads.append(lead)
+                assert in_column_span(mat, [Fraction(0)] * (r + 1) + list(f))
+            assert all(a < b for a, b in zip(leads, leads[1:]))
+
+
+@pytest.mark.parametrize("s", range(2, 5))
+def test_initial_ideal_oracle_matches_fraction_pivot_rows(s):
+    rng = random.Random(5200 + s)
+    for r in range(0, 9):
+        slopes = slopes_with_zero(rng, s)
+        gens = []
+        for d in range(r + 1, default_oracle_bound(r, s) + 1):
+            mat = fraction_power_matrix(r, slopes, d)
+            cols = _power_columns(r, slopes, d)
+            for j, col in enumerate(cols):
+                scale = Fraction(slopes[j // (d - r)].denominator) ** (r + 1)
+                assert col == [scale * v for v in mat.column(j)]
+            ech = DenseIntEchelon(d + 1)
+            for col in cols:
+                ech.insert(col)
+            rows = pivot_rows(mat)
+            assert ech.pivot_rows() == rows
+            gens += [M(d - t, 0, t) for t in rows]
+        assert initial_ideal_oracle(r, slopes) == minimalize(gens)
+
+
+def test_index_to_exps_round_trip():
+    for d in range(0, 31):
+        seen = set()
+        for ex in range(d + 1):
+            for ey in range(d - ex + 1):
+                idx = _monomial_index(ex, ey, d)
+                assert _index_to_exps(idx, d) == (ex, ey)
+                seen.add(idx)
+        assert seen == set(range((d + 1) * (d + 2) // 2))
+
+
+def test_pruned_in_q_check_survives_python_O():
+    script = """
+import splinereg.staircase as st
+from splinereg.errors import StaircaseInvariant
+from splinereg.monomials import minimalize
+
+assert not __debug__
+real_sum = st.ideal_sum
+st.ideal_sum = lambda a, b: minimalize(real_sum(a, b).gens[1:])
+try:
+    st.build_q(3, 4, 8)
+except StaircaseInvariant as exc:
+    print("raised:", exc)
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(splinereg.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("raised: pruned generator list")
+
+
+def test_colon_initial_oracle_budget():
+    start = time.perf_counter()
+    got = colon_initial_oracle(20, [Fraction(-4, 5), Fraction(3, 4)])
+    elapsed = time.perf_counter() - start
+    assert got == colon_staircase(staircase_closed_form(20, 2)).ideal("x")
+    assert elapsed < 1.5, f"colon_initial_oracle(20, 2 slopes) took {elapsed:.2f}s"

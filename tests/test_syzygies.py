@@ -1,10 +1,13 @@
+import time
+
 import pytest
 
 from splinereg.errors import NonMonotone, TrivialIdeal, TwoChainRequired
-from splinereg.monomials import Monomial, hilbert_function, max_socle_degree, minimalize
+from splinereg.monomials import Monomial, hilbert_function, max_socle_degree, minimalize, mono_lcm
 from splinereg.staircase import build_q
 from splinereg.syzygies import (
     BuchGraph,
+    _lcm_closure,
     betti_oracle,
     bottom_face,
     buchberger_graph,
@@ -168,3 +171,41 @@ def test_socle_shift_identity_on_sample():
         # the socle degree really is the top nonzero degree
         assert hilbert_function(q.in_q, reg - r - 1) != 0
         assert hilbert_function(q.in_q, reg - r) == 0
+
+
+def fixpoint_lcm_closure(gens):
+    """Close the generators under pairwise lcm until nothing new appears."""
+    seen = set(gens)
+    frontier = set(gens)
+    while frontier:
+        new = {mono_lcm(a, b) for a in frontier for b in seen} - seen
+        seen |= new
+        frontier = new
+    return seen
+
+
+@pytest.mark.parametrize(
+    "a,b", [(a, b) for a in range(3, 9) for b in range(a, 9)]
+)
+def test_lcm_closure_matches_fixpoint(a, b):
+    for r in range(0, 13):
+        q = build_q(a, b, r)
+        if q.is_trivial:
+            continue
+        assert _lcm_closure(q.in_q.gens) == fixpoint_lcm_closure(q.in_q.gens)
+
+
+def test_lcm_closure_matches_fixpoint_33_r24():
+    gens = build_q(3, 3, 24).in_q.gens
+    got = _lcm_closure(gens)
+    assert len(got) == 975
+    assert got == fixpoint_lcm_closure(gens)
+
+
+def test_betti_oracle_budget_33_r24():
+    q = build_q(3, 3, 24)
+    start = time.perf_counter()
+    t = betti_oracle(q.in_q)
+    elapsed = time.perf_counter() - start
+    assert t.multidegrees(1) == syz2_closed_form(q)
+    assert elapsed < 1.0, f"betti_oracle at (3,3,24) took {elapsed:.2f}s"
