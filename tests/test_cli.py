@@ -139,23 +139,57 @@ def test_analyze_spline_dims(tmp_path, capsys):
     assert dims[0]["dim_formula"] == 1
 
 
-# sha256 of the analyze JSON for the two-edge complex ce1: the chain oracle's
-# early stop and shared H0 table must not change a byte of it
-CE1_GOLDEN = {
-    ("--r", "3", "--oracle"):
-        "ff26f5f9647f3b45f22983b17587dafc2d9076f5630d348735b9bedfc956d8f7",
-    ("--r", "2", "--d", "10", "--oracle"):
+# sha256 of the JSON each command prints.  The digests were taken before the
+# exact ranks moved off Fraction elimination; no refactor may change a byte.
+# An analyze row names the complex written to the file it reads.
+CLI_GOLDEN = [
+    pytest.param(
+        None, ("betti", "--a", "3", "--b", "3", "--r", "24"),
+        "2b9abea086c40e531940830cfcb8e4f224e2943282075d96f0c84cd64554bc1b",
+        id="betti-33-r24",
+    ),
+    pytest.param(
+        None, ("betti", "--a", "3", "--b", "4", "--r", "24"),
+        "35575a9158b5ecae3b7a7167d5c4cbec36c5f7221bf7a2b3a3f5a2f710793326",
+        id="betti-34-r24",
+    ),
+    pytest.param(
+        None, ("regularity", "--a", "3", "--b", "4", "--r", "8", "--oracle"),
+        "a684456eb6e5c0228f35663c80408ab837925cdeab7bff79c5c5cb41e819472c",
+        id="regularity-34-r8-oracle",
+    ),
+    pytest.param(
+        None, ("staircase", "--r", "8", "--a", "3", "--b", "4", "--emit-graph"),
+        "feeb0138a56996461eff28697d9a45450f29eb2aea8b30e44ad0cdce8925949f",
+        id="staircase-34-r8-graph",
+    ),
+    pytest.param(
+        lambda: one_edge_complex(3, 4), ("--r", "5", "--d", "8", "--oracle"),
+        "78809a48869172cb63a1f389c219fed875de658458ff9be3c67d00016e8d8f21",
+        id="analyze-one34-r5-d8-oracle",
+    ),
+    pytest.param(
+        ce1_complex, ("--r", "2", "--d", "10", "--oracle"),
         "5e7579c6b6c5a7633d3d7e6da0bb4467c1583dccb9b3460c346fe0a5f3e123f3",
-}
+        id="analyze-ce1-r2-d10-oracle",
+    ),
+    pytest.param(
+        ce1_complex, ("--r", "3", "--oracle"),
+        "ff26f5f9647f3b45f22983b17587dafc2d9076f5630d348735b9bedfc956d8f7",
+        id="analyze-ce1-r3-oracle",
+    ),
+]
 
 
-@pytest.mark.parametrize("flags", sorted(CE1_GOLDEN))
-def test_analyze_ce1_golden_bytes(tmp_path, capsys, flags):
-    path = tmp_path / "ce1.json"
-    path.write_text(ce1_complex().to_json())
-    code, out, _ = run(capsys, "analyze", str(path), *flags)
+@pytest.mark.parametrize("complex_, argv, digest", CLI_GOLDEN)
+def test_cli_golden_bytes(tmp_path, capsys, complex_, argv, digest):
+    if complex_ is not None:
+        path = tmp_path / "complex.json"
+        path.write_text(complex_().to_json())
+        argv = ("analyze", str(path)) + argv
+    code, out, _ = run(capsys, *argv)
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == CE1_GOLDEN[flags]
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_analyze_rejects_boolean_indices_and_duplicate_keys(tmp_path, capsys):
