@@ -14,13 +14,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm
+from math import comb
 
-from ._echelon import SparseIntEchelon
+from ._echelon import DenseIntEchelon, SparseIntEchelon
 from .errors import CapExceeded
-from .geometry import LinearForm, SimplicialComplex, interior_stats
-from .monomials import count_degree
-from .ratlinalg import RatMatrix, rank
+from .geometry import (
+    LinearForm,
+    SimplicialComplex,
+    _canonical_int_vector,
+    _mat_inverse,
+    _row_times,
+    interior_stats,
+)
+from .monomials import count_degree, monomial_index
+from .staircase import _power_columns
 
 
 # ---------------------------------------------------------------------------
@@ -46,7 +53,7 @@ class IdealComplexData:
     groups: tuple[EdgeGroup, ...]
     vertex_forms: dict[int, tuple[LinearForm, ...]]  # slope-deduped, totally-interior first
     frames: dict[int, _Frame]
-    frame_pairs: dict[int, tuple]  # each vertex form as (c1, c2) over its frame's (f1, f2)
+    frame_pairs: dict[int, tuple]  # form = c1 f1 + c2 f2 as coprime ints prop. to (c1, c2)
 
 
 def ideal_complex(c: SimplicialComplex, r: int) -> IdealComplexData:
@@ -82,7 +89,7 @@ def ideal_complex(c: SimplicialComplex, r: int) -> IdealComplexData:
         vertex_forms[v] = tuple(seen.values())
     frames = {v: _Frame(v, forms) for v, forms in vertex_forms.items()}
     frame_pairs = {
-        v: tuple(_solve_frame_pair(f, frames[v].f1, frames[v].f2) for f in forms)
+        v: tuple(_canonical_int_vector(frames[v].coords_of_form(f)[:2]) for f in forms)
         for v, forms in vertex_forms.items()
     }
     return IdealComplexData(r, tuple(groups), vertex_forms, frames, frame_pairs)
@@ -94,42 +101,14 @@ def ideal_complex(c: SimplicialComplex, r: int) -> IdealComplexData:
 
 @lru_cache(maxsize=None)
 def _two_var_dim(pairs, r: int, e: int) -> int:
-    """dim of sum_i (c_i u + d_i w)^{r+1} * k[u,w]_{e-r-1} inside k[u,w]_e."""
+    """dim of sum_i (n1_i u + n2_i w)^{r+1} * k[u,w]_{e-r-1} inside k[u,w]_e,
+    for integer pairs (n1_i, n2_i)."""
     if e < r + 1:
         return 0
-    rows = e + 1
-    cols = []
-    for c1, c2 in pairs:
-        base = [comb(r + 1, m) * c1 ** (r + 1 - m) * c2**m for m in range(r + 2)]
-        for k in range(e - r):
-            col = [Fraction(0)] * rows
-            for m in range(r + 2):
-                col[m + k] = base[m]
-            cols.append(col)
-    ent = tuple(cols[j][i] for i in range(rows) for j in range(len(cols)))
-    return rank(RatMatrix(rows, len(cols), ent))
-
-
-def _solve_frame_pair(form: LinearForm, f1: LinearForm, f2: LinearForm):
-    """Coefficients (c1, c2) with form = c1 f1 + c2 f2 (all three vanish at
-    the same vertex, so the 2-dimensional solve is always consistent)."""
-    rows = list(zip(f1.vector(), f2.vector(), form.vector()))
-    for (a1, b1, t1), (a2, b2, t2) in (
-        (rows[0], rows[1]),
-        (rows[0], rows[2]),
-        (rows[1], rows[2]),
-    ):
-        det = a1 * b2 - a2 * b1
-        if det:
-            c1 = Fraction(t1 * b2 - t2 * b1, det)
-            c2 = Fraction(a1 * t2 - a2 * t1, det)
-            break
-    else:
-        raise ValueError("frame forms are proportional")
-    assert all(
-        c1 * a + c2 * b == t for a, b, t in rows
-    ), "form is not in the span of the frame"
-    return c1, c2
+    ech = DenseIntEchelon(e + 1)
+    for col in _power_columns(r, pairs, e):
+        ech.insert(col)
+    return ech.rank
 
 
 class _Frame:
@@ -149,18 +128,12 @@ class _Frame:
             raise ValueError(f"vertex {v} has fewer than two distinct slopes")
         self.v = v
         self.f1, self.f2 = f1, f2
-        self.rows = (
-            tuple(Fraction(x) for x in f1.vector()),
-            tuple(Fraction(x) for x in f2.vector()),
-            (Fraction(0), Fraction(0), Fraction(1)),
-        )
-        self.inv = _frame_inverse(self.rows)
+        self.inv = _mat_inverse((f1.vector(), f2.vector(), (0, 0, 1)))
 
     def coords_of_form(self, form: LinearForm):
-        row = tuple(Fraction(x) for x in form.vector())
-        return tuple(
-            sum(row[k] * self.inv[k][j] for k in range(3)) for j in range(3)
-        )
+        """(c1, c2, c3) with form = c1 f1 + c2 f2 + c3 z; c3 = 0 for every
+        form through the vertex."""
+        return _row_times(form.vector(), self.inv)
 
 
 def _cross3(u, v):
@@ -169,20 +142,6 @@ def _cross3(u, v):
         u[2] * v[0] - u[0] * v[2],
         u[0] * v[1] - u[1] * v[0],
     )
-
-
-def _frame_inverse(rows):
-    a, b, c = rows[0]
-    d, e, f = rows[1]
-    g, h, i = rows[2]
-    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    assert det != 0
-    adj = (
-        (e * i - f * h, c * h - b * i, b * f - c * e),
-        (f * g - d * i, a * i - c * g, c * d - a * f),
-        (d * h - e * g, b * g - a * h, a * e - b * d),
-    )
-    return tuple(tuple(x / det for x in row) for row in adj)
 
 
 def _poly_mul(p, q):
@@ -211,18 +170,6 @@ def _poly_pow(p, n):
     for _ in range(n):
         out = _poly_mul(out, p)
     return out
-
-
-def _mono_index(e_first: int, e_second: int, d: int) -> int:
-    k = d - e_first
-    return k * (k + 1) // 2 + (k - e_second)
-
-
-def _column_int(col):
-    den = 1
-    for v in col.values():
-        den = lcm(den, v.denominator)
-    return {k: int(v * den) for k, v in col.items() if v}
 
 
 def boundary_rank(c: SimplicialComplex, r: int, d: int, data: IdealComplexData | None = None) -> int:
@@ -266,15 +213,15 @@ def boundary_rank(c: SimplicialComplex, r: int, d: int, data: IdealComplexData |
                 gamma = big - alpha - beta
                 col: dict = {}
                 for m in range(r + 2):
-                    key = (hblock, _mono_index(r + 1 - m + alpha, m + beta, d))
+                    key = (hblock, monomial_index(r + 1 - m + alpha, m + beta, d))
                     col[key] = col.get(key, Fraction(0)) + hsign * home_base[m]
                 if far_polys:
                     # far-frame exponents are (eu, ew, et + gamma); the index
                     # only needs the first two at fixed total degree d
                     for (eu, ew, _et), v in q_ab.items():
-                        key = (fblock, _mono_index(eu, ew, d))
+                        key = (fblock, monomial_index(eu, ew, d))
                         col[key] = col.get(key, Fraction(0)) - hsign * v
-                ech.insert(_column_int(col))
+                ech.insert(dict(zip(col, _canonical_int_vector(col.values()))))
     return ech.rank
 
 
@@ -408,7 +355,7 @@ def spline_dim_oracle(c: SimplicialComplex, r: int, d: int) -> int:
                 row[(t1, p, q)] = row.get((t1, p, q), Fraction(0)) + cf
                 row[(t2, p, q)] = row.get((t2, p, q), Fraction(0)) - cf
         for key in sorted(rows):
-            ech.insert(_column_int(rows[key]))
+            ech.insert(dict(zip(rows[key], _canonical_int_vector(rows[key].values()))))
     return n_unknowns - ech.rank
 
 

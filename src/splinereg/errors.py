@@ -16,8 +16,9 @@ class DuplicateSlope(SplineRegError):
 
 class StaircaseInvariant(SplineRegError):
     """A staircase closed form broke its own invariants: the lambda endpoints
-    or strict decrease, i0 = floor((r+1)/s), the lambda' shape, or the pruned
-    In Q generator list against minimalize (hard failure)."""
+    or strict decrease, i0 = floor((r+1)/s), the lambda' shape, the pruned
+    In Q generator list against minimalize, l0 >= 1 or zeta0 in {1, 2}
+    (hard failure)."""
 
 
 class NotArtinian(SplineRegError):
@@ -83,4 +84,5 @@ class HypothesisViolated(SplineRegError):
 
 
 class RouteDisagreement(SplineRegError):
-    """Independent regularity routes returned different answers (hard failure)."""
+    """Independent regularity routes returned different answers, or a value
+    fell outside a bound proved for it (hard failure)."""

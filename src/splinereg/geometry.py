@@ -32,11 +32,12 @@ _RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
 
 
 def _canonical_int_vector(vec):
-    """Scale a rational vector to coprime integers, first nonzero positive."""
+    """Scale a vector of ints and Fractions to coprime integers, first
+    nonzero positive."""
     den = 1
     for v in vec:
-        den = lcm(den, Fraction(v).denominator)
-    ints = [int(Fraction(v) * den) for v in vec]
+        den = lcm(den, v.denominator)
+    ints = [int(v * den) for v in vec]
     g = 0
     for v in ints:
         g = gcd(g, v)
@@ -124,17 +125,7 @@ class SimplicialComplex:
             e: tuple(ts) for e, ts in edge_tris.items()
         }
 
-        parent = list(range(n))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        for u, v in self.edges:
-            parent[find(u)] = find(v)
-        if len({find(i) for i in range(n)}) != 1:
+        if _component_count(range(n), self.edges) != 1:
             raise NotConnected("complex is not connected")
 
         if n - len(self.edges) + len(canon) != 1:
@@ -160,6 +151,21 @@ class SimplicialComplex:
             "triangles": [list(t) for t in self.triangles],
         }
         return json.dumps(data, sort_keys=True)
+
+
+def _component_count(nodes, edges) -> int:
+    """Connected components of the graph on `nodes` with the given edges."""
+    parent = {v: v for v in nodes}
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for u, v in edges:
+        parent[find(u)] = find(v)
+    return len({find(v) for v in nodes})
 
 
 def _fmt(v: Fraction) -> str:
@@ -298,7 +304,7 @@ def interior_stats(c: SimplicialComplex, r: int) -> InteriorData:
             k_0b=k_0b,
             alpha=(r + 1) // k_0b if k_0b > 0 else None,
         )
-    blocks = _interior_blocks(c.interior_vertices, totally)
+    blocks = _component_count(c.interior_vertices, totally)
     return InteriorData(
         r=r,
         per_vertex=per_vertex,
@@ -307,20 +313,6 @@ def interior_stats(c: SimplicialComplex, r: int) -> InteriorData:
         partially_interior=partially,
         interior_blocks=blocks,
     )
-
-
-def _interior_blocks(interior_vertices, totally) -> int:
-    parent = {v: v for v in interior_vertices}
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for u, v in totally:
-        parent[find(u)] = find(v)
-    return len({find(v) for v in interior_vertices})
 
 
 # ---------------------------------------------------------------------------

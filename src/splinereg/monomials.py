@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import isqrt
 
 from .errors import NotArtinian, TrivialIdeal
 
@@ -127,6 +128,19 @@ def monomials_of_degree(d: int):
     for ex in range(d, -1, -1):
         for ey in range(d - ex, -1, -1):
             yield Monomial(ex, ey, d - ex - ey)
+
+
+def monomial_index(ex: int, ey: int, d: int) -> int:
+    """Position of x^ex y^ey z^(d-ex-ey) in `monomials_of_degree(d)`."""
+    k = d - ex
+    return k * (k + 1) // 2 + (k - ey)
+
+
+def index_exponents(idx: int, d: int) -> tuple[int, int]:
+    """Inverse of `monomial_index`: k = d - ex is the largest k with
+    k(k+1)/2 <= idx."""
+    k = (isqrt(8 * idx + 1) - 1) // 2
+    return d - k, k - (idx - k * (k + 1) // 2)
 
 
 def count_degree(d: int) -> int:

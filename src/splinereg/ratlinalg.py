@@ -5,11 +5,10 @@ rank, pivot_rows and in_column_span all reduce to one fraction-free
 denominators column by column.  Row order is semantic: pivot rows come
 back in the order given.  No floating point anywhere.
 
-The staircase oracles do not use this module: they build integer columns
-and run them through `_echelon.DenseIntEchelon`.  Its callers are the
-two-variable ranks of the chain complex, the upper-Koszul homology of the
-Betti oracle, and the tests, which use it as the Fraction-level reference
-for the integer kernels.
+No production route uses this module: every elimination runs on integer
+columns in `_echelon`, and the Betti oracle reads its Koszul homology off
+face counts.  It stays as the Fraction-level reference that the tests
+compare those routes against, and as a public export of the package.
 """
 from __future__ import annotations
 

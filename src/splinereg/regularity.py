@@ -66,7 +66,7 @@ class RegularityReport:
 def regularity_one_edge(a: int, b: int, r: int) -> RegularityReport:
     """Closed-form pipeline for slope counts (a, b) and smoothness r; the
     sandwich alpha1 + alpha2 + r - 1 <= reg <= alpha1 + alpha2 + r is
-    asserted whenever the module is nonzero."""
+    checked whenever the module is nonzero."""
     if r < 0:
         raise ValueError("r must be >= 0")
     q = build_q(a, b, r)
@@ -88,13 +88,17 @@ def regularity_one_edge(a: int, b: int, r: int) -> RegularityReport:
             conjecture_2r=True,   # vacuously: the module is zero
             vanishes=True,
         )
-    reg = regularity_from_bottom_face(q)  # asserts the socle route agrees
+    reg = regularity_from_bottom_face(q)  # raises unless the socle route agrees
     face = bottom_face(q)
     graph = buchberger_graph(q.in_q)
-    syz2_closed_form(q)  # runs the closed-form edge enumeration's asserts
-    ordered_faces = syz3_closed_form(graph)  # asserts the z-order property
-    assert ordered_faces[0] == face, "graph bottom face disagrees with i0/j0/zeta0"
-    assert lower <= reg <= upper, f"sandwich violated: {lower} <= {reg} <= {upper}"
+    syz2_closed_form(q)  # runs the closed-form edge enumeration's checks
+    ordered_faces = syz3_closed_form(graph)  # checks the z-order property
+    if ordered_faces[0] != face:
+        raise RouteDisagreement(
+            f"graph bottom face {ordered_faces[0]} disagrees with i0/j0/zeta0 face {face}"
+        )
+    if not lower <= reg <= upper:
+        raise RouteDisagreement(f"sandwich violated: {lower} <= {reg} <= {upper}")
     return RegularityReport(
         a, b, r,
         exact=reg,
@@ -117,10 +121,15 @@ def regularity_from_complex(c: SimplicialComplex, r: int) -> RegularityReport:
     norm = normalize_one_edge(c, r, stats)
     for v, count in ((norm.v1, norm.a), (norm.v2, norm.b)):
         st = stats.per_vertex[v]
-        assert st.k_00 == 1 and st.k == st.k_0b + 1
-        assert stats.alpha(v) == (r + 1) // (count - 1), (
-            "alpha via partially-interior slopes disagrees with alpha via k(v)-1"
-        )
+        if st.k_00 != 1 or st.k != st.k_0b + 1:
+            raise RouteDisagreement(
+                f"vertex {v}: k = {st.k}, k_00 = {st.k_00}, k_0b = {st.k_0b}; a one-edge "
+                "vertex needs k_00 = 1 and k = k_0b + 1"
+            )
+        if stats.alpha(v) != (r + 1) // (count - 1):
+            raise RouteDisagreement(
+                f"vertex {v}: alpha via partially interior slopes disagrees with alpha via k(v)-1"
+            )
     rep = regularity_one_edge(norm.a, norm.b, r)
     oracle = h0_regularity_oracle(c, r)
     if oracle != rep.exact:
@@ -136,8 +145,8 @@ def check_2r_theorem(report: RegularityReport) -> bool:
     if report.exact is None:
         raise ValueError("2r check needs a nonzero module")
     r = report.r
-    if (report.a, report.b) != (3, 3) and r >= 1:
-        assert (r + 1) // 2 + (r + 1) // 3 + r <= 2 * r
+    if (report.a, report.b) != (3, 3) and r >= 1 and (r + 1) // 2 + (r + 1) // 3 + r > 2 * r:
+        raise RouteDisagreement(f"floor((r+1)/2) + floor((r+1)/3) + r > 2r at r = {r}")
     return report.exact <= 2 * r
 
 

@@ -13,11 +13,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, isqrt, lcm
+from math import comb
 
 from ._echelon import DenseIntEchelon, _first_nonzero
 from .errors import DuplicateSlope, InvalidSlopeCount, StaircaseInvariant
-from .monomials import Monomial, MonomialIdeal, ideal_sum, minimalize
+from .geometry import _canonical_int_vector
+from .monomials import (
+    Monomial,
+    MonomialIdeal,
+    ideal_sum,
+    index_exponents,
+    minimalize,
+    monomial_index,
+)
 
 
 @dataclass(frozen=True)
@@ -153,15 +161,19 @@ def _check_slopes(slopes):
     return slopes
 
 
-def _power_columns(r: int, slopes, d: int) -> list[list[int]]:
-    """Columns are (q*v + p*z)^{r+1}, for each slope c = p/q, times the
-    degree-(d-r-1) monomials, in the two-variable basis (v^d, v^{d-1} z,
-    ..., z^d).  Each is q^{r+1} times the column of (v + c*z)^{r+1}, so the
-    span is that of the Fraction coefficient matrix."""
+def _slope_pairs(slopes):
+    """A slope c = p/q as the integer pair (q, p): the form q*v + p*z is
+    q times v + c*z, so its powers span the same columns."""
+    return [(c.denominator, c.numerator) for c in slopes]
+
+
+def _power_columns(r: int, pairs, d: int) -> list[list[int]]:
+    """Columns are (n1*v + n2*z)^{r+1}, for each integer pair (n1, n2),
+    times the degree-(d-r-1) monomials, in the two-variable basis (v^d,
+    v^{d-1} z, ..., z^d)."""
     cols = []
-    for c in slopes:
-        p, q = c.numerator, c.denominator
-        form = [comb(r + 1, m) * p**m * q ** (r + 1 - m) for m in range(r + 2)]
+    for n1, n2 in pairs:
+        form = [comb(r + 1, m) * n1 ** (r + 1 - m) * n2**m for m in range(r + 2)]
         for k in range(d - r):
             cols.append([0] * k + form + [0] * (d - r - 1 - k))
     return cols
@@ -181,10 +193,11 @@ def initial_ideal_oracle(r, slopes, d_max=None, axis: str = "x") -> MonomialIdea
     slopes = _check_slopes(slopes)
     if d_max is None:
         d_max = default_oracle_bound(r, len(slopes))
+    pairs = _slope_pairs(slopes)
     gens: list[Monomial] = []
     for d in range(r + 1, d_max + 1):
         ech = DenseIntEchelon(d + 1)
-        for col in _power_columns(r, slopes, d):
+        for col in _power_columns(r, pairs, d):
             ech.insert(col)
         for t in ech.pivot_rows():
             m = _axis_monomial(axis, d - t, t)
@@ -209,7 +222,7 @@ def colon_degree_basis(r, slopes, e: int):
     n = e + r + 2
     ech = DenseIntEchelon(n + e + 1)
     pad = [0] * (e + 1)
-    for col in _power_columns(r, slopes, e + r + 1):
+    for col in _power_columns(r, _slope_pairs(slopes), e + r + 1):
         ech.insert(col + pad)
     for i in range(e + 1):
         vec = [0] * (n + e + 1)
@@ -246,20 +259,6 @@ def colon_initial_oracle(r, slopes, d_max=None, axis: str = "x") -> MonomialIdea
 # -- sum oracle --------------------------------------------------------------
 
 
-def _monomial_index(ex: int, ey: int, d: int) -> int:
-    """Position of x^ex y^ey z^(d-ex-ey) in the lex-descending degree-d list."""
-    k = d - ex
-    return k * (k + 1) // 2 + (k - ey)
-
-
-def _clear_fractions(vec):
-    den = 1
-    for v in vec:
-        if v:
-            den = lcm(den, v.denominator)
-    return [int(v * den) for v in vec]
-
-
 def sum_initial_oracle(r, slopes1, slopes2, d_max=None) -> MonomialIdeal:
     """In(Q(v1) + Q(v2)) recomputed from the colon subspaces: per degree the
     column space is spanned by last degree's pivot vectors times x, y, z plus
@@ -280,25 +279,25 @@ def sum_initial_oracle(r, slopes1, slopes2, d_max=None) -> MonomialIdeal:
                 vec = [0] * n
                 for idx, val in enumerate(prev_vec):
                     if val:
-                        ex, ey = _index_to_exps(idx, d - 1)
+                        ex, ey = index_exponents(idx, d - 1)
                         if var == 0:
                             ex += 1
                         elif var == 1:
                             ey += 1
-                        vec[_monomial_index(ex, ey, d)] = val
+                        vec[monomial_index(ex, ey, d)] = val
                 ech.insert(vec)
         for axis, slopes in (("x", slopes1), ("y", slopes2)):
             for bvec in colon_degree_basis(r, slopes, d):
-                ivec = _clear_fractions(bvec)
+                ivec = _canonical_int_vector(bvec)
                 vec = [0] * n
                 for t, val in enumerate(ivec):
                     if val:
                         ex = d - t if axis == "x" else 0
                         ey = 0 if axis == "x" else d - t
-                        vec[_monomial_index(ex, ey, d)] = val
+                        vec[monomial_index(ex, ey, d)] = val
                 ech.insert(vec)
         for lead in ech.pivot_rows():
-            ex, ey = _index_to_exps(lead, d)
+            ex, ey = index_exponents(lead, d)
             m = Monomial(ex, ey, d - ex - ey)
             if not any(g.divides(m) for g in gens):
                 gens.append(m)
@@ -306,10 +305,3 @@ def sum_initial_oracle(r, slopes1, slopes2, d_max=None) -> MonomialIdeal:
             break
         carried = ech.pivot_vectors()
     return minimalize(gens)
-
-
-def _index_to_exps(idx: int, d: int) -> tuple[int, int]:
-    """Inverse of _monomial_index: k = d - ex is the largest k with
-    k(k+1)/2 <= idx."""
-    k = (isqrt(8 * idx + 1) - 1) // 2
-    return d - k, k - (idx - k * (k + 1) // 2)

@@ -2,6 +2,10 @@
 third syzygies, a multigraded Betti oracle via upper-Koszul complexes, and
 the bottom-face regularity extraction.
 
+The Betti oracle never eliminates: each upper-Koszul complex is a
+subcomplex of the triangle on {x, y, z}, so its homology follows from how
+many vertices, edges and faces it has.
+
 Edges follow the usual no-third-divisor rule.  Faces are the bounded
 regions of the planar layout of these two-chain ideals (an x-chain and a
 y/z-chain joined by a ladder of crossing edges); regions may be quads, so
@@ -13,7 +17,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import NonMonotone, NotArtinian, SocleMismatch, TrivialIdeal, TwoChainRequired
+from .errors import (
+    NonMonotone,
+    NotArtinian,
+    SocleMismatch,
+    StaircaseInvariant,
+    TrivialIdeal,
+    TwoChainRequired,
+)
 from .monomials import (
     Monomial,
     MonomialIdeal,
@@ -24,7 +35,6 @@ from .monomials import (
     max_socle_degree,
     mono_lcm,
 )
-from .ratlinalg import RatMatrix, rank
 from .staircase import QData
 
 
@@ -92,7 +102,8 @@ def syz2_closed_form(q: QData) -> tuple[Monomial, ...]:
     if q.is_trivial:
         raise TrivialIdeal("In Q is the unit ideal")
     lamp, etap, l0, i0, j0 = q.colon1.lam_prime, q.colon2.lam_prime, q.l0, q.i0, q.j0
-    assert l0 >= 1
+    if l0 < 1:
+        raise StaircaseInvariant(f"pruning index l0 = {l0} < 1 for a nontrivial In Q")
     out = {Monomial(i, 0, lamp[i - 1]) for i in range(l0 + 1, i0 + 1)}
     out.add(Monomial(l0, 0, etap[0]))
     out |= {Monomial(0, j, etap[j - 1]) for j in range(1, j0 + 1)}
@@ -106,9 +117,9 @@ def syz2_closed_form(q: QData) -> tuple[Monomial, ...]:
 
 
 def syz3_closed_form(g: BuchGraph) -> list[Monomial]:
-    """Face lcms by ascending z-exponent; asserts the order properties
-    (distinct z-degrees, weakly decreasing total degree) and puts the
-    bottom face first."""
+    """Face lcms by ascending z-exponent, bottom face first; raises
+    NonMonotone unless the z-degrees are distinct and the total degree
+    weakly decreases."""
     faces = sorted(g.face_lcms(), key=lambda m: m.ez)
     for a, b in zip(faces, faces[1:]):
         if a.ez == b.ez:
@@ -123,7 +134,8 @@ def bottom_face(q: QData) -> Monomial:
     if q.is_trivial:
         raise TrivialIdeal("In Q is the unit ideal")
     zeta0 = min(q.colon1.lam_prime[q.i0 - 1], q.colon2.lam_prime[q.j0 - 1])
-    assert zeta0 in (1, 2), f"zeta0 = {zeta0} outside {{1, 2}}"
+    if zeta0 not in (1, 2):
+        raise StaircaseInvariant(f"zeta0 = {zeta0} outside {{1, 2}}")
     return Monomial(q.i0, q.j0, zeta0)
 
 
@@ -180,7 +192,12 @@ def _lcm_closure(gens):
 
 def _koszul_homology(ideal: MonomialIdeal, b: Monomial):
     """Reduced homology ranks (dim -1, 0, 1) of the upper-Koszul complex
-    K^b = { tau subset of {x,y,z} : b / prod(tau) lies in the ideal }."""
+    K^b = { tau subset of {x,y,z} : b / prod(tau) lies in the ideal }.
+
+    K^b is closed under subsets, so it is a subcomplex of the triangle: an
+    edge brings both its vertices and the 2-face all three edges.  With nv
+    vertices and ne edges the boundary ranks are [nv > 0], min(ne, 2) (up
+    to two edges form a forest, three a cycle) and [face present]."""
     exps = b.exponents()
 
     def member(drop):
@@ -191,31 +208,16 @@ def _koszul_homology(ideal: MonomialIdeal, b: Monomial):
                 return False
         return ideal.contains(Monomial(*e))
 
-    verts = [v for v in range(3) if member((v,))]
-    edges = [t for t in itertools.combinations(range(3), 2) if member(t)]
-    has_face = member((0, 1, 2))
-    d0 = RatMatrix.from_rows([[1] * len(verts)]) if verts else RatMatrix.zero(1, 0)
-    rows1 = [[0] * len(edges) for _ in verts]
-    vidx = {v: i for i, v in enumerate(verts)}
-    for j, (u, v) in enumerate(edges):
-        rows1[vidx[u]][j] = -1
-        rows1[vidx[v]][j] = 1
-    d1 = RatMatrix.from_rows(rows1) if verts and edges else RatMatrix.zero(len(verts), len(edges))
-    rows2 = [[0] for _ in edges] if has_face else [[] for _ in edges]
-    if has_face:
-        eidx = {e: i for i, e in enumerate(edges)}
-        rows2[eidx[(1, 2)]][0] = 1
-        rows2[eidx[(0, 2)]][0] = -1
-        rows2[eidx[(0, 1)]][0] = 1
-    d2 = RatMatrix.from_rows(rows2) if edges and has_face else RatMatrix.zero(len(edges), 1 if has_face else 0)
-    r0, r1, r2 = rank(d0), rank(d1), rank(d2)
-    return (1 - r0, len(verts) - r0 - r1, len(edges) - r1 - r2)
+    nv = sum(member((v,)) for v in range(3))
+    ne = sum(member(t) for t in itertools.combinations(range(3), 2))
+    r0, r1, r2 = int(nv > 0), min(ne, 2), int(member((0, 1, 2)))
+    return (1 - r0, nv - r0 - r1, ne - r1 - r2)
 
 
 def betti_oracle(ideal: MonomialIdeal) -> BettiTable:
     """Multigraded Betti numbers over the lcm closure of the generators,
-    each from the reduced homology of the upper-Koszul complex, computed by
-    exact rank over the rationals."""
+    each from the reduced homology of the upper-Koszul complex, read off
+    its face counts."""
     entries = []
     for b in sorted(_lcm_closure(ideal.gens), key=lex_key, reverse=True):
         if not ideal.contains(b):

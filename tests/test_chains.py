@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -197,11 +198,44 @@ def test_schumaker_identity(k, r):
 @pytest.mark.parametrize("k", range(2, 7))
 @pytest.mark.parametrize("r", range(0, 9))
 def test_schumaker_matches_rank_oracle(k, r):
-    pairs = tuple((Fraction(1), Fraction(c)) for c in range(k))
+    pairs = tuple((1, c) for c in range(k))
     lr = schumaker_local(k, r)
     for d in range(0, 4 * r + 1):
         dim_jv = sum(_two_var_dim(pairs, r, e) for e in range(r + 1, d + 1))
         assert count_degree(d) - dim_jv == lr.hilbert(d)
+
+
+def fraction_two_var_dim(pairs, r, e):
+    """dim of sum_i (c_i u + d_i w)^{r+1} * k[u,w]_{e-r-1} inside k[u,w]_e
+    by Bareiss rank of the Fraction coefficient matrix."""
+    if e < r + 1:
+        return 0
+    rows = e + 1
+    cols = []
+    for c1, c2 in pairs:
+        base = [comb(r + 1, m) * c1 ** (r + 1 - m) * c2**m for m in range(r + 2)]
+        for k in range(e - r):
+            col = [Fraction(0)] * rows
+            for m in range(r + 2):
+                col[m + k] = base[m]
+            cols.append(col)
+    ent = tuple(cols[j][i] for i in range(rows) for j in range(len(cols)))
+    return rank(RatMatrix(rows, len(cols), ent))
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        ((0, 1), (1, 0)),
+        ((0, 1), (1, -2), (1, 2), (-3, 5)),
+        ((0, -1), (2, 3), (-1, 1), (4, -7)),
+        ((3, -1),),
+    ],
+)
+def test_two_var_dim_matches_fraction_rank(pairs):
+    for r in range(0, 7):
+        for e in range(0, 3 * r + 4):
+            assert _two_var_dim(pairs, r, e) == fraction_two_var_dim(pairs, r, e)
 
 
 def test_spline_dims_single_triangle(complex_triangle):

@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import splinereg
 from splinereg.errors import HypothesisViolated, InvalidSlopeCount, NotOneEdge
 from splinereg.monomials import Monomial
 from splinereg.regularity import (
@@ -157,3 +162,24 @@ def test_report_json_shape():
     assert d["bottom_face"] == "x^4 y^3 z"
     assert d["in_q"][0] == "x^4"
     assert d["routes_agree"] is True
+
+
+def test_bottom_face_check_survives_python_O():
+    script = """
+import splinereg.regularity as reg
+from splinereg.errors import RouteDisagreement
+from splinereg.monomials import Monomial
+
+assert not __debug__
+reg.bottom_face = lambda q: Monomial(q.i0, q.j0, 3)
+try:
+    reg.regularity_one_edge(3, 4, 8)
+except RouteDisagreement as exc:
+    print("raised:", exc)
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(splinereg.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("raised: graph bottom face x^4 y^3 z disagrees")

@@ -12,12 +12,18 @@ import pytest
 import splinereg
 from splinereg._echelon import DenseIntEchelon
 from splinereg.errors import DuplicateSlope, InvalidSlopeCount
-from splinereg.monomials import Monomial, colon_by_monomial, minimalize
+from splinereg.monomials import (
+    Monomial,
+    colon_by_monomial,
+    index_exponents,
+    minimalize,
+    monomial_index,
+    monomials_of_degree,
+)
 from splinereg.ratlinalg import RatMatrix, in_column_span, pivot_rows, rank
 from splinereg.staircase import (
-    _index_to_exps,
-    _monomial_index,
     _power_columns,
+    _slope_pairs,
     build_q,
     colon_degree_basis,
     colon_initial_oracle,
@@ -263,7 +269,7 @@ def test_initial_ideal_oracle_matches_fraction_pivot_rows(s):
         gens = []
         for d in range(r + 1, default_oracle_bound(r, s) + 1):
             mat = fraction_power_matrix(r, slopes, d)
-            cols = _power_columns(r, slopes, d)
+            cols = _power_columns(r, _slope_pairs(slopes), d)
             for j, col in enumerate(cols):
                 scale = Fraction(slopes[j // (d - r)].denominator) ** (r + 1)
                 assert col == [scale * v for v in mat.column(j)]
@@ -278,13 +284,10 @@ def test_initial_ideal_oracle_matches_fraction_pivot_rows(s):
 
 def test_index_to_exps_round_trip():
     for d in range(0, 31):
-        seen = set()
-        for ex in range(d + 1):
-            for ey in range(d - ex + 1):
-                idx = _monomial_index(ex, ey, d)
-                assert _index_to_exps(idx, d) == (ex, ey)
-                seen.add(idx)
-        assert seen == set(range((d + 1) * (d + 2) // 2))
+        for pos, m in enumerate(monomials_of_degree(d)):
+            assert monomial_index(m.ex, m.ey, d) == pos
+            assert index_exponents(pos, d) == (m.ex, m.ey)
+        assert pos == (d + 1) * (d + 2) // 2 - 1
 
 
 def test_pruned_in_q_check_survives_python_O():

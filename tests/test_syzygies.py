@@ -1,12 +1,15 @@
+import itertools
 import time
 
 import pytest
 
 from splinereg.errors import NonMonotone, TrivialIdeal, TwoChainRequired
 from splinereg.monomials import Monomial, hilbert_function, max_socle_degree, minimalize, mono_lcm
+from splinereg.ratlinalg import RatMatrix, rank
 from splinereg.staircase import build_q
 from splinereg.syzygies import (
     BuchGraph,
+    _koszul_homology,
     _lcm_closure,
     betti_oracle,
     bottom_face,
@@ -208,4 +211,54 @@ def test_betti_oracle_budget_33_r24():
     t = betti_oracle(q.in_q)
     elapsed = time.perf_counter() - start
     assert t.multidegrees(1) == syz2_closed_form(q)
-    assert elapsed < 1.0, f"betti_oracle at (3,3,24) took {elapsed:.2f}s"
+    assert elapsed < 0.5, f"betti_oracle at (3,3,24) took {elapsed:.2f}s"
+
+
+def fraction_koszul_homology(ideal, b):
+    """Reduced homology ranks (dim -1, 0, 1) of the upper-Koszul complex
+    K^b by Bareiss rank of its three boundary matrices over the rationals."""
+    exps = b.exponents()
+
+    def member(drop):
+        e = list(exps)
+        for v in drop:
+            e[v] -= 1
+            if e[v] < 0:
+                return False
+        return ideal.contains(Monomial(*e))
+
+    verts = [v for v in range(3) if member((v,))]
+    edges = [t for t in itertools.combinations(range(3), 2) if member(t)]
+    has_face = member((0, 1, 2))
+    d0 = RatMatrix.from_rows([[1] * len(verts)]) if verts else RatMatrix.zero(1, 0)
+    rows1 = [[0] * len(edges) for _ in verts]
+    vidx = {v: i for i, v in enumerate(verts)}
+    for j, (u, v) in enumerate(edges):
+        rows1[vidx[u]][j] = -1
+        rows1[vidx[v]][j] = 1
+    d1 = RatMatrix.from_rows(rows1) if verts and edges else RatMatrix.zero(len(verts), len(edges))
+    rows2 = [[0] for _ in edges] if has_face else [[] for _ in edges]
+    if has_face:
+        eidx = {e: i for i, e in enumerate(edges)}
+        rows2[eidx[(1, 2)]][0] = 1
+        rows2[eidx[(0, 2)]][0] = -1
+        rows2[eidx[(0, 1)]][0] = 1
+    d2 = RatMatrix.from_rows(rows2) if edges and has_face else RatMatrix.zero(len(edges), 1 if has_face else 0)
+    r0, r1, r2 = rank(d0), rank(d1), rank(d2)
+    return (1 - r0, len(verts) - r0 - r1, len(edges) - r1 - r2)
+
+
+@pytest.mark.parametrize(
+    "a,b", [(a, b) for a in range(3, 9) for b in range(a, 9)]
+)
+def test_koszul_homology_matches_fraction_ranks(a, b):
+    # r <= 8 keeps this near 1 s; it meets the same 18 membership patterns
+    # of K^b as r <= 12
+    for r in range(0, 9):
+        q = build_q(a, b, r)
+        if q.is_trivial:
+            continue
+        top = max(max(g.exponents()) for g in q.in_q.gens) + 1
+        for exps in itertools.product(range(top + 1), repeat=3):
+            m = Monomial(*exps)
+            assert _koszul_homology(q.in_q, m) == fraction_koszul_homology(q.in_q, m)
