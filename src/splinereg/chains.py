@@ -17,7 +17,7 @@ from functools import lru_cache
 from math import comb
 
 from ._echelon import DenseIntEchelon, SparseIntEchelon
-from .errors import CapExceeded
+from .errors import CapExceeded, RouteDisagreement
 from .geometry import (
     LinearForm,
     SimplicialComplex,
@@ -184,7 +184,10 @@ def boundary_rank(c: SimplicialComplex, r: int, d: int, data: IdealComplexData |
     for group in data.groups:
         hf = data.frames[group.home]
         c1, c2, c3 = hf.coords_of_form(group.form)
-        assert c3 == 0
+        if c3 != 0:
+            raise RouteDisagreement(
+                f"edge {group.edge}: z-coordinate {c3} in the frame of vertex {group.home}"
+            )
         home_base = [
             comb(r + 1, m) * c1 ** (r + 1 - m) * c2**m for m in range(r + 2)
         ]
@@ -196,7 +199,10 @@ def boundary_rank(c: SimplicialComplex, r: int, d: int, data: IdealComplexData |
         if group.far is not None:
             ff = data.frames[group.far]
             e1, e2, e3 = ff.coords_of_form(group.form)
-            assert e3 == 0
+            if e3 != 0:
+                raise RouteDisagreement(
+                    f"edge {group.edge}: z-coordinate {e3} in the frame of vertex {group.far}"
+                )
             lpow = _poly_pow(_linear_poly((e1, e2, e3)), r + 1)
             a_lin = _linear_poly(ff.coords_of_form(hf.f1))
             b_lin = _linear_poly(ff.coords_of_form(hf.f2))
@@ -248,20 +254,29 @@ def h0_hilbert_oracle(c: SimplicialComplex, r: int, d: int) -> int:
     return _h0_dim(c, r, d, ideal_complex(c, r))
 
 
-def _h0_table(c: SimplicialComplex, r: int, top: int) -> list[int]:
-    """dim H0_d for d = 0..top, from one ideal complex.  Degrees below r+1
-    are zero, and from the first zero degree d >= r+1 on every degree is
-    zero (see `h0_regularity_oracle`), so those are filled without ranking."""
-    table = [0] * (top + 1)
-    data = ideal_complex(c, r)
-    for d in range(r + 1, top + 1):
-        table[d] = _h0_dim(c, r, d, data)
-        if not table[d]:
-            break
-    return table
+class H0Table:
+    """dim H0_d of one (complex, r), ranked on first request from one ideal
+    complex, so the regularity oracle and the spline-dimension formulas of
+    one run share their degrees.  Degrees below r+1 are zero, and from the
+    first zero degree d >= r+1 on every degree is zero (see
+    `h0_regularity_oracle`), so those are filled without ranking."""
+
+    def __init__(self, c: SimplicialComplex, r: int):
+        self.c, self.r = c, r
+        self._data: IdealComplexData | None = None
+        self._dims = [0] * (r + 1)
+
+    def upto(self, top: int) -> list[int]:
+        """dim H0_d for d = 0..top."""
+        if self._data is None:
+            self._data = ideal_complex(self.c, self.r)
+        dims = self._dims
+        while len(dims) <= top and (len(dims) == self.r + 1 or dims[-1]):
+            dims.append(_h0_dim(self.c, self.r, len(dims), self._data))
+        return dims[: top + 1] + [0] * (top + 1 - len(dims))
 
 
-def h0_regularity_oracle(c: SimplicialComplex, r: int):
+def h0_regularity_oracle(c: SimplicialComplex, r: int, h0: H0Table | None = None):
     """Largest d in [r+1, 4r+2] with nonzero H0, or None when the module is
     zero on the whole window; errors if the cap degree is still nonzero.
 
@@ -271,9 +286,10 @@ def h0_regularity_oracle(c: SimplicialComplex, r: int):
     cohomology of bivariate splines, 1997).  Hence H0_{d+1} = S_1 H0_d for
     d >= r+1, and H0_d = 0 forces every later degree to vanish: the answer
     is the degree just before the first zero degree d >= r+1, and None when
-    that degree is r+1 itself."""
+    that degree is r+1 itself.  Pass the run's `H0Table` to reuse its
+    ranked degrees."""
     top = 4 * r + 2
-    table = _h0_table(c, r, top)
+    table = (h0 or H0Table(c, r)).upto(top)
     if table[top]:
         raise CapExceeded(f"H0 nonzero at degree {top} = 4r+2")
     return next((d for d in range(top, r, -1) if table[d]), None)
@@ -308,7 +324,10 @@ def schumaker_local(k: int, r: int) -> LocalResolution:
     alpha_star = (r + 1) // (k - 1)
     a1 = (k - 1) * alpha_star + k - r - 2
     a2 = r + 1 - (k - 1) * alpha_star
-    assert a1 + a2 == k - 1 and a1 >= 0 and a2 >= 0
+    if a1 + a2 != k - 1 or a1 < 0 or a2 < 0:
+        raise RouteDisagreement(
+            f"k = {k}, r = {r}: a1 = {a1}, a2 = {a2} break a1 + a2 = k - 1, a1, a2 >= 0"
+        )
     return LocalResolution(k, r, alpha_star, a1, a2)
 
 
@@ -320,12 +339,14 @@ def spline_dim_formula(c: SimplicialComplex, r: int, d: int) -> int:
     return spline_dim_formulas(c, r, d)[d]
 
 
-def spline_dim_formulas(c: SimplicialComplex, r: int, top: int) -> list[int]:
+def spline_dim_formulas(
+    c: SimplicialComplex, r: int, top: int, h0: H0Table | None = None
+) -> list[int]:
     """`spline_dim_formula` for d = 0..top, from one set of interior
-    statistics and one H0 table."""
+    statistics and one H0 table (the run's `H0Table` when passed)."""
     stats = interior_stats(c, r)
     local = [schumaker_local(st.k, r) for st in stats.per_vertex.values()]
-    h0 = _h0_table(c, r, top)
+    h0 = (h0 or H0Table(c, r)).upto(top)
     dims = []
     for d in range(top + 1):
         total = len(c.triangles) * count_degree(d)

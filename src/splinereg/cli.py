@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from .chains import spline_dim_formulas, spline_dim_oracle
+from .chains import H0Table, spline_dim_formulas, spline_dim_oracle
 from .errors import SplineRegError
 from .geometry import parse_complex, interior_stats
 from .regularity import (
@@ -121,6 +121,7 @@ def cmd_analyze(args) -> dict:
     with open(args.path, "r", encoding="utf-8") as fh:
         c = parse_complex(fh.read())
     stats = interior_stats(c, args.r)
+    h0 = H0Table(c, args.r)  # one ideal complex and one rank per H0 degree
     payload = {
         "schema": SCHEMA,
         "command": "analyze",
@@ -128,18 +129,18 @@ def cmd_analyze(args) -> dict:
         "interior_data": stats.to_json_dict(),
     }
     if len(stats.totally_interior) == 1 and len(c.interior_vertices) == 2:
-        report = regularity_from_complex(c, args.r)
+        report = regularity_from_complex(c, args.r, h0)
         payload["regularity"] = report.to_json_dict()
         if args.emit_graph and not report.vanishes:
             payload["buchberger_graph"] = _graph_dict(buchberger_graph(report.in_q))
     elif stats.totally_interior:
-        pb = path_bounds(c, args.r, run_oracle=args.oracle)
+        pb = path_bounds(c, args.r, run_oracle=args.oracle, h0=h0)
         payload["path_bounds"] = pb.to_json_dict()
     else:
         payload["note"] = "no totally interior edges: H0 vanishes"
     if args.d is not None:
         dims = []
-        for d, formula in enumerate(spline_dim_formulas(c, args.r, args.d)):
+        for d, formula in enumerate(spline_dim_formulas(c, args.r, args.d, h0)):
             entry = {"d": d, "dim_formula": formula}
             if args.oracle:
                 entry["dim_oracle"] = spline_dim_oracle(c, args.r, d)

@@ -85,4 +85,4 @@ class HypothesisViolated(SplineRegError):
 
 class RouteDisagreement(SplineRegError):
     """Independent regularity routes returned different answers, or a value
-    fell outside a bound proved for it (hard failure)."""
+    broke a bound or identity proved for it (hard failure)."""

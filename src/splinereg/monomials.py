@@ -1,11 +1,12 @@
 """Monomial ideals in k[x, y, z]: minimal generators, colon, sum, Hilbert
 functions and socle degrees.
 
-Everything is finite staircase combinatorics at desk scale, so Hilbert
-functions are computed by direct enumeration of degree-d monomials and the
-socle search stops at the sum of the pure-power exponents.  Generators are
-kept as a divisibility antichain sorted lex-descending (x > y > z), which
-makes every report byte-reproducible.
+Everything is finite staircase combinatorics at desk scale.  Hilbert
+functions are computed by direct enumeration of degree-d monomials, and the
+socle degree is read off the staircase heights over the (x, y) exponents
+without enumerating any degree.  Generators are kept as a divisibility
+antichain sorted lex-descending (x > y > z), which makes every report
+byte-reproducible.
 """
 from __future__ import annotations
 
@@ -171,16 +172,30 @@ def is_artinian(i: MonomialIdeal) -> bool:
 
 
 def max_socle_degree(i: MonomialIdeal) -> int:
-    """Largest d with (S/I)_d != 0; needs I Artinian so the search terminates
-    at the sum of the pure-power exponents."""
+    """Largest d with (S/I)_d != 0, for I Artinian and proper.
+
+    With px, py the pure x- and y-power exponents, let h(a, b) for
+    (a, b) in [0, px) x [0, py) be the smallest z-exponent among the
+    generators with ex <= a and ey <= b.  Then x^a y^b z^c lies outside I
+    iff c < h(a, b), so the top nonzero degree is the largest
+    a + b + h(a, b) - 1 over the cells with h(a, b) >= 1.  No other
+    generator reaches ex >= px or ey >= py (they form an antichain with the
+    pure powers), and at most one sits on each cell, so h is the running
+    minimum of h(a-1, b), h(a, b-1) and the z-exponent of the generator at
+    (a, b).  The pure z-power sits at (0, 0), so every h is at most pz."""
     if i.is_trivial:
         raise TrivialIdeal("unit ideal: quotient is the zero module")
     if not is_artinian(i):
         raise NotArtinian(f"no pure power of every variable in {i.render()}")
-    bound = sum(_pure_power(i, axis) for axis in range(3))
-    top = None
-    for d in range(bound + 1):
-        if hilbert_function(i, d) != 0:
-            top = d
-    assert top is not None  # 1 is never in a proper ideal
+    px, py, pz = (_pure_power(i, axis) for axis in range(3))
+    z_at = {(g.ex, g.ey): g.ez for g in i.gens if g.ex < px and g.ey < py}
+    top = 0
+    heights = [pz] * py  # h(a-1, b) for every b; pz bounds them all
+    for a in range(px):
+        h = pz  # h(a, b-1)
+        for b in range(py):
+            h = min(h, heights[b], z_at.get((a, b), pz))
+            heights[b] = h
+            if h:
+                top = max(top, a + b + h - 1)
     return top

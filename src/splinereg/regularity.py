@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .chains import h0_regularity_oracle
+from .chains import H0Table, h0_regularity_oracle
 from .errors import HypothesisViolated, RouteDisagreement
 from .geometry import SimplicialComplex, interior_stats, normalize_one_edge
 from .monomials import Monomial, MonomialIdeal
@@ -113,10 +113,13 @@ def regularity_one_edge(a: int, b: int, r: int) -> RegularityReport:
     )
 
 
-def regularity_from_complex(c: SimplicialComplex, r: int) -> RegularityReport:
+def regularity_from_complex(
+    c: SimplicialComplex, r: int, h0: H0Table | None = None
+) -> RegularityReport:
     """Exact regularity of a one-edge complex: normalize coordinates, run the
     closed-form pipeline on (a, b) = (k(v1), k(v2)), then confirm with the
-    chain-complex oracle; the three routes must agree."""
+    chain-complex oracle (on the run's `H0Table` when passed); the three
+    routes must agree."""
     stats = interior_stats(c, r)
     norm = normalize_one_edge(c, r, stats)
     for v, count in ((norm.v1, norm.a), (norm.v2, norm.b)):
@@ -131,7 +134,7 @@ def regularity_from_complex(c: SimplicialComplex, r: int) -> RegularityReport:
                 f"vertex {v}: alpha via partially interior slopes disagrees with alpha via k(v)-1"
             )
     rep = regularity_one_edge(norm.a, norm.b, r)
-    oracle = h0_regularity_oracle(c, r)
+    oracle = h0_regularity_oracle(c, r, h0)
     if oracle != rep.exact:
         raise RouteDisagreement(
             f"chain-complex oracle found {oracle}, closed form {rep.exact}"
@@ -175,9 +178,12 @@ class PathBounds:
         }
 
 
-def path_bounds(c: SimplicialComplex, r: int, run_oracle: bool = False) -> PathBounds:
+def path_bounds(
+    c: SimplicialComplex, r: int, run_oracle: bool = False, h0: H0Table | None = None
+) -> PathBounds:
     """Regularity bounds maximized over the totally interior edges; needs
-    every interior vertex to carry at least one partially interior edge."""
+    every interior vertex to carry at least one partially interior edge.
+    The oracle runs on the run's `H0Table` when one is passed."""
     stats = interior_stats(c, r)
     for v, st in sorted(stats.per_vertex.items()):
         if st.f1_0b == 0:
@@ -196,7 +202,7 @@ def path_bounds(c: SimplicialComplex, r: int, run_oracle: bool = False) -> PathB
     oracle_reg = None
     within = None
     if run_oracle:
-        oracle_reg = h0_regularity_oracle(c, r)
+        oracle_reg = h0_regularity_oracle(c, r, h0)
         if oracle_reg is not None and lower is not None:
             within = lower <= oracle_reg <= upper
     return PathBounds(r, tuple(per_edge), lower, upper, run_oracle, oracle_reg, within)

@@ -98,7 +98,7 @@ def test_criterion_01_worked_example_fidelity():
 
 
 def test_criterion_02_33_family(complex_one33):
-    with criterion(2, "(3,3): regularity = 2r for r = 1..12 via all routes", budget=30.0):
+    with criterion(2, "(3,3): regularity = 2r for r = 1..12 via all routes", budget=5.0):
         for r in range(1, 13):
             q = build_q(3, 3, r)
             rep = regularity_one_edge(3, 3, r)

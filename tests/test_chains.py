@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 
+import splinereg
 from splinereg import chains
 from splinereg.chains import (
     boundary_rank,
@@ -11,6 +16,7 @@ from splinereg.chains import (
     ideal_complex,
     schumaker_local,
     spline_dim_formula,
+    spline_dim_formulas,
     spline_dim_oracle,
     vertex_ideal_dimension,
     _two_var_dim,
@@ -164,7 +170,7 @@ def test_early_stop_is_exact(request, name, r):
     assert not any(full[first_zero:])
     nonzero = [d for d, value in zip(window, full) if value]
     assert h0_regularity_oracle(c, r) == (nonzero[-1] if nonzero else None)
-    assert chains._h0_table(c, r, 4 * r + 2) == [0] * (r + 1) + full
+    assert chains.H0Table(c, r).upto(4 * r + 2) == [0] * (r + 1) + full
 
 
 def test_cap_exceeded_when_h0_never_vanishes(monkeypatch, complex_one33):
@@ -179,6 +185,62 @@ def test_cap_exceeded_when_h0_never_vanishes(monkeypatch, complex_one33):
     with pytest.raises(CapExceeded, match="degree 10 = 4r"):
         h0_regularity_oracle(complex_one33, r)
     assert ranked == list(range(r + 1, 4 * r + 3))
+
+
+def test_h0_table_ranks_each_degree_once(monkeypatch, complex_ce1):
+    r = 2
+    full = [0] * (r + 1) + [h0_hilbert_oracle(complex_ce1, r, d) for d in range(r + 1, 11)]
+    dims = spline_dim_formulas(complex_ce1, r, 10)
+    ranked = []
+    h0_dim = chains._h0_dim
+
+    def counted(c, r, d, data):
+        ranked.append(d)
+        return h0_dim(c, r, d, data)
+
+    monkeypatch.setattr(chains, "_h0_dim", counted)
+    table = chains.H0Table(complex_ce1, r)
+    assert table.upto(4) == full[:5]
+    assert table.upto(10) == full
+    assert table.upto(5) == full[:6]
+    assert h0_regularity_oracle(complex_ce1, r, table) == 5
+    assert spline_dim_formulas(complex_ce1, r, 10, table) == dims
+    assert ranked == [3, 4, 5, 6]
+
+
+@pytest.mark.parametrize("frame", ["home", "far"])
+def test_frame_checks_survive_python_O(frame):
+    # a form through both ends of the totally interior edge has z-coordinate
+    # 0 in either frame; a broken frame must still raise with asserts stripped
+    script = f"""
+from splinereg import chains
+from splinereg.errors import RouteDisagreement
+from splinereg.geometry import one_edge_complex
+
+assert not __debug__
+c = one_edge_complex(3, 4)
+far = c.interior_vertices[-1]
+coords = chains._Frame.coords_of_form
+
+def broken(self, form):
+    c1, c2, c3 = coords(self, form)
+    if {frame!r} == "home" or self.v == far:
+        c3 += 1
+    return c1, c2, c3
+
+chains._Frame.coords_of_form = broken
+try:
+    chains.boundary_rank(c, 2, 5)
+except RouteDisagreement as exc:
+    print("raised:", exc)
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(splinereg.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("raised: edge ")
+    assert "z-coordinate 1 in the frame of vertex" in out.stdout
 
 
 def test_schumaker_values():

@@ -1,8 +1,10 @@
 import hashlib
 import json
+import time
 
 import pytest
 
+from splinereg import chains
 from splinereg.cli import main
 from splinereg.geometry import ce1_complex, one_edge_complex
 
@@ -137,6 +139,48 @@ def test_analyze_spline_dims(tmp_path, capsys):
     dims = data["spline_dimensions"]
     assert all(row["agree"] for row in dims)
     assert dims[0]["dim_formula"] == 1
+
+
+@pytest.mark.parametrize(
+    "complex_, argv, degrees",
+    [
+        (ce1_complex, ("--r", "2", "--d", "10", "--oracle"), [3, 4, 5, 6]),
+        (lambda: one_edge_complex(3, 4), ("--r", "5", "--d", "8", "--oracle"), [6, 7, 8, 9, 10]),
+    ],
+    ids=["ce1-path-bounds", "one34-regularity"],
+)
+def test_analyze_ranks_each_h0_degree_once(tmp_path, capsys, monkeypatch, complex_, argv, degrees):
+    # the regularity oracle and the spline-dimension formulas share one H0
+    # table: one ideal complex, and each degree ranked once
+    builds, ranked = [], []
+    build, boundary = chains.ideal_complex, chains.boundary_rank
+
+    def counted_build(c, r):
+        builds.append(r)
+        return build(c, r)
+
+    def counted_rank(c, r, d, data=None):
+        ranked.append(d)
+        return boundary(c, r, d, data)
+
+    monkeypatch.setattr(chains, "ideal_complex", counted_build)
+    monkeypatch.setattr(chains, "boundary_rank", counted_rank)
+    path = tmp_path / "complex.json"
+    path.write_text(complex_().to_json())
+    code, _, _ = run(capsys, "analyze", str(path), *argv)
+    assert code == 0
+    assert ranked == degrees
+    assert len(builds) == 1
+
+
+def test_full_capped_sweep_budget(capsys):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "sweep", "--a", "3..16", "--b", "3..16", "--r", "1..24")
+    elapsed = time.perf_counter() - start
+    data = json.loads(out)
+    assert code == 0
+    assert len(data["rows"]) == 2520 and data["violations"] == []
+    assert elapsed < 1.5, f"full capped sweep took {elapsed:.2f}s"
 
 
 # sha256 of the JSON each command prints.  The digests were taken before the

@@ -164,6 +164,47 @@ def test_artinian_socle_vanishing(px, py, pz, extra):
     if ideal.is_trivial:
         return
     top = max_socle_degree(ideal)
+    assert hilbert_function(ideal, top) != 0
     bound = px + py + pz
     for d in range(top + 1, bound + 2):
         assert hilbert_function(ideal, d) == 0
+
+
+def socle_by_enumeration(ideal):
+    """Reference socle degree: the top nonzero degree of S/I, scanning every
+    degree up to the sum of the pure-power exponents."""
+    bound = sum(max(g.exponents()) for g in ideal.gens if g.exponents().count(0) == 2)
+    return max(d for d in range(bound + 1) if hilbert_function(ideal, d))
+
+
+def test_socle_matches_enumeration_on_capped_grid():
+    cells = 0
+    for a in range(3, 17):
+        for b in range(a, 17):
+            for r in range(25):
+                q = build_q(a, b, r)
+                if q.is_trivial:
+                    continue
+                assert max_socle_degree(q.in_q) == socle_by_enumeration(q.in_q), (a, b, r)
+                cells += 1
+    assert cells == 1610
+
+
+# generators with both an x and a y factor, so cells off the two axes carry
+# their own z-height and the running minimum must combine both directions
+mixed = st.builds(Monomial, st.integers(1, 6), st.integers(1, 6), st.integers(0, 6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 7),
+    st.integers(1, 7),
+    st.integers(1, 7),
+    st.lists(mixed, min_size=1, max_size=6),
+    mono_lists,
+)
+def test_socle_matches_enumeration_on_artinian_ideals(px, py, pz, corners, extra):
+    ideal = minimalize([M(px), M(0, py), M(0, 0, pz)] + corners + extra)
+    if ideal.is_trivial:
+        return
+    assert max_socle_degree(ideal) == socle_by_enumeration(ideal)

@@ -43,3 +43,13 @@ def test_traced_names_resolve_and_ratlinalg_is_test_reference_only():
             importers.add(path.name)
     assert importers <= {"ratlinalg.py", "__init__.py"}, importers
     assert "__init__.py" in importers  # the checker does see relative imports
+
+
+def test_socle_route_does_not_import_the_closed_form():
+    # the socle degree of S/In Q is the independent witness for the
+    # bottom-face closed form, so the monomial layer must not reach it
+    tree = ast.parse((PACKAGE / "monomials.py").read_text(encoding="utf-8"))
+    names = set(_imported_modules(tree))
+    assert "splinereg.errors" in names  # the checker does see relative imports
+    modules = {".".join(n.split(".")[:2]) for n in names}
+    assert not modules & {"splinereg.staircase", "splinereg.syzygies", "splinereg.regularity"}
