@@ -1,5 +1,5 @@
-"""The two-term ideal chain complex of a planar complex and the exact
-brute-force dimension oracles built on it.
+"""The two-term ideal chain complex of a planar complex, its exact H0
+oracles, and the spline dimension formula with its brute-force oracle.
 
 dim H0 in degree d is computed literally as sum_v dim J(v)_d minus the rank
 of the degree-d boundary map.  For tractability the boundary matrix is
@@ -12,7 +12,6 @@ basis are invertible, so the rank equals the naive monomial-basis rank
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
@@ -166,7 +165,7 @@ def _linear_poly(coeffs):
 
 
 def _poly_pow(p, n):
-    out = {(0, 0, 0): Fraction(1)}
+    out = {(0, 0, 0): 1}
     for _ in range(n):
         out = _poly_mul(out, p)
     return out
@@ -220,13 +219,13 @@ def boundary_rank(c: SimplicialComplex, r: int, d: int, data: IdealComplexData |
                 col: dict = {}
                 for m in range(r + 2):
                     key = (hblock, monomial_index(r + 1 - m + alpha, m + beta, d))
-                    col[key] = col.get(key, Fraction(0)) + hsign * home_base[m]
+                    col[key] = col.get(key, 0) + hsign * home_base[m]
                 if far_polys:
                     # far-frame exponents are (eu, ew, et + gamma); the index
                     # only needs the first two at fixed total degree d
                     for (eu, ew, _et), v in q_ab.items():
                         key = (fblock, monomial_index(eu, ew, d))
-                        col[key] = col.get(key, Fraction(0)) - hsign * v
+                        col[key] = col.get(key, 0) - hsign * v
                 ech.insert(dict(zip(col, _canonical_int_vector(col.values()))))
     return ech.rank
 
@@ -357,68 +356,29 @@ def spline_dim_formulas(
 
 
 def spline_dim_oracle(c: SimplicialComplex, r: int, d: int) -> int:
-    """Brute force: one unknown polynomial of degree <= d per triangle; for
-    each interior edge the difference of the two sides must be divisible by
-    the edge form to the (r+1)-st power, imposed as the vanishing of all
-    low-order coefficients in a sheared coordinate system."""
+    """Brute force from the definition (Schenck-Stillman 1997): one f_t in
+    S_d per triangle with f_t1 - f_t2 in <l_e^{r+1}> on each interior edge.
+
+    Unknowns: the f_t and one g_e in S_{d-r-1} per interior edge; each edge
+    gives one integer row of f_t1 - f_t2 - l_e^{r+1} g_e = 0 per degree-d
+    monomial.  Multiplying by l_e^{r+1} is injective, so the solutions
+    project isomorphically onto the splines and dim C^r_d = unknowns - rank.
+    No H0, local resolution or interior statistics enters, so the oracle
+    stays independent of the formula it checks."""
     if d < 0:
         raise ValueError("degree must be nonnegative")
+    big = d - r - 1
+    g_monos = [(ex, ey) for ex in range(big + 1) for ey in range(big + 1 - ex)]
     ech = SparseIntEchelon()
-    n_unknowns = len(c.triangles) * count_degree(d)
-    for e in c.interior_edges:
+    # f-keys (0, t, m) sort before g-keys (1, e, m'), so every row leads in an f
+    for j, e in enumerate(c.interior_edges):
         t1, t2 = c.edge_triangles[e]
-        form = c.edge_form(e)
-        expansions = _shear_expansions(form, r, d)
-        rows: dict[tuple[int, int], dict] = {}
-        for (p, q), coeffs in expansions.items():
-            for (a_exp, k_exp), cf in coeffs.items():
-                row = rows.setdefault((k_exp, a_exp), {})
-                row[(t1, p, q)] = row.get((t1, p, q), Fraction(0)) + cf
-                row[(t2, p, q)] = row.get((t2, p, q), Fraction(0)) - cf
-        for key in sorted(rows):
-            ech.insert(dict(zip(rows[key], _canonical_int_vector(rows[key].values()))))
+        rows = [{(0, t1, m): 1, (0, t2, m): -1} for m in range(count_degree(d))]
+        power = _poly_pow(_linear_poly(c.edge_form(e).vector()), r + 1)
+        for (a, b, _c), v in power.items():
+            for gm, (ex, ey) in enumerate(g_monos):
+                rows[monomial_index(a + ex, b + ey, d)][(1, j, gm)] = -v
+        for row in rows:
+            ech.insert(row)
+    n_unknowns = len(c.triangles) * count_degree(d) + len(c.interior_edges) * len(g_monos)
     return n_unknowns - ech.rank
-
-
-def _shear_expansions(form: LinearForm, r: int, d: int):
-    """For each monomial x^p y^q (p+q <= d), its coefficients on u^a t^k with
-    k <= r after the affine change with t = form(x, y), as a dict."""
-    A, B, C = form.a, form.b, form.c
-    if B != 0:
-        x_poly = {(1, 0): Fraction(1)}
-        y_poly = {
-            (0, 1): Fraction(1, B),
-            (1, 0): Fraction(-A, B),
-            (0, 0): Fraction(-C, B),
-        }
-    else:
-        x_poly = {(0, 1): Fraction(1, A), (0, 0): Fraction(-C, A)}
-        y_poly = {(1, 0): Fraction(1)}
-    x_poly = {k: v for k, v in x_poly.items() if v}
-    y_poly = {k: v for k, v in y_poly.items() if v}
-
-    def mul(p1, p2):
-        out = {}
-        for (a1, k1), v1 in p1.items():
-            for (a2, k2), v2 in p2.items():
-                if k1 + k2 > r:
-                    continue
-                key = (a1 + a2, k1 + k2)
-                nv = out.get(key, Fraction(0)) + v1 * v2
-                if nv:
-                    out[key] = nv
-                else:
-                    out.pop(key, None)
-        return out
-
-    xp = [{(0, 0): Fraction(1)}]
-    for _ in range(d):
-        xp.append(mul(xp[-1], x_poly))
-    yp = [{(0, 0): Fraction(1)}]
-    for _ in range(d):
-        yp.append(mul(yp[-1], y_poly))
-    out = {}
-    for p in range(d + 1):
-        for q in range(d + 1 - p):
-            out[(p, q)] = mul(xp[p], yp[q])
-    return out

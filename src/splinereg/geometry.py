@@ -23,6 +23,7 @@ from .errors import (
     NotConnected,
     NotOneEdge,
     ParseError,
+    RouteDisagreement,
     SlopeClashAssumption,
 )
 
@@ -244,7 +245,6 @@ class InteriorData:
         st = self.per_vertex[v]
         if st.k_0b == 0:
             raise AlphaUndefined(f"vertex {v} has no partially interior edge")
-        assert st.alpha is not None
         return st.alpha
 
     def to_json_dict(self):
@@ -281,10 +281,15 @@ def interior_stats(c: SimplicialComplex, r: int) -> InteriorData:
     per_vertex = {}
     for v in c.interior_vertices:
         incident = [e for e in c.edges if v in e]
-        assert all(e in c.interior_edges for e in incident)
+        if not all(e in c.interior_edges for e in incident):
+            raise RouteDisagreement(f"interior vertex {v} lies on a boundary edge")
         tot = [e for e in incident if e in totally]
         part = [e for e in incident if e in partially]
-        assert len(tot) + len(part) == len(incident)
+        if len(tot) + len(part) != len(incident):
+            raise RouteDisagreement(
+                f"vertex {v}: {len(tot)} totally + {len(part)} partially interior edges "
+                f"!= {len(incident)} incident edges"
+            )
         slopes_all = {c.edge_slope(e) for e in incident}
         slopes_tot = {c.edge_slope(e) for e in tot}
         slopes_part = {c.edge_slope(e) for e in part}
@@ -400,7 +405,10 @@ def normalize_one_edge(
         return _row_times((Fraction(form.a), Fraction(form.b), Fraction(form.c)), frame)
 
     eps_t = transformed(c.edge_form(eps))
-    assert eps_t[0] == 0 and eps_t[1] == 0 and eps_t[2] != 0
+    if eps_t[0] != 0 or eps_t[1] != 0 or eps_t[2] == 0:
+        raise RouteDisagreement(
+            f"edge {eps} transforms to ({', '.join(map(str, eps_t))}), not a multiple of z"
+        )
 
     def side_slopes(v, component):
         slopes = set()
@@ -408,7 +416,11 @@ def normalize_one_edge(
             if v not in e or e == eps:
                 continue
             vec = transformed(c.edge_form(e))
-            assert vec[1 if component == 0 else 0] == 0
+            if vec[1 - component] != 0:
+                raise RouteDisagreement(
+                    f"edge {e} at vertex {v} transforms to ({', '.join(map(str, vec))}), "
+                    "which misses the vertex"
+                )
             if vec[component] == 0:
                 raise SlopeClashAssumption(
                     f"edge {e} at vertex {v} is parallel to the totally interior edge"
@@ -418,7 +430,10 @@ def normalize_one_edge(
 
     raw1 = side_slopes(v1, 0)
     raw2 = side_slopes(v2, 1)
-    assert len(raw1) == a - 1 and len(raw2) == b - 1
+    if len(raw1) != a - 1 or len(raw2) != b - 1:
+        raise RouteDisagreement(
+            f"{len(raw1)} and {len(raw2)} side slopes, expected k - 1 = {a - 1} and {b - 1}"
+        )
     alpha0, beta0 = raw1[0], raw2[0]
     shear = (
         (Fraction(1), Fraction(0), alpha0),
@@ -428,7 +443,10 @@ def normalize_one_edge(
     matrix = _mat_mul(shear, m)
     slopes1 = tuple(s - alpha0 for s in raw1)
     slopes2 = tuple(s - beta0 for s in raw2)
-    assert slopes1[0] == 0 and slopes2[0] == 0
+    if slopes1[0] != 0 or slopes2[0] != 0:
+        raise RouteDisagreement(
+            f"sheared side slopes start at {slopes1[0]} and {slopes2[0]}, not at 0"
+        )
     return OneEdgeNormalization(matrix, v1, v2, a, b, slopes1, slopes2, swapped)
 
 

@@ -91,10 +91,6 @@ class MonomialIdeal:
         return any(g.divides(m) for g in self.gens)
 
     @property
-    def is_zero(self) -> bool:
-        return not self.gens
-
-    @property
     def is_trivial(self) -> bool:
         return self.gens == (ONE,)
 

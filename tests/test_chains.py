@@ -22,6 +22,7 @@ from splinereg.chains import (
     _two_var_dim,
 )
 from splinereg.errors import CapExceeded
+from splinereg.geometry import square_with_diagonals
 from splinereg.monomials import count_degree, hilbert_function, monomials_of_degree
 from splinereg.ratlinalg import RatMatrix, rank
 from splinereg.staircase import build_q
@@ -308,8 +309,14 @@ def test_spline_dims_single_triangle(complex_triangle):
 
 
 def test_spline_dims_two_triangles(complex_two):
+    # a spline on two triangles is f on one side plus l^{r+1} g on the other
     assert spline_dim_oracle(complex_two, 0, 1) == 4
     assert spline_dim_formula(complex_two, 0, 1) == 4
+    for r in range(0, 5):
+        for d in range(0, 13):
+            expected = count_degree(d) + count_degree(d - r - 1)
+            assert spline_dim_oracle(complex_two, r, d) == expected
+            assert spline_dim_formula(complex_two, r, d) == expected
 
 
 def test_spline_constant_splines_only(complex_one33):
@@ -317,8 +324,8 @@ def test_spline_constant_splines_only(complex_one33):
     assert spline_dim_oracle(complex_one33, 1, 0) == 1
 
 
-def test_spline_formula_equals_oracle_small(complex_star, complex_one33):
-    for c in (complex_star, complex_one33):
+def test_spline_formula_equals_oracle_small(complex_star, complex_one33, complex_one34):
+    for c in (complex_star, complex_one33, square_with_diagonals(), complex_one34):
         for r in (0, 1, 2):
             for d in range(0, 7):
                 assert spline_dim_formula(c, r, d) == spline_dim_oracle(c, r, d)

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import splinereg
 from splinereg.errors import (
     AlphaUndefined,
     DegenerateTriangle,
@@ -231,6 +236,35 @@ def test_normalize_34(complex_one34):
     norm = normalize_one_edge(complex_one34, 8)
     assert (norm.a, norm.b) == (3, 4)
     assert len(norm.slopes2) == 3
+
+
+def test_normalization_check_survives_python_O():
+    script = """
+from splinereg import geometry
+from splinereg.errors import RouteDisagreement
+
+assert not __debug__
+row_times = geometry._row_times
+
+def broken(row, m):
+    out = row_times(row, m)
+    if out[0] == 0 and out[1] == 0:
+        out = (out[0] + 1,) + out[1:]
+    return out
+
+geometry._row_times = broken
+try:
+    geometry.normalize_one_edge(geometry.one_edge_complex(3, 3), 2)
+except RouteDisagreement as exc:
+    print("raised:", exc)
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(splinereg.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("raised: edge (0, 1) transforms to (1, 0, ")
+    assert "not a multiple of z" in out.stdout
 
 
 def test_normalize_rejects_ce1(complex_ce1):

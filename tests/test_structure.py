@@ -53,3 +53,31 @@ def test_socle_route_does_not_import_the_closed_form():
     assert "splinereg.errors" in names  # the checker does see relative imports
     modules = {".".join(n.split(".")[:2]) for n in names}
     assert not modules & {"splinereg.staircase", "splinereg.syzygies", "splinereg.regularity"}
+
+
+def test_spline_dim_oracle_does_not_reach_the_formula():
+    # the brute-force spline dimension is the independent witness for the
+    # formula built from H0 and the local resolutions, so neither it nor a
+    # chains helper it calls may name any piece of that formula
+    tree = ast.parse((PACKAGE / "chains.py").read_text(encoding="utf-8"))
+    funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    names, todo = set(), ["spline_dim_oracle"]
+    while todo:
+        fname = todo.pop()
+        for node in ast.walk(funcs[fname]):
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            if name and name not in names:
+                names.add(name)
+                if name in funcs:
+                    todo.append(name)
+    assert {"SparseIntEchelon", "_poly_pow"} <= names  # the walk does see calls
+    forbidden = {
+        "H0Table",
+        "_h0_dim",
+        "boundary_rank",
+        "ideal_complex",
+        "schumaker_local",
+        "interior_stats",
+        "spline_dim_formulas",
+    }
+    assert not names & forbidden
