@@ -1,15 +1,14 @@
 """Exact integer echelon accumulators used by the brute-force oracles.
 
-All reduction is cross-multiplication (a*vec - b*pivot), so every
-intermediate value is an exact integer; vectors are divided by their gcd
-only when entries grow past a word-size threshold.  Rank is the number of
-pivots collected.
+All reduction is cross-multiplication (a*vec - b*pivot) with the
+multipliers a, b first divided by their gcd, so every intermediate value is
+an exact integer.  Each vector is made primitive (divided by the gcd of its
+entries) once, when it is stored as a pivot.  Rank is the number of pivots
+collected.
 """
 from __future__ import annotations
 
 from math import gcd
-
-_BIG = 1 << 64
 
 
 def _normalize_dict(vec):
@@ -48,6 +47,8 @@ class SparseIntEchelon:
                 self.pivots[lead] = _normalize_dict(vec)
                 return True
             a, b = piv[lead], vec[lead]
+            g = gcd(a, b)
+            a, b = a // g, b // g
             out = {k: a * v for k, v in vec.items()}
             for k, w in piv.items():
                 nv = out.get(k, 0) - b * w
@@ -55,8 +56,6 @@ class SparseIntEchelon:
                     out[k] = nv
                 else:
                     out.pop(k, None)
-            if out and max(map(abs, out.values())) > _BIG:
-                out = _normalize_dict(out)
             vec = out
         return False
 
@@ -91,18 +90,17 @@ class DenseIntEchelon:
                 self.pivots[lead] = _normalize_list(vec)
                 return True
             a, b = piv[lead], vec[lead]
-            vec = [a * x - b * y for x, y in zip(vec, piv)]
-            if max(map(abs, vec)) > _BIG:
-                vec = _normalize_list(vec)
-            lead = _first_nonzero(vec)
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            # both vectors vanish before `lead`, and the step clears `lead`
+            vec[lead] = 0
+            vec[lead + 1:] = [a * x - b * y for x, y in zip(vec[lead + 1:], piv[lead + 1:])]
+            lead = _first_nonzero(vec, lead + 1)
         return False
 
 
-def _first_nonzero(vec):
-    for i, v in enumerate(vec):
-        if v:
-            return i
-    return None
+def _first_nonzero(vec, start=0):
+    return next((i for i in range(start, len(vec)) if vec[i]), None)
 
 
 def _normalize_list(vec):

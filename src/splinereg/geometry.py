@@ -411,11 +411,12 @@ def normalize_one_edge(
         )
 
     def side_slopes(v, component):
-        slopes = set()
+        slopes = {}  # raw slope -> one edge form with that slope
         for e in c.edges:
             if v not in e or e == eps:
                 continue
-            vec = transformed(c.edge_form(e))
+            form = c.edge_form(e)
+            vec = transformed(form)
             if vec[1 - component] != 0:
                 raise RouteDisagreement(
                     f"edge {e} at vertex {v} transforms to ({', '.join(map(str, vec))}), "
@@ -425,11 +426,12 @@ def normalize_one_edge(
                 raise SlopeClashAssumption(
                     f"edge {e} at vertex {v} is parallel to the totally interior edge"
                 )
-            slopes.add(vec[2] / vec[component])
-        return sorted(slopes)
+            slopes[vec[2] / vec[component]] = form
+        return slopes
 
-    raw1 = side_slopes(v1, 0)
-    raw2 = side_slopes(v2, 1)
+    forms1 = side_slopes(v1, 0)
+    forms2 = side_slopes(v2, 1)
+    raw1, raw2 = sorted(forms1), sorted(forms2)
     if len(raw1) != a - 1 or len(raw2) != b - 1:
         raise RouteDisagreement(
             f"{len(raw1)} and {len(raw2)} side slopes, expected k - 1 = {a - 1} and {b - 1}"
@@ -441,12 +443,17 @@ def normalize_one_edge(
         (Fraction(0), Fraction(0), Fraction(1)),
     )
     matrix = _mat_mul(shear, m)
+    # the shear must send the side forms of raw slope alpha0, beta0 to x, y
+    inv = _mat_inverse(matrix)
+    for form, keep in ((forms1[alpha0], 0), (forms2[beta0], 1)):
+        image = _row_times(form.vector(), inv)
+        if image[1 - keep] != 0 or image[2] != 0:
+            raise RouteDisagreement(
+                f"side form {form.vector()} maps to ({', '.join(map(str, image))}), "
+                f"not a multiple of {'xy'[keep]}"
+            )
     slopes1 = tuple(s - alpha0 for s in raw1)
     slopes2 = tuple(s - beta0 for s in raw2)
-    if slopes1[0] != 0 or slopes2[0] != 0:
-        raise RouteDisagreement(
-            f"sheared side slopes start at {slopes1[0]} and {slopes2[0]}, not at 0"
-        )
     return OneEdgeNormalization(matrix, v1, v2, a, b, slopes1, slopes2, swapped)
 
 

@@ -267,6 +267,30 @@ except RouteDisagreement as exc:
     assert "not a multiple of z" in out.stdout
 
 
+def test_shear_check_survives_python_O():
+    # on one_edge_complex(4, 6) the v1 side's first raw slope is nonzero, so
+    # dropping the shear leaves that side form off the x axis
+    script = """
+from splinereg import geometry
+from splinereg.errors import RouteDisagreement
+
+assert not __debug__
+c = geometry.one_edge_complex(4, 6)
+geometry._mat_mul = lambda shear, m: m
+try:
+    geometry.normalize_one_edge(c, 2)
+except RouteDisagreement as exc:
+    print("raised:", exc)
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(splinereg.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("raised: side form (1, -2, 0) maps to (1, 0, -2)")
+    assert "not a multiple of x" in out.stdout
+
+
 def test_normalize_rejects_ce1(complex_ce1):
     with pytest.raises(NotOneEdge):
         normalize_one_edge(complex_ce1, 2)
