@@ -88,7 +88,7 @@ def regularity_one_edge(a: int, b: int, r: int) -> RegularityReport:
             conjecture_2r=True,   # vacuously: the module is zero
             vanishes=True,
         )
-    reg = regularity_from_bottom_face(q)  # raises unless the socle route agrees
+    reg, socle = regularity_from_bottom_face(q)  # raises unless the routes agree
     face = bottom_face(q)
     graph = buchberger_graph(q.in_q)
     syz2_closed_form(q)  # runs the closed-form edge enumeration's checks
@@ -107,7 +107,7 @@ def regularity_one_edge(a: int, b: int, r: int) -> RegularityReport:
         bottom_face=face,
         zeta0=face.ez,
         in_q=q.in_q,
-        routes={"bottom_face": reg, "socle_shift": reg},
+        routes={"bottom_face": reg, "socle_shift": socle},
         conjecture_2r=reg <= 2 * r,
         vanishes=False,
     )

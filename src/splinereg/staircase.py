@@ -5,6 +5,11 @@ The closed forms (the lambda staircase, its colon by z^{r+1}, and the pruned
 union that presents the homology quotient) are each paired with an oracle
 that recomputes them from scratch by exact rank computations on
 coefficient matrices, so every formula is checked against brute force.
+The oracles share one walk of J' degree by degree (`_power_echelons`): the
+power columns are eliminated once, in the generating degree r+1, and each
+later degree is spanned by the previous echelon shifted by v and by z.  The
+initial ideal reads its pivot rows, and the colon reads the pivots that
+vanish before coordinate r+1 (`_colon_bases`).
 
 Slope conventions: a form is first_var + c * z; the x-side of a
 configuration carries a-1 distinct slopes, the y-side b-1.
@@ -13,11 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import comb
 
 from ._echelon import DenseIntEchelon, _first_nonzero
 from .errors import DuplicateSlope, InvalidSlopeCount, StaircaseInvariant
-from .geometry import _canonical_int_vector
 from .monomials import (
     Monomial,
     MonomialIdeal,
@@ -179,6 +184,40 @@ def _power_columns(r: int, pairs, d: int) -> list[list[int]]:
     return cols
 
 
+def _power_echelons(r: int, pairs):
+    """Yield an echelon of J'_d = <(n1*v + n2*z)^{r+1}>_d for d = r+1,
+    r+2, ..., over the basis (v^d, v^{d-1} z, ..., z^d).
+
+    Only degree r+1 is built from the power columns.  J' is generated in
+    degree r+1, so J'_{d+1} = v*J'_d + z*J'_d, and each later degree is
+    spanned by the previous pivots p shifted both ways: p + [0] (times v)
+    and [0] + p (times z)."""
+    ech = DenseIntEchelon(r + 2)
+    for col in _power_columns(r, pairs, r + 1):
+        ech.insert(col)
+    while True:
+        yield ech
+        pivots = ech.pivot_vectors()
+        ech = DenseIntEchelon(ech.length + 1)
+        for p in pivots:
+            ech.insert(p + [0])
+        for p in pivots:
+            ech.insert([0] + p)
+
+
+def _colon_bases(r: int, pairs):
+    """Yield an integer echelon basis of (J' : z^{r+1})_e for e = 0, 1, ...,
+    over (v^e, v^{e-1} z, ..., z^e), as primitive vectors by increasing lead.
+
+    z^{r+1} f for f of degree e is exactly a vector of J'_{e+r+1} that
+    vanishes before coordinate r+1.  In an echelon basis such vectors are
+    spanned by the pivots leading at r+1 or later (a combination using an
+    earlier pivot is nonzero at the earliest such lead), so those pivots
+    with their first r+1 coordinates dropped are a basis of the colon."""
+    for ech in _power_echelons(r, pairs):
+        yield [ech.pivots[t][r + 1:] for t in ech.pivot_rows() if t > r]
+
+
 def default_oracle_bound(r: int, s: int) -> int:
     """Past lambda_0 the staircase is complete; +2 guards off-by-one."""
     if s < 2:
@@ -188,17 +227,14 @@ def default_oracle_bound(r: int, s: int) -> int:
 
 def initial_ideal_oracle(r, slopes, d_max=None, axis: str = "x") -> MonomialIdeal:
     """In<(v+c_i z)^{r+1}> recomputed degree by degree: the pivot rows of an
-    echelon basis of the coefficient columns are the leading monomials, and
-    new minimal generators are the ones no earlier generator divides."""
+    echelon basis of J'_d (from `_power_echelons`) are the leading
+    monomials, and new minimal generators are the ones no earlier generator
+    divides."""
     slopes = _check_slopes(slopes)
     if d_max is None:
         d_max = default_oracle_bound(r, len(slopes))
-    pairs = _slope_pairs(slopes)
     gens: list[Monomial] = []
-    for d in range(r + 1, d_max + 1):
-        ech = DenseIntEchelon(d + 1)
-        for col in _power_columns(r, pairs, d):
-            ech.insert(col)
+    for d, ech in zip(range(r + 1, d_max + 1), _power_echelons(r, _slope_pairs(slopes))):
         for t in ech.pivot_rows():
             m = _axis_monomial(axis, d - t, t)
             if not any(g.divides(m) for g in gens):
@@ -209,32 +245,13 @@ def initial_ideal_oracle(r, slopes, d_max=None, axis: str = "x") -> MonomialIdea
 def colon_degree_basis(r, slopes, e: int):
     """Echelonized basis of (J' : z^{r+1})_e as two-variable coefficient
     vectors over (v^e, v^{e-1} z, ..., z^e): all f with z^{r+1} f in J'.
-
-    One echelon runs over [degree-(e+r+1) coordinates | f coordinates]: the
-    columns of J'_{e+r+1} padded with zeros, then z^{r+1} v^{e-i} z^i next
-    to the unit vector e_i.  A vector of that span with zero first block is
-    (0, f) with z^{r+1} f in J', so the pivots leading in the f block are an
-    echelon basis of the colon.  Each comes back divided by its lead entry.
-    """
+    It is the e-th basis of `_colon_bases`, each vector divided by its lead
+    entry, so leads are 1 and increase."""
     slopes = _check_slopes(slopes)
     if e < 0:
         return []
-    n = e + r + 2
-    ech = DenseIntEchelon(n + e + 1)
-    pad = [0] * (e + 1)
-    for col in _power_columns(r, _slope_pairs(slopes), e + r + 1):
-        ech.insert(col + pad)
-    for i in range(e + 1):
-        vec = [0] * (n + e + 1)
-        vec[i + r + 1] = 1
-        vec[n + i] = 1
-        ech.insert(vec)
-    out = []
-    for lead in ech.pivot_rows():
-        if lead >= n:
-            f = ech.pivots[lead][n:]
-            out.append([Fraction(v, f[lead - n]) for v in f])
-    return out
+    basis = next(islice(_colon_bases(r, _slope_pairs(slopes)), e, None))
+    return [[Fraction(v, f[_first_nonzero(f)]) for v in f] for f in basis]
 
 
 def colon_initial_oracle(r, slopes, d_max=None, axis: str = "x") -> MonomialIdeal:
@@ -245,8 +262,8 @@ def colon_initial_oracle(r, slopes, d_max=None, axis: str = "x") -> MonomialIdea
         cs = colon_staircase(staircase_closed_form(r, len(slopes)))
         d_max = max((g.degree for g in cs.ideal().gens), default=0) + 2
     gens: list[Monomial] = []
-    for e in range(d_max + 1):
-        for vec in colon_degree_basis(r, slopes, e):
+    for e, basis in zip(range(d_max + 1), _colon_bases(r, _slope_pairs(slopes))):
+        for vec in basis:
             t = _first_nonzero(vec)
             m = _axis_monomial(axis, e - t, t)
             if not any(g.divides(m) for g in gens):
@@ -262,16 +279,18 @@ def colon_initial_oracle(r, slopes, d_max=None, axis: str = "x") -> MonomialIdea
 def sum_initial_oracle(r, slopes1, slopes2, d_max=None) -> MonomialIdeal:
     """In(Q(v1) + Q(v2)) recomputed from the colon subspaces: per degree the
     column space is spanned by last degree's pivot vectors times x, y, z plus
-    the new colon basis elements on each side; pivot rows are the leading
-    monomials."""
+    the colon basis elements on each side, stepped one degree at a time by
+    `_colon_bases`; pivot rows are the leading monomials."""
     slopes1 = _check_slopes(slopes1)
     slopes2 = _check_slopes(slopes2)
     if d_max is None:
         q = build_q(len(slopes1) + 1, len(slopes2) + 1, r)
         d_max = max((g.degree for g in q.in_q.gens), default=0) + 2
     gens: list[Monomial] = []
-    carried: list[tuple[int, list[int]]] = []  # (degree d-1 index vectors)
-    for d in range(d_max + 1):
+    carried: list[list[int]] = []  # degree d-1 pivot vectors
+    colons1 = _colon_bases(r, _slope_pairs(slopes1))
+    colons2 = _colon_bases(r, _slope_pairs(slopes2))
+    for d, basis1, basis2 in zip(range(d_max + 1), colons1, colons2):
         n = (d + 2) * (d + 1) // 2
         ech = DenseIntEchelon(n)
         for prev_vec in carried:
@@ -286,11 +305,10 @@ def sum_initial_oracle(r, slopes1, slopes2, d_max=None) -> MonomialIdeal:
                             ey += 1
                         vec[monomial_index(ex, ey, d)] = val
                 ech.insert(vec)
-        for axis, slopes in (("x", slopes1), ("y", slopes2)):
-            for bvec in colon_degree_basis(r, slopes, d):
-                ivec = _canonical_int_vector(bvec)
+        for axis, basis in (("x", basis1), ("y", basis2)):
+            for bvec in basis:
                 vec = [0] * n
-                for t, val in enumerate(ivec):
+                for t, val in enumerate(bvec):
                     if val:
                         ex = d - t if axis == "x" else 0
                         ey = 0 if axis == "x" else d - t

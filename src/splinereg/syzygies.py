@@ -139,9 +139,9 @@ def bottom_face(q: QData) -> Monomial:
     return Monomial(q.i0, q.j0, zeta0)
 
 
-def regularity_from_bottom_face(q: QData) -> int:
-    """deg(bottom face) - 3 + (r+1), cross-checked against the socle degree
-    of S/In Q shifted by r+1."""
+def regularity_from_bottom_face(q: QData) -> tuple[int, int]:
+    """(deg(bottom face) - 3 + (r+1), socle degree of S/In Q + (r+1)): each
+    route's own value, raising SocleMismatch unless they agree."""
     if q.is_trivial:
         raise TrivialIdeal("In Q is the unit ideal; the module is zero")
     if not is_artinian(q.in_q):
@@ -150,7 +150,7 @@ def regularity_from_bottom_face(q: QData) -> int:
     socle = max_socle_degree(q.in_q) + (q.r + 1)
     if reg != socle:
         raise SocleMismatch(f"bottom-face route gives {reg}, socle route {socle}")
-    return reg
+    return reg, socle
 
 
 # ---------------------------------------------------------------------------

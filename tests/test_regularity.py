@@ -183,3 +183,30 @@ except RouteDisagreement as exc:
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.startswith("raised: graph bottom face x^4 y^3 z disagrees")
+
+
+def test_socle_route_mismatch_names_both_values(monkeypatch):
+    import splinereg.syzygies as syz
+    from splinereg.errors import SocleMismatch
+
+    real = syz.max_socle_degree
+    monkeypatch.setattr(syz, "max_socle_degree", lambda ideal: real(ideal) + 1)
+    with pytest.raises(SocleMismatch, match="bottom-face route gives 14, socle route 15"):
+        regularity_one_edge(3, 4, 8)
+
+
+def test_routes_record_each_route_own_value(monkeypatch):
+    # the report keeps what each route computed, so a socle route that
+    # drifts from the bottom face shows in `routes` and `routes_agree`
+    import splinereg.regularity as reg
+
+    real = reg.regularity_from_bottom_face
+
+    def drifted(q):
+        face, socle = real(q)
+        return face, socle + 1
+
+    monkeypatch.setattr(reg, "regularity_from_bottom_face", drifted)
+    rep = regularity_one_edge(3, 4, 8)
+    assert rep.routes == {"bottom_face": 14, "socle_shift": 15}
+    assert not rep.routes_agree

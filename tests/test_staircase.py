@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import splinereg
+from splinereg import staircase
 from splinereg._echelon import DenseIntEchelon
 from splinereg.errors import DuplicateSlope, InvalidSlopeCount
 from splinereg.monomials import (
@@ -23,6 +24,7 @@ from splinereg.monomials import (
 from splinereg.ratlinalg import RatMatrix, in_column_span, pivot_rows, rank
 from splinereg.staircase import (
     _power_columns,
+    _power_echelons,
     _slope_pairs,
     build_q,
     colon_degree_basis,
@@ -238,12 +240,21 @@ def slopes_with_zero(rng, s):
     return sorted(out)
 
 
-@pytest.mark.parametrize("s", range(2, 5))
+def colon_bound(r, s):
+    """The colon oracle's default degree bound: two past the closed-form
+    colon generators for s >= 2; a principal J' has its colon generated in
+    degree r+1."""
+    if s < 2:
+        return r + 3
+    return max(g.degree for g in colon_staircase(staircase_closed_form(r, s)).ideal().gens) + 2
+
+
+@pytest.mark.parametrize("s", range(1, 5))
 def test_colon_degree_basis_solves_the_colon(s):
     rng = random.Random(5100 + s)
     for r in range(0, 9):
         slopes = slopes_with_zero(rng, s)
-        for e in range(0, r + 4):
+        for e in range(0, colon_bound(r, s) + 3):
             basis = colon_degree_basis(r, slopes, e)
             mat = fraction_power_matrix(r, slopes, e + r + 1)
             shifts = RatMatrix.from_rows(
@@ -261,13 +272,18 @@ def test_colon_degree_basis_solves_the_colon(s):
             assert all(a < b for a, b in zip(leads, leads[1:]))
 
 
-@pytest.mark.parametrize("s", range(2, 5))
+@pytest.mark.parametrize("s", range(1, 5))
 def test_initial_ideal_oracle_matches_fraction_pivot_rows(s):
+    # the walk's echelon of J'_d, built by shifting the previous degree's
+    # pivots, against a from-scratch echelon of the power columns and the
+    # Fraction pivot rows, through degrees where J'_d is all of S_d
     rng = random.Random(5200 + s)
     for r in range(0, 9):
         slopes = slopes_with_zero(rng, s)
+        bound = default_oracle_bound(r, s)
         gens = []
-        for d in range(r + 1, default_oracle_bound(r, s) + 1):
+        walk = _power_echelons(r, _slope_pairs(slopes))
+        for d, stepped in zip(range(r + 1, bound + 3), walk):
             mat = fraction_power_matrix(r, slopes, d)
             cols = _power_columns(r, _slope_pairs(slopes), d)
             for j, col in enumerate(cols):
@@ -277,9 +293,37 @@ def test_initial_ideal_oracle_matches_fraction_pivot_rows(s):
             for col in cols:
                 ech.insert(col)
             rows = pivot_rows(mat)
-            assert ech.pivot_rows() == rows
-            gens += [M(d - t, 0, t) for t in rows]
+            assert ech.pivot_rows() == stepped.pivot_rows() == rows
+            # same rank and no stepped pivot outside the span: same space
+            assert not any(ech.insert(p) for p in stepped.pivot_vectors())
+            if d <= bound:
+                gens += [M(d - t, 0, t) for t in rows]
+        if s >= 2:
+            assert rows == list(range(d + 1))  # saturated: J'_d = S_d
         assert initial_ideal_oracle(r, slopes) == minimalize(gens)
+
+
+@pytest.mark.parametrize(
+    "oracle, args, calls",
+    [
+        (initial_ideal_oracle, (20, [Fraction(-4, 5), Fraction(3, 4)]), 1),
+        (colon_initial_oracle, (20, [Fraction(-4, 5), Fraction(3, 4)]), 1),
+        (sum_initial_oracle, (12, [0, 1], [0, 1, 2]), 2),
+    ],
+)
+def test_power_columns_built_once_per_slope_set(monkeypatch, oracle, args, calls):
+    # J' is generated in degree r+1, so only that degree needs its power
+    # columns; rebuilding them for every degree fails this exact count
+    seen = []
+    real = staircase._power_columns
+
+    def counting(r, pairs, d):
+        seen.append(d)
+        return real(r, pairs, d)
+
+    monkeypatch.setattr(staircase, "_power_columns", counting)
+    oracle(*args)
+    assert seen == [args[0] + 1] * calls
 
 
 def test_index_to_exps_round_trip():
@@ -317,4 +361,4 @@ def test_colon_initial_oracle_budget():
     got = colon_initial_oracle(20, [Fraction(-4, 5), Fraction(3, 4)])
     elapsed = time.perf_counter() - start
     assert got == colon_staircase(staircase_closed_form(20, 2)).ideal("x")
-    assert elapsed < 1.0, f"colon_initial_oracle(20, 2 slopes) took {elapsed:.2f}s"
+    assert elapsed < 0.2, f"colon_initial_oracle(20, 2 slopes) took {elapsed:.2f}s"

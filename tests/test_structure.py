@@ -55,13 +55,12 @@ def test_socle_route_does_not_import_the_closed_form():
     assert not modules & {"splinereg.staircase", "splinereg.syzygies", "splinereg.regularity"}
 
 
-def test_spline_dim_oracle_does_not_reach_the_formula():
-    # the brute-force spline dimension is the independent witness for the
-    # formula built from H0 and the local resolutions, so neither it nor a
-    # chains helper it calls may name any piece of that formula
-    tree = ast.parse((PACKAGE / "chains.py").read_text(encoding="utf-8"))
+def _names_reached(module, roots):
+    """Every name mentioned by the functions `roots` of a package module and,
+    in turn, by each module-level function of it that they mention."""
+    tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
     funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    names, todo = set(), ["spline_dim_oracle"]
+    names, todo = set(), list(roots)
     while todo:
         fname = todo.pop()
         for node in ast.walk(funcs[fname]):
@@ -70,6 +69,14 @@ def test_spline_dim_oracle_does_not_reach_the_formula():
                 names.add(name)
                 if name in funcs:
                     todo.append(name)
+    return names
+
+
+def test_spline_dim_oracle_does_not_reach_the_formula():
+    # the brute-force spline dimension is the independent witness for the
+    # formula built from H0 and the local resolutions, so neither it nor a
+    # chains helper it calls may name any piece of that formula
+    names = _names_reached("chains.py", ["spline_dim_oracle"])
     assert {"SparseIntEchelon", "_poly_pow"} <= names  # the walk does see calls
     forbidden = {
         "H0Table",
@@ -79,5 +86,23 @@ def test_spline_dim_oracle_does_not_reach_the_formula():
         "schumaker_local",
         "interior_stats",
         "spline_dim_formulas",
+    }
+    assert not names & forbidden
+
+
+def test_power_walk_does_not_reach_the_closed_form():
+    # the walk of J' degree by degree and the colon step read off it are
+    # the independent witnesses for the staircase and colon closed forms,
+    # so neither they nor a staircase helper they call may name one
+    names = _names_reached(
+        "staircase.py", ["_power_echelons", "_colon_bases", "colon_degree_basis"]
+    )
+    assert {"DenseIntEchelon", "_power_columns", "_power_echelons"} <= names  # sees calls
+    forbidden = {
+        "staircase_closed_form",
+        "colon_staircase",
+        "build_q",
+        "Staircase",
+        "ColonStaircase",
     }
     assert not names & forbidden

@@ -150,9 +150,9 @@ def test_euler_hilbert_consistency():
 
 
 def test_regularity_from_bottom_face_values():
-    assert regularity_from_bottom_face(build_q(3, 4, 8)) == 14
-    assert regularity_from_bottom_face(build_q(3, 3, 2)) == 4
-    assert regularity_from_bottom_face(build_q(3, 3, 3)) == 6
+    assert regularity_from_bottom_face(build_q(3, 4, 8)) == (14, 14)
+    assert regularity_from_bottom_face(build_q(3, 3, 2)) == (4, 4)
+    assert regularity_from_bottom_face(build_q(3, 3, 3)) == (6, 6)
 
 
 def test_bottom_face_witness():
@@ -169,8 +169,8 @@ def test_regularity_trivial_raises():
 def test_socle_shift_identity_on_sample():
     for a, b, r in [(3, 3, 5), (3, 6, 9), (4, 7, 12), (6, 6, 10)]:
         q = build_q(a, b, r)
-        reg = regularity_from_bottom_face(q)
-        assert reg == max_socle_degree(q.in_q) + r + 1
+        reg, socle = regularity_from_bottom_face(q)
+        assert reg == socle == max_socle_degree(q.in_q) + r + 1
         # the socle degree really is the top nonzero degree
         assert hilbert_function(q.in_q, reg - r - 1) != 0
         assert hilbert_function(q.in_q, reg - r) == 0
