@@ -11,7 +11,7 @@ import pytest
 
 import splinereg
 from splinereg import staircase
-from splinereg._echelon import DenseIntEchelon
+from splinereg._echelon import DenseIntEchelon, _first_nonzero
 from splinereg.errors import DuplicateSlope, InvalidSlopeCount
 from splinereg.monomials import (
     Monomial,
@@ -23,6 +23,7 @@ from splinereg.monomials import (
 )
 from splinereg.ratlinalg import RatMatrix, in_column_span, pivot_rows, rank
 from splinereg.staircase import (
+    _colon_bases,
     _power_columns,
     _power_echelons,
     _slope_pairs,
@@ -251,11 +252,16 @@ def colon_bound(r, s):
 
 @pytest.mark.parametrize("s", range(1, 5))
 def test_colon_degree_basis_solves_the_colon(s):
+    # the walk's colon bases, one walk per slope set, through degree r+3 and
+    # through the colon bound + 2, whichever is later
     rng = random.Random(5100 + s)
     for r in range(0, 9):
         slopes = slopes_with_zero(rng, s)
-        for e in range(0, colon_bound(r, s) + 3):
-            basis = colon_degree_basis(r, slopes, e)
+        top = max(r + 4, colon_bound(r, s) + 3)
+        walk = _colon_bases(r, _slope_pairs(slopes))
+        for e, int_basis in zip(range(top), walk):
+            basis = [[Fraction(v, f[_first_nonzero(f)]) for v in f] for f in int_basis]
+            assert colon_degree_basis(r, slopes, e) == basis
             mat = fraction_power_matrix(r, slopes, e + r + 1)
             shifts = RatMatrix.from_rows(
                 [[int(t == i + r + 1) for i in range(e + 1)] for t in range(e + r + 2)]
