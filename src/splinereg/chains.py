@@ -2,29 +2,29 @@
 oracles, and the spline dimension formula with its brute-force oracle.
 
 dim H0 in degree d is computed literally as sum_v dim J(v)_d minus the rank
-of the degree-d boundary map.  For tractability the boundary matrix is
-assembled in per-vertex adapted coordinates: each vertex block uses the
-monomial basis in two incident edge forms plus z, and each edge's multiplier
-monomials live in the frame of its home endpoint.  Block-wise changes of
-basis are invertible, so the rank equals the naive monomial-basis rank
-(cross-checked in the tests against dense elimination).
+of the degree-d boundary map.  The boundary matrix is assembled in a
+translated integer frame at each interior vertex v = (p_x, p_y):
+u_v = L(x - p_x z), w_v = L(y - p_y z) and t = z, where L is the lcm of the
+denominators of the interior vertex coordinates, so L p_x and L p_y are
+integers.  A form a x + b y + c z through v equals (a u_v + b w_v)/L.  Each
+column is scaled by L^{r+1}, so its block at the edge's home endpoint is
+the integer binomial expansion of (a u + b w)^{r+1} times a multiplier
+monomial in (u, w, t), and its block at the far endpoint follows from the
+integer substitution u_home = u_far + (L p_far,x - L p_home,x) t (likewise
+for w).  Each vertex block is an invertible change of basis of S_d and
+scaling a column does not change the rank, so the rank equals the naive
+monomial-basis rank (cross-checked in the tests against dense Fraction
+elimination).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
 
 from ._echelon import DenseIntEchelon, SparseIntEchelon
 from .errors import CapExceeded, RouteDisagreement
-from .geometry import (
-    LinearForm,
-    SimplicialComplex,
-    _canonical_int_vector,
-    _mat_inverse,
-    _row_times,
-    interior_stats,
-)
+from .geometry import LinearForm, SimplicialComplex, _canonical_int_vector, interior_stats
 from .monomials import count_degree, monomial_index
 from .staircase import _power_columns
 
@@ -50,9 +50,9 @@ class EdgeGroup:
 class IdealComplexData:
     r: int
     groups: tuple[EdgeGroup, ...]
-    vertex_forms: dict[int, tuple[LinearForm, ...]]  # slope-deduped, totally-interior first
-    frames: dict[int, _Frame]
-    frame_pairs: dict[int, tuple]  # form = c1 f1 + c2 f2 as coprime ints prop. to (c1, c2)
+    vertex_forms: dict[int, tuple[LinearForm, ...]]  # one form per slope at the vertex
+    origins: dict[int, tuple[int, int]]  # (L p_x, L p_y): the frame's integer translation
+    frame_pairs: dict[int, tuple]  # (a, b) of each vertex form, as coprime ints
 
 
 def ideal_complex(c: SimplicialComplex, r: int) -> IdealComplexData:
@@ -74,24 +74,21 @@ def ideal_complex(c: SimplicialComplex, r: int) -> IdealComplexData:
         groups.append(EdgeGroup(es[0], c.edge_form(es[0]), v, None, tuple(es)))
 
     vertex_forms = {}
-    totally_set = set(totally)
     for v in c.interior_vertices:
-        incident = [e for e in c.interior_edges if v in e]
-        # totally interior forms first, so shared edges become frame coordinates
-        ordered = sorted(e for e in incident if e in totally_set)
-        ordered += sorted(e for e in incident if e not in totally_set)
         seen = {}
-        for e in ordered:
-            key = c.edge_slope(e)
-            if key not in seen:
-                seen[key] = c.edge_form(e)
+        for e in sorted(e for e in c.interior_edges if v in e):
+            seen.setdefault(c.edge_slope(e), c.edge_form(e))
         vertex_forms[v] = tuple(seen.values())
-    frames = {v: _Frame(v, forms) for v, forms in vertex_forms.items()}
+    scale = 1
+    for v in c.interior_vertices:
+        for coord in c.vertices[v]:
+            scale = lcm(scale, coord.denominator)
+    origins = {v: (int(scale * c.vertices[v][0]), int(scale * c.vertices[v][1])) for v in interior}
     frame_pairs = {
-        v: tuple(_canonical_int_vector(frames[v].coords_of_form(f)[:2]) for f in forms)
+        v: tuple(_canonical_int_vector((f.a, f.b)) for f in forms)
         for v, forms in vertex_forms.items()
     }
-    return IdealComplexData(r, tuple(groups), vertex_forms, frames, frame_pairs)
+    return IdealComplexData(r, tuple(groups), vertex_forms, origins, frame_pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -108,39 +105,6 @@ def _two_var_dim(pairs, r: int, e: int) -> int:
     for col in _power_columns(r, pairs, e):
         ech.insert(col)
     return ech.rank
-
-
-class _Frame:
-    """Coordinates (u, w, t) = (f1, f2, z) at an interior vertex."""
-
-    def __init__(self, v: int, forms):
-        f1 = forms[0]
-        f2 = next(
-            (
-                f
-                for f in forms[1:]
-                if _cross3(f1.vector(), f.vector()) != (0, 0, 0)
-            ),
-            None,
-        )
-        if f2 is None:
-            raise ValueError(f"vertex {v} has fewer than two distinct slopes")
-        self.v = v
-        self.f1, self.f2 = f1, f2
-        self.inv = _mat_inverse((f1.vector(), f2.vector(), (0, 0, 1)))
-
-    def coords_of_form(self, form: LinearForm):
-        """(c1, c2, c3) with form = c1 f1 + c2 f2 + c3 z; c3 = 0 for every
-        form through the vertex."""
-        return _row_times(form.vector(), self.inv)
-
-
-def _cross3(u, v):
-    return (
-        u[1] * v[2] - u[2] * v[1],
-        u[2] * v[0] - u[0] * v[2],
-        u[0] * v[1] - u[1] * v[0],
-    )
 
 
 def _poly_mul(p, q):
@@ -172,7 +136,8 @@ def _poly_pow(p, n):
 
 
 def boundary_rank(c: SimplicialComplex, r: int, d: int, data: IdealComplexData | None = None) -> int:
-    """Exact rank of the degree-d boundary map of the ideal complex."""
+    """Exact rank of the degree-d boundary map of the ideal complex, each
+    column scaled by L^{r+1} in the translated integer vertex frames."""
     if data is None:
         data = ideal_complex(c, r)
     if d < r + 1 or not c.interior_vertices:
@@ -181,52 +146,41 @@ def boundary_rank(c: SimplicialComplex, r: int, d: int, data: IdealComplexData |
     ech = SparseIntEchelon()
     big = d - r - 1
     for group in data.groups:
-        hf = data.frames[group.home]
-        c1, c2, c3 = hf.coords_of_form(group.form)
-        if c3 != 0:
-            raise RouteDisagreement(
-                f"edge {group.edge}: z-coordinate {c3} in the frame of vertex {group.home}"
-            )
-        home_base = [
-            comb(r + 1, m) * c1 ** (r + 1 - m) * c2**m for m in range(r + 2)
-        ]
+        for v in (group.home, group.far):
+            if v is not None and group.form.evaluate(c.vertices[v]) != 0:
+                raise RouteDisagreement(f"edge {group.edge}: its form misses vertex {v}")
+        a, b = group.form.a, group.form.b
+        home_base = [comb(r + 1, m) * a ** (r + 1 - m) * b**m for m in range(r + 2)]
         hblock = vpos[group.home]
         # the edge is oriented by ascending vertex index; its differential is
         # (+1) at the head block and (-1) at the tail block
         hsign = 1 if group.home == max(group.edge) else -1
-        far_polys = None
+        p_alpha = None  # far block of the alpha-th multiplier row, beta = 0
         if group.far is not None:
-            ff = data.frames[group.far]
-            e1, e2, e3 = ff.coords_of_form(group.form)
-            if e3 != 0:
-                raise RouteDisagreement(
-                    f"edge {group.edge}: z-coordinate {e3} in the frame of vertex {group.far}"
-                )
-            lpow = _poly_pow(_linear_poly((e1, e2, e3)), r + 1)
-            a_lin = _linear_poly(ff.coords_of_form(hf.f1))
-            b_lin = _linear_poly(ff.coords_of_form(hf.f2))
-            far_polys = (lpow, a_lin, b_lin)
+            (hx, hy), (fx, fy) = data.origins[group.home], data.origins[group.far]
+            # (a u + b w)^{r+1} is the same in both frames; u_home and w_home
+            # are u_far and w_far shifted by integer multiples of t
+            p_alpha = _poly_pow(_linear_poly((a, b, 0)), r + 1)
+            u_home = _linear_poly((1, 0, fx - hx))
+            w_home = _linear_poly((0, 1, fy - hy))
             fblock = vpos[group.far]
-        p_alpha = far_polys[0] if far_polys else None
         for alpha in range(big + 1):
-            if far_polys and alpha > 0:
-                p_alpha = _poly_mul(p_alpha, far_polys[1])
+            if p_alpha is not None and alpha > 0:
+                p_alpha = _poly_mul(p_alpha, u_home)
             q_ab = p_alpha
             for beta in range(big - alpha + 1):
-                if far_polys and beta > 0:
-                    q_ab = _poly_mul(q_ab, far_polys[2])
-                gamma = big - alpha - beta
-                col: dict = {}
-                for m in range(r + 2):
-                    key = (hblock, monomial_index(r + 1 - m + alpha, m + beta, d))
-                    col[key] = col.get(key, 0) + hsign * home_base[m]
-                if far_polys:
+                if q_ab is not None and beta > 0:
+                    q_ab = _poly_mul(q_ab, w_home)
+                col = {
+                    (hblock, monomial_index(r + 1 - m + alpha, m + beta, d)): hsign * home_base[m]
+                    for m in range(r + 2)
+                }
+                if q_ab is not None:
                     # far-frame exponents are (eu, ew, et + gamma); the index
                     # only needs the first two at fixed total degree d
                     for (eu, ew, _et), v in q_ab.items():
-                        key = (fblock, monomial_index(eu, ew, d))
-                        col[key] = col.get(key, 0) - hsign * v
-                ech.insert(dict(zip(col, _canonical_int_vector(col.values()))))
+                        col[(fblock, monomial_index(eu, ew, d))] = -hsign * v
+                ech.insert(col)
     return ech.rank
 
 

@@ -277,43 +277,36 @@ def colon_initial_oracle(r, slopes, d_max=None, axis: str = "x") -> MonomialIdea
 
 
 def sum_initial_oracle(r, slopes1, slopes2, d_max=None) -> MonomialIdeal:
-    """In(Q(v1) + Q(v2)) recomputed from the colon subspaces: per degree the
-    column space is spanned by last degree's pivot vectors times x, y, z plus
-    the colon basis elements on each side, stepped one degree at a time by
-    `_colon_bases`; pivot rows are the leading monomials."""
+    """In(Q(v1) + Q(v2)) recomputed from the colon subspaces: Q1 lives in
+    k[x,z] and Q2 in k[y,z], so (Q1 + Q2)_d is spanned by y^j Q1_{d-j} and
+    x^i Q2_{d-i}, with the colon bases stepped one degree at a time by
+    `_colon_bases`; pivot rows are the leading monomials.  The Q1 vectors
+    have distinct leads and go in without reduction."""
     slopes1 = _check_slopes(slopes1)
     slopes2 = _check_slopes(slopes2)
     if d_max is None:
         q = build_q(len(slopes1) + 1, len(slopes2) + 1, r)
         d_max = max((g.degree for g in q.in_q.gens), default=0) + 2
     gens: list[Monomial] = []
-    carried: list[list[int]] = []  # degree d-1 pivot vectors
+    bases1: list[list[list[int]]] = []  # bases1[e] spans Q1_e
+    bases2: list[list[list[int]]] = []
     colons1 = _colon_bases(r, _slope_pairs(slopes1))
     colons2 = _colon_bases(r, _slope_pairs(slopes2))
     for d, basis1, basis2 in zip(range(d_max + 1), colons1, colons2):
+        bases1.append(basis1)
+        bases2.append(basis2)
         n = (d + 2) * (d + 1) // 2
         ech = DenseIntEchelon(n)
-        for prev_vec in carried:
-            for var in range(3):
-                vec = [0] * n
-                for idx, val in enumerate(prev_vec):
-                    if val:
-                        ex, ey = index_exponents(idx, d - 1)
-                        if var == 0:
-                            ex += 1
-                        elif var == 1:
-                            ey += 1
-                        vec[monomial_index(ex, ey, d)] = val
-                ech.insert(vec)
-        for axis, basis in (("x", basis1), ("y", basis2)):
-            for bvec in basis:
-                vec = [0] * n
-                for t, val in enumerate(bvec):
-                    if val:
-                        ex = d - t if axis == "x" else 0
-                        ey = 0 if axis == "x" else d - t
-                        vec[monomial_index(ex, ey, d)] = val
-                ech.insert(vec)
+        for axis, bases in (("x", bases1), ("y", bases2)):
+            for e, basis in enumerate(bases):
+                # basis vectors of degree e, times y^(d-e) (x side) or x^(d-e)
+                for bvec in basis:
+                    vec = [0] * n
+                    for t, val in enumerate(bvec):
+                        if val:
+                            ex, ey = (e - t, d - e) if axis == "x" else (d - e, e - t)
+                            vec[monomial_index(ex, ey, d)] = val
+                    ech.insert(vec)
         for lead in ech.pivot_rows():
             ex, ey = index_exponents(lead, d)
             m = Monomial(ex, ey, d - ex - ey)
@@ -321,5 +314,4 @@ def sum_initial_oracle(r, slopes1, slopes2, d_max=None) -> MonomialIdeal:
                 gens.append(m)
         if gens and gens[0].degree == 0:
             break
-        carried = ech.pivot_vectors()
     return minimalize(gens)

@@ -22,7 +22,7 @@ from splinereg.chains import (
     _two_var_dim,
 )
 from splinereg.errors import CapExceeded
-from splinereg.geometry import square_with_diagonals
+from splinereg.geometry import SimplicialComplex, square_with_diagonals
 from splinereg.monomials import count_degree, hilbert_function, monomials_of_degree
 from splinereg.ratlinalg import RatMatrix, rank
 from splinereg.staircase import build_q
@@ -89,10 +89,27 @@ def naive_vertex_dim(c, r, d, v):
     return rank(RatMatrix(len(monos), len(cols), ent))
 
 
+def _rational_image(c):
+    """c under the affine map (x, y) -> ((x + y)/2 + 1/3, y/3 - 1/2), so its
+    interior vertices are rational and the frame scale L exceeds 1."""
+    verts = [((x + y) / 2 + Fraction(1, 3), y / 3 - Fraction(1, 2)) for x, y in c.vertices]
+    return SimplicialComplex(verts, c.triangles)
+
+
+def _assert_image_keeps_ranks(c, r, degrees):
+    image = _rational_image(c)
+    assert any(x.denominator > 1 for v in image.interior_vertices for x in image.vertices[v])
+    for d in degrees:
+        assert boundary_rank(image, r, d) == naive_boundary_rank(image, r, d)
+        assert boundary_rank(image, r, d) == boundary_rank(c, r, d)
+    assert h0_regularity_oracle(image, r) == h0_regularity_oracle(c, r)
+
+
 @pytest.mark.parametrize("r,dmax", [(1, 5), (2, 6), (3, 10)])
-def test_adapted_rank_equals_naive_one_edge(complex_one33, r, dmax):
+def test_adapted_rank_equals_naive_one_edge(complex_one33, complex_one34, r, dmax):
     for d in range(r + 1, dmax + 1):
         assert boundary_rank(complex_one33, r, d) == naive_boundary_rank(complex_one33, r, d)
+    _assert_image_keeps_ranks(complex_one34, r, range(r + 1, dmax + 1))
 
 
 def test_adapted_rank_equals_naive_ce1(complex_ce1):
@@ -100,6 +117,8 @@ def test_adapted_rank_equals_naive_ce1(complex_ce1):
         assert boundary_rank(complex_ce1, 1, d) == naive_boundary_rank(complex_ce1, 1, d)
     for d in range(3, 9):
         assert boundary_rank(complex_ce1, 2, d) == naive_boundary_rank(complex_ce1, 2, d)
+    _assert_image_keeps_ranks(complex_ce1, 1, range(2, 6))
+    _assert_image_keeps_ranks(complex_ce1, 2, range(3, 9))
 
 
 def test_vertex_dim_equals_naive(complex_one34):
@@ -209,27 +228,24 @@ def test_h0_table_ranks_each_degree_once(monkeypatch, complex_ce1):
     assert ranked == [3, 4, 5, 6]
 
 
-@pytest.mark.parametrize("frame", ["home", "far"])
-def test_frame_checks_survive_python_O(frame):
-    # a form through both ends of the totally interior edge has z-coordinate
-    # 0 in either frame; a broken frame must still raise with asserts stripped
+@pytest.mark.parametrize("end", ["home", "far"])
+def test_frame_checks_survive_python_O(end, complex_one34):
+    # the totally interior edge's form vanishes at both of its ends; a form
+    # that misses either end must still raise with asserts stripped
+    missed = complex_one34.interior_vertices[0 if end == "home" else -1]
     script = f"""
 from splinereg import chains
 from splinereg.errors import RouteDisagreement
-from splinereg.geometry import one_edge_complex
+from splinereg.geometry import LinearForm, one_edge_complex
 
 assert not __debug__
 c = one_edge_complex(3, 4)
-far = c.interior_vertices[-1]
-coords = chains._Frame.coords_of_form
+evaluate = LinearForm.evaluate
 
-def broken(self, form):
-    c1, c2, c3 = coords(self, form)
-    if {frame!r} == "home" or self.v == far:
-        c3 += 1
-    return c1, c2, c3
+def broken(self, p):
+    return evaluate(self, p) + (p == c.vertices[{missed}])
 
-chains._Frame.coords_of_form = broken
+LinearForm.evaluate = broken
 try:
     chains.boundary_rank(c, 2, 5)
 except RouteDisagreement as exc:
@@ -241,7 +257,7 @@ except RouteDisagreement as exc:
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.startswith("raised: edge ")
-    assert "z-coordinate 1 in the frame of vertex" in out.stdout
+    assert out.stdout.rstrip().endswith(f"its form misses vertex {missed}")
 
 
 def test_schumaker_values():

@@ -57,9 +57,13 @@ def test_socle_route_does_not_import_the_closed_form():
 
 def _names_reached(module, roots):
     """Every name mentioned by the functions `roots` of a package module and,
-    in turn, by each module-level function of it that they mention."""
+    in turn, by each module-level function or class of it that they mention."""
     tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
-    funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    funcs = {
+        node.name: node
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
     names, todo = set(), list(roots)
     while todo:
         fname = todo.pop()
@@ -106,3 +110,17 @@ def test_power_walk_does_not_reach_the_closed_form():
         "ColonStaircase",
     }
     assert not names & forbidden
+
+
+def test_chain_oracle_stays_on_integers():
+    # the boundary map is built in translated integer vertex frames, so
+    # neither it nor a chains helper it calls may need rational arithmetic
+    # or a frame inverse
+    names = _names_reached("chains.py", ["boundary_rank", "ideal_complex"])
+    assert {"SparseIntEchelon", "_poly_pow", "IdealComplexData"} <= names  # sees calls
+    assert not names & {"Fraction", "_mat_inverse", "_row_times"}
+    imported = set(_imported_modules(ast.parse((PACKAGE / "chains.py").read_text(encoding="utf-8"))))
+    assert "splinereg.geometry.LinearForm" in imported  # the checker does see imports
+    assert not imported & {
+        "fractions", "splinereg.geometry._mat_inverse", "splinereg.geometry._row_times"
+    }
