@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
 """Sweep the standard (a, b, r) grid, print one line per cell, and recheck
-every closed form against the Betti oracle.  Exits nonzero on any violation."""
+every closed form against the Betti oracle.  One ClosedFormTable serves the
+whole grid: each colon staircase is built once per (r, s), and In Q with the
+route checks once per (r, lambda', eta'); the Betti recheck runs per cell.
+Exits nonzero on any violation."""
 import argparse
 import sys
 import time
 
 from splinereg.regularity import check_2r_theorem, regularity_one_edge
-from splinereg.staircase import build_q
+from splinereg.staircase import ClosedFormTable, build_q
 from splinereg.syzygies import betti_oracle, buchberger_graph, syz2_closed_form, syz3_closed_form
 
 
@@ -21,24 +24,25 @@ def main():
     t0 = time.monotonic()
     bad = []
     cells = 0
+    table = ClosedFormTable()
     print(f"{'a':>2} {'b':>2} {'r':>3} {'exact':>6} {'lower':>6} {'upper':>6} "
           f"{'zeta0':>5} {'<=2r':>5} {'betti':>5}")
     for a in range(3, args.a_max + 1):
         for b in range(a, args.b_max + 1):
             for r in range(1, args.r_max + 1):
                 cells += 1
-                rep = regularity_one_edge(a, b, r)
+                rep = regularity_one_edge(a, b, r, table)
                 if rep.vanishes:
                     print(f"{a:>2} {b:>2} {r:>3} {'zero':>6}")
                     continue
                 betti_ok = "-"
                 if not args.skip_betti:
-                    q = build_q(a, b, r)
-                    table = betti_oracle(q.in_q)
+                    q = build_q(a, b, r, table)
+                    betti = betti_oracle(q.in_q)
                     graph = buchberger_graph(q.in_q)
                     ok = (
-                        table.multidegrees(1) == syz2_closed_form(q)
-                        and set(table.multidegrees(2)) == set(syz3_closed_form(graph))
+                        betti.multidegrees(1) == syz2_closed_form(q)
+                        and set(betti.multidegrees(2)) == set(syz3_closed_form(graph))
                     )
                     betti_ok = "ok" if ok else "FAIL"
                     if not ok:

@@ -46,6 +46,7 @@ from .regularity import (
     regularity_one_edge,
 )
 from .staircase import (
+    ClosedFormTable,
     ColonStaircase,
     QData,
     Staircase,

@@ -12,7 +12,7 @@ import json
 import sys
 
 from .chains import H0Table, spline_dim_formulas, spline_dim_oracle
-from .errors import SplineRegError
+from .errors import NegativeFlag, SplineRegError
 from .geometry import parse_complex, interior_stats
 from .regularity import (
     check_2r_theorem,
@@ -20,7 +20,7 @@ from .regularity import (
     regularity_from_complex,
     regularity_one_edge,
 )
-from .staircase import build_q, colon_staircase, staircase_closed_form
+from .staircase import ClosedFormTable, build_q, colon_staircase, staircase_closed_form
 from .syzygies import betti_oracle, buchberger_graph, syz2_closed_form, syz3_closed_form
 
 SCHEMA = "spline-reg/1"
@@ -39,7 +39,14 @@ def _parse_range(text: str) -> list[int]:
     return list(range(lo, hi + 1))
 
 
+def _check_nonnegative(values, what):
+    for v in values:
+        if v < 0:
+            raise NegativeFlag(f"{what} = {v} is negative")
+
+
 def _check_caps(args, values, cap, what):
+    _check_nonnegative(values, what)
     if args.unsafe_no_cap:
         return
     for v in values:
@@ -123,6 +130,8 @@ def cmd_regularity(args) -> dict:
 
 def cmd_analyze(args) -> dict:
     _check_caps(args, [args.r], R_CAP, "r")
+    if args.d is not None:
+        _check_nonnegative([args.d], "d")
     with open(args.path, "r", encoding="utf-8") as fh:
         c = parse_complex(fh.read())
     stats = interior_stats(c, args.r)
@@ -163,13 +172,14 @@ def cmd_sweep(args) -> dict:
     _check_caps(args, a_range + b_range, AB_CAP, "a/b")
     rows = []
     violations = []
+    table = ClosedFormTable()  # one colon staircase per (r, s), one In Q check per class
     for a in a_range:
         for b in b_range:
             if b < a:
                 continue
             for r in r_range:
                 try:
-                    rep = regularity_one_edge(a, b, r)
+                    rep = regularity_one_edge(a, b, r, table)
                     ok_2r = True if rep.vanishes else check_2r_theorem(rep)
                     rows.append(
                         {

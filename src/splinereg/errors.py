@@ -6,6 +6,10 @@ class SplineRegError(Exception):
     """Base class for every domain error raised by this package."""
 
 
+class NegativeFlag(SplineRegError):
+    """A command-line value that must be >= 0 (r, d, a, b or s) is negative."""
+
+
 class InvalidSlopeCount(SplineRegError):
     """Fewer distinct slopes than the construction needs (s >= 2, a/b >= 3)."""
 

@@ -6,6 +6,10 @@ Every exact answer is produced by the closed-form bottom-face route and
 cross-checked against the socle degree of In Q shifted by r+1; coming from
 a concrete complex it is additionally checked against the chain-complex
 rank oracle, and any disagreement is a hard error.
+
+A sweep over many (a, b, r) cells shares one `staircase.ClosedFormTable`:
+the route checks depend on a cell only through (r, lambda', eta'), so they
+run once per such class, while each cell's sandwich is checked on its own.
 """
 from __future__ import annotations
 
@@ -15,7 +19,7 @@ from .chains import H0Table, h0_regularity_oracle
 from .errors import HypothesisViolated, RouteDisagreement
 from .geometry import SimplicialComplex, interior_stats, normalize_one_edge
 from .monomials import Monomial, MonomialIdeal
-from .staircase import build_q
+from .staircase import ClosedFormTable, QData, build_q
 from .syzygies import (
     bottom_face,
     buchberger_graph,
@@ -63,13 +67,23 @@ class RegularityReport:
         }
 
 
-def regularity_one_edge(a: int, b: int, r: int) -> RegularityReport:
+def regularity_one_edge(
+    a: int, b: int, r: int, table: ClosedFormTable | None = None
+) -> RegularityReport:
     """Closed-form pipeline for slope counts (a, b) and smoothness r; the
     sandwich alpha1 + alpha2 + r - 1 <= reg <= alpha1 + alpha2 + r is
-    checked whenever the module is nonzero."""
+    checked whenever the module is nonzero.
+
+    A sweep passes one `ClosedFormTable`.  The route checks (bottom face
+    against socle degree, Buchberger graph, syz2/syz3 and the graph's bottom
+    face) read only `QData.key` = (r, lambda', eta'), so they run once per
+    key and the stored values serve every cell with it; the sandwich
+    depends on (a, b) and is checked for each cell."""
     if r < 0:
         raise ValueError("r must be >= 0")
-    q = build_q(a, b, r)
+    if table is None:
+        table = ClosedFormTable()
+    q = build_q(a, b, r, table)
     a, b = q.a, q.b
     alpha1 = (r + 1) // (a - 1)
     alpha2 = (r + 1) // (b - 1)
@@ -88,15 +102,10 @@ def regularity_one_edge(a: int, b: int, r: int) -> RegularityReport:
             conjecture_2r=True,   # vacuously: the module is zero
             vanishes=True,
         )
-    reg, socle = regularity_from_bottom_face(q)  # raises unless the routes agree
-    face = bottom_face(q)
-    graph = buchberger_graph(q.in_q)
-    syz2_closed_form(q)  # runs the closed-form edge enumeration's checks
-    ordered_faces = syz3_closed_form(graph)  # checks the z-order property
-    if ordered_faces[0] != face:
-        raise RouteDisagreement(
-            f"graph bottom face {ordered_faces[0]} disagrees with i0/j0/zeta0 face {face}"
-        )
+    routes = table.routes.get(q.key)
+    if routes is None:
+        routes = table.routes[q.key] = _checked_routes(q)
+    reg, socle, face = routes
     if not lower <= reg <= upper:
         raise RouteDisagreement(f"sandwich violated: {lower} <= {reg} <= {upper}")
     return RegularityReport(
@@ -111,6 +120,22 @@ def regularity_one_edge(a: int, b: int, r: int) -> RegularityReport:
         conjecture_2r=reg <= 2 * r,
         vanishes=False,
     )
+
+
+def _checked_routes(q: QData) -> tuple[int, int, Monomial]:
+    """(bottom-face regularity, socle regularity, bottom face) of a
+    nontrivial In Q, raising unless the Buchberger graph's faces pass the
+    syzygy checks and its bottom face is the i0/j0/zeta0 face."""
+    reg, socle = regularity_from_bottom_face(q)  # raises unless the routes agree
+    face = bottom_face(q)
+    graph = buchberger_graph(q.in_q)
+    syz2_closed_form(q)  # runs the closed-form edge enumeration's checks
+    ordered_faces = syz3_closed_form(graph)  # checks the z-order property
+    if ordered_faces[0] != face:
+        raise RouteDisagreement(
+            f"graph bottom face {ordered_faces[0]} disagrees with i0/j0/zeta0 face {face}"
+        )
+    return reg, socle, face
 
 
 def regularity_from_complex(

@@ -11,6 +11,10 @@ later degree is spanned by the previous echelon shifted by v and by z.  The
 initial ideal reads its pivot rows, and the colon reads the pivots that
 vanish before coordinate r+1 (`_colon_bases`).
 
+A run over many cells passes one `ClosedFormTable` to `build_q`: the colon
+staircase depends only on (r, s), and In Q with its pruning check only on
+(r, lambda', eta'), so each is built and checked once per distinct input.
+
 Slope conventions: a form is first_var + c * z; the x-side of a
 configuration carries a-1 distinct slopes, the y-side b-1.
 """
@@ -93,6 +97,46 @@ class QData:
     def is_trivial(self) -> bool:
         return self.in_q.is_trivial
 
+    @property
+    def key(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+        """(r, lambda', eta'): In Q, l0, i0 = len(lambda') - 1, j0 and every
+        check downstream of the colon staircases are functions of it."""
+        return (self.r, self.colon1.lam_prime, self.colon2.lam_prime)
+
+
+class ClosedFormTable:
+    """The closed forms of one run over many (a, b, r) cells, each computed
+    and checked once per distinct input.
+
+    `colons` holds the colon staircase of each (r, s) and `ideals` its
+    ideal on each axis.  `unions` holds (l0, In Q) of each `QData.key`
+    (r, lambda', eta'), and `routes` the route values
+    `regularity.regularity_one_edge` checks for that key.
+    This is exact: after the two colon staircases, In Q, its pruning check
+    and the route checks read only r, lambda', eta', i0, j0, l0 and In Q,
+    all functions of the key, so a cell reading an entry gets what it would
+    compute afresh.  Only results whose checks passed are stored, so a key
+    whose check raises raises again for every cell that meets it.  A call
+    without a table makes a fresh one, so a single cell runs every check."""
+
+    def __init__(self):
+        self.colons: dict[tuple[int, int], ColonStaircase] = {}
+        self.ideals: dict[tuple[int, int, str], MonomialIdeal] = {}
+        self.unions: dict[tuple, tuple[int, MonomialIdeal]] = {}
+        self.routes: dict[tuple, tuple] = {}
+
+    def colon(self, r: int, s: int) -> ColonStaircase:
+        cs = self.colons.get((r, s))
+        if cs is None:
+            cs = self.colons[(r, s)] = colon_staircase(staircase_closed_form(r, s))
+        return cs
+
+    def colon_ideal(self, cs: ColonStaircase, axis: str) -> MonomialIdeal:
+        ideal = self.ideals.get((cs.r, cs.s, axis))
+        if ideal is None:
+            ideal = self.ideals[(cs.r, cs.s, axis)] = cs.ideal(axis)
+        return ideal
+
 
 def _axis_monomial(axis: str, main: int, zexp: int) -> Monomial:
     if axis == "x":
@@ -129,28 +173,45 @@ def colon_staircase(st: Staircase) -> ColonStaircase:
     return ColonStaircase(r, st.s, i0, lam_prime)
 
 
-def build_q(a: int, b: int, r: int) -> QData:
+def build_q(a: int, b: int, r: int, table: ClosedFormTable | None = None) -> QData:
     """Colon staircases at both vertices and their minimalized sum In Q,
-    with the x-generators below l0 pruned away by z^{eta'_0}."""
+    with the x-generators below l0 pruned away by z^{eta'_0}.  A run over
+    many cells passes one `ClosedFormTable`, so each colon staircase is
+    built once per (r, s) and In Q once per (r, lambda', eta')."""
     if a < 3 or b < 3:
         raise InvalidSlopeCount(f"need a, b >= 3, got ({a}, {b})")
     if r < 0:
         raise ValueError("r must be >= 0")
+    if table is None:
+        table = ClosedFormTable()
     swapped = a > b
     if swapped:
         a, b = b, a
-    colon1 = colon_staircase(staircase_closed_form(r, a - 1))
-    colon2 = colon_staircase(staircase_closed_form(r, b - 1))
-    in_q = ideal_sum(colon1.ideal("x"), colon2.ideal("y"))
+    colon1 = table.colon(r, a - 1)
+    colon2 = table.colon(r, b - 1)
+    key = (r, colon1.lam_prime, colon2.lam_prime)
+    union = table.unions.get(key)
+    if union is None:
+        in_q = ideal_sum(table.colon_ideal(colon1, "x"), table.colon_ideal(colon2, "y"))
+        union = table.unions[key] = _pruned_union(colon1, colon2, in_q)
+    l0, in_q = union
+    return QData(a, b, r, colon1, colon2, l0, in_q, swapped)
+
+
+def _pruned_union(
+    colon1: ColonStaircase, colon2: ColonStaircase, in_q: MonomialIdeal
+) -> tuple[int, MonomialIdeal]:
+    """(l0, In Q), raising unless the generators minimalize kept in In Q are
+    the x-generators from l0 on plus every y-generator."""
     if in_q.is_trivial:
-        return QData(a, b, r, colon1, colon2, 0, in_q, swapped)
+        return 0, in_q
     eta0 = colon2.lam_prime[0]
     l0 = next(i for i in range(colon1.i0 + 1) if colon1.lam_prime[i] < eta0)
     expected = {_axis_monomial("x", i, colon1.lam_prime[i]) for i in range(l0, colon1.i0 + 1)}
     expected |= {_axis_monomial("y", j, colon2.lam_prime[j]) for j in range(colon2.i0 + 1)}
     if set(in_q.gens) != expected:
         raise StaircaseInvariant("pruned generator list disagrees with minimalize")
-    return QData(a, b, r, colon1, colon2, l0, in_q, swapped)
+    return l0, in_q
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 import hashlib
 import json
 import time
+from collections import Counter
 
 import pytest
 
 from splinereg import chains
 from splinereg.cli import main
 from splinereg.geometry import ce1_complex, one_edge_complex
+from splinereg.staircase import ClosedFormTable, build_q
 
 
 def run(capsys, *argv):
@@ -173,14 +175,85 @@ def test_analyze_ranks_each_h0_degree_once(tmp_path, capsys, monkeypatch, comple
     assert len(builds) == 1
 
 
+CAPPED_SWEEP = ("sweep", "--a", "3..16", "--b", "3..16", "--r", "1..24")
+
+
 def test_full_capped_sweep_budget(capsys):
     start = time.perf_counter()
-    code, out, _ = run(capsys, "sweep", "--a", "3..16", "--b", "3..16", "--r", "1..24")
+    code, out, _ = run(capsys, *CAPPED_SWEEP)
     elapsed = time.perf_counter() - start
     data = json.loads(out)
     assert code == 0
     assert len(data["rows"]) == 2520 and data["violations"] == []
-    assert elapsed < 1.5, f"full capped sweep took {elapsed:.2f}s"
+    assert elapsed < 1.0, f"full capped sweep took {elapsed:.2f}s"
+
+
+def test_capped_sweep_runs_each_check_once_per_class(capsys, monkeypatch):
+    # the sweep's one ClosedFormTable builds each colon staircase once per
+    # (r, s) and runs the route checks once per (r, lambda', eta') class:
+    # 336 pairs (r, s) and 602 classes for 1,610 nontrivial cells
+    import splinereg.regularity as reg
+    import splinereg.staircase as st
+
+    calls = Counter()
+    for mod, name in ((reg, "buchberger_graph"), (reg, "regularity_from_bottom_face"),
+                      (st, "staircase_closed_form")):
+        def counted(*args, _real=getattr(mod, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(mod, name, counted)
+    code, out, _ = run(capsys, *CAPPED_SWEEP)
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert sum(row["exact"] is not None for row in rows) == 1610
+    assert calls == {
+        "buchberger_graph": 602, "regularity_from_bottom_face": 602, "staircase_closed_form": 336,
+    }
+
+
+@pytest.mark.parametrize(
+    "ab, rs, classes",
+    [((3, 4), (1, 4), 10), ((7, 10), (8, 8), 1)],
+    ids=["distinct-classes", "one-class"],
+)
+def test_sweep_lists_every_cell_of_a_failing_class(capsys, monkeypatch, ab, rs, classes):
+    # only checked results are stored, so a class whose socle route fails
+    # is recomputed and reported for each of its cells
+    import splinereg.syzygies as syz
+
+    table = ClosedFormTable()
+    cells = [
+        (a, b, r)
+        for a in range(ab[0], ab[1] + 1)
+        for b in range(a, ab[1] + 1)
+        for r in range(rs[0], rs[1] + 1)
+    ]
+    nontrivial = [c for c in cells if not build_q(*c, table).is_trivial]
+    assert len({build_q(*c, table).key for c in nontrivial}) == classes
+    real = syz.max_socle_degree
+    monkeypatch.setattr(syz, "max_socle_degree", lambda ideal: real(ideal) + 1)
+    a_span, r_span = f"{ab[0]}..{ab[1]}", f"{rs[0]}..{rs[1]}"
+    code, out, _ = run(capsys, "sweep", "--a", a_span, "--b", a_span, "--r", r_span)
+    data = json.loads(out)
+    assert code == 1
+    assert len(data["rows"]) == len(cells) - len(nontrivial)
+    assert len(data["violations"]) == len(nontrivial)
+    for (a, b, r), line in zip(nontrivial, data["violations"]):
+        assert line.startswith(f"({a},{b},{r}): SocleMismatch: bottom-face route gives ")
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [(("--r=-1",), "r = -1 is negative"), (("--r", "2", "--d", "-1"), "d = -1 is negative")],
+    ids=["negative-r", "negative-d"],
+)
+def test_analyze_rejects_negative_flags(tmp_path, capsys, flags, message):
+    path = tmp_path / "complex.json"
+    path.write_text(ce1_complex().to_json())
+    code, out, err = run(capsys, "analyze", str(path), *flags)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: NegativeFlag: {message}\n"
 
 
 # sha256 of the JSON each command prints.  The digests were taken before the
@@ -221,6 +294,11 @@ CLI_GOLDEN = [
         ce1_complex, ("--r", "3", "--oracle"),
         "ff26f5f9647f3b45f22983b17587dafc2d9076f5630d348735b9bedfc956d8f7",
         id="analyze-ce1-r3-oracle",
+    ),
+    pytest.param(
+        None, CAPPED_SWEEP,
+        "ee62b10344b58d8e9c8cedf5b355c43957d84eee3373f93b52034f3f429bc3d0",
+        id="sweep-capped-grid",
     ),
 ]
 

@@ -15,6 +15,7 @@ from splinereg.regularity import (
     regularity_from_complex,
     regularity_one_edge,
 )
+from splinereg.staircase import ClosedFormTable
 
 
 def test_worked_example_34_r8():
@@ -211,3 +212,15 @@ def test_routes_record_each_route_own_value(monkeypatch):
     rep = regularity_one_edge(3, 4, 8)
     assert rep.routes == {"bottom_face": 14, "socle_shift": 15}
     assert not rep.routes_agree
+
+
+def test_shared_table_reports_equal_fresh_ones():
+    # one table through the capped grid serves each (r, lambda', eta') class
+    # from its first cell; every report must be the one a fresh call builds
+    table = ClosedFormTable()
+    for a in range(3, 17):
+        for b in range(a, 17):
+            for r in range(1, 25):
+                shared = regularity_one_edge(a, b, r, table).to_json_dict()
+                assert shared == regularity_one_edge(a, b, r).to_json_dict(), (a, b, r)
+    assert (len(table.colons), len(table.routes)) == (336, 602)
