@@ -10,7 +10,13 @@ import time
 
 from splinereg.regularity import check_2r_theorem, regularity_one_edge
 from splinereg.staircase import ClosedFormTable, build_q
-from splinereg.syzygies import betti_oracle, buchberger_graph, syz2_closed_form, syz3_closed_form
+from splinereg.syzygies import (
+    betti_oracle,
+    buchberger_graph,
+    syz2_closed_form,
+    syz3_closed_form,
+    syzygies_match_betti,
+)
 
 
 def main():
@@ -38,11 +44,10 @@ def main():
                 betti_ok = "-"
                 if not args.skip_betti:
                     q = build_q(a, b, r, table)
-                    betti = betti_oracle(q.in_q)
-                    graph = buchberger_graph(q.in_q)
-                    ok = (
-                        betti.multidegrees(1) == syz2_closed_form(q)
-                        and set(betti.multidegrees(2)) == set(syz3_closed_form(graph))
+                    ok = syzygies_match_betti(
+                        betti_oracle(q.in_q),
+                        syz2_closed_form(q),
+                        syz3_closed_form(buchberger_graph(q.in_q)),
                     )
                     betti_ok = "ok" if ok else "FAIL"
                     if not ok:

@@ -18,15 +18,15 @@ elimination).
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb, lcm
 
-from ._echelon import DenseIntEchelon, SparseIntEchelon
+from ._echelon import SparseIntEchelon
 from .errors import CapExceeded, RouteDisagreement
 from .geometry import LinearForm, SimplicialComplex, _canonical_int_vector, interior_stats
 from .monomials import count_degree, monomial_index
-from .staircase import _power_columns
+from .staircase import _power_echelons
 
 
 # ---------------------------------------------------------------------------
@@ -37,22 +37,28 @@ from .staircase import _power_columns
 class EdgeGroup:
     """One column group of the boundary map: an edge form with exponent r+1
     times all degree-(d-r-1) multipliers.  Partially interior edges at the
-    same vertex with the same slope give identical columns and are merged."""
+    same vertex with the same slope give identical columns, so one group
+    (named by the least such edge) stands for them all."""
 
     edge: tuple[int, int]
     form: LinearForm
     home: int                 # interior endpoint whose frame hosts the multipliers
     far: int | None           # second interior endpoint for totally interior edges
-    merged_edges: tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
 class IdealComplexData:
+    """The boundary map's column groups and frames of one (complex, r), and
+    at each interior vertex v the walk of J'(v) in its frame (u, w): the
+    echelon of J'(v)_e for e = r+1, r+2, ..., advanced only as far as a
+    requested degree needs, with the slice ranks dim J'(v)_e walked so far."""
+
     r: int
     groups: tuple[EdgeGroup, ...]
     vertex_forms: dict[int, tuple[LinearForm, ...]]  # one form per slope at the vertex
     origins: dict[int, tuple[int, int]]  # (L p_x, L p_y): the frame's integer translation
-    frame_pairs: dict[int, tuple]  # (a, b) of each vertex form, as coprime ints
+    walks: dict[int, Iterator]  # `_power_echelons` over v's forms as coprime (a, b)
+    slice_ranks: dict[int, list[int]]  # dim J'(v)_{r+1+i} at index i
 
 
 def ideal_complex(c: SimplicialComplex, r: int) -> IdealComplexData:
@@ -62,16 +68,14 @@ def ideal_complex(c: SimplicialComplex, r: int) -> IdealComplexData:
     groups: list[EdgeGroup] = []
     for e in sorted(totally):
         home, far = sorted(e, key=lambda v: vpos[v])
-        groups.append(EdgeGroup(e, c.edge_form(e), home, far, (e,)))
-    partial_by_key: dict[tuple[int, tuple[int, int]], list[tuple[int, int]]] = {}
-    for e in c.interior_edges:
+        groups.append(EdgeGroup(e, c.edge_form(e), home, far))
+    partial: dict[tuple[int, tuple[int, int]], tuple[int, int]] = {}  # least edge per key
+    for e in sorted(c.interior_edges):
         ends_in = [v for v in e if v in interior]
-        if len(ends_in) != 1:
-            continue
-        partial_by_key.setdefault((ends_in[0], c.edge_slope(e)), []).append(e)
-    for (v, _slope), es in sorted(partial_by_key.items()):
-        es.sort()
-        groups.append(EdgeGroup(es[0], c.edge_form(es[0]), v, None, tuple(es)))
+        if len(ends_in) == 1:
+            partial.setdefault((ends_in[0], c.edge_slope(e)), e)
+    for (v, _slope), e in sorted(partial.items()):
+        groups.append(EdgeGroup(e, c.edge_form(e), v, None))
 
     vertex_forms = {}
     for v in c.interior_vertices:
@@ -84,27 +88,12 @@ def ideal_complex(c: SimplicialComplex, r: int) -> IdealComplexData:
         for coord in c.vertices[v]:
             scale = lcm(scale, coord.denominator)
     origins = {v: (int(scale * c.vertices[v][0]), int(scale * c.vertices[v][1])) for v in interior}
-    frame_pairs = {
-        v: tuple(_canonical_int_vector((f.a, f.b)) for f in forms)
+    walks = {
+        v: _power_echelons(r, [_canonical_int_vector((f.a, f.b)) for f in forms])
         for v, forms in vertex_forms.items()
     }
-    return IdealComplexData(r, tuple(groups), vertex_forms, origins, frame_pairs)
-
-
-# ---------------------------------------------------------------------------
-# exact two-variable slice ranks (generator-times-monomial columns)
-
-
-@lru_cache(maxsize=None)
-def _two_var_dim(pairs, r: int, e: int) -> int:
-    """dim of sum_i (n1_i u + n2_i w)^{r+1} * k[u,w]_{e-r-1} inside k[u,w]_e,
-    for integer pairs (n1_i, n2_i)."""
-    if e < r + 1:
-        return 0
-    ech = DenseIntEchelon(e + 1)
-    for col in _power_columns(r, pairs, e):
-        ech.insert(col)
-    return ech.rank
+    slice_ranks = {v: [] for v in vertex_forms}
+    return IdealComplexData(r, tuple(groups), vertex_forms, origins, walks, slice_ranks)
 
 
 def _poly_mul(p, q):
@@ -186,16 +175,21 @@ def boundary_rank(c: SimplicialComplex, r: int, d: int, data: IdealComplexData |
 
 def vertex_ideal_dimension(c: SimplicialComplex, r: int, d: int, v: int) -> int:
     """dim J(v)_d by exact rank on two-variable slices times powers of z."""
-    return _vertex_dim(ideal_complex(c, r), r, d, v)
+    return _vertex_dim(ideal_complex(c, r), d, v)
 
 
-def _vertex_dim(data: IdealComplexData, r, d, v) -> int:
-    pairs = data.frame_pairs[v]
-    return sum(_two_var_dim(pairs, r, e) for e in range(r + 1, d + 1))
+def _vertex_dim(data: IdealComplexData, d: int, v: int) -> int:
+    """dim J(v)_d = sum over e <= d of dim J'(v)_e (J(v)_d is the direct sum
+    of the slices t^{d-e} J'(v)_e), walking v's echelon on as far as d."""
+    ranks = data.slice_ranks[v]
+    n = max(0, d - data.r)
+    while len(ranks) < n:
+        ranks.append(next(data.walks[v]).rank)
+    return sum(ranks[:n])
 
 
 def _h0_dim(c: SimplicialComplex, r: int, d: int, data: IdealComplexData) -> int:
-    total = sum(_vertex_dim(data, r, d, v) for v in c.interior_vertices)
+    total = sum(_vertex_dim(data, d, v) for v in c.interior_vertices)
     return total - boundary_rank(c, r, d, data)
 
 

@@ -21,7 +21,13 @@ from .regularity import (
     regularity_one_edge,
 )
 from .staircase import ClosedFormTable, build_q, colon_staircase, staircase_closed_form
-from .syzygies import betti_oracle, buchberger_graph, syz2_closed_form, syz3_closed_form
+from .syzygies import (
+    betti_oracle,
+    buchberger_graph,
+    syz2_closed_form,
+    syz3_closed_form,
+    syzygies_match_betti,
+)
 
 SCHEMA = "spline-reg/1"
 R_CAP = 24
@@ -94,14 +100,6 @@ def _graph_dict(graph):
     }
 
 
-def _syzygies_match_betti(table, syz2, syz3) -> bool:
-    """Whether the closed-form second and third syzygies are the Betti
-    oracle's multidegrees in homological degrees 1 and 2."""
-    return table.multidegrees(1) == syz2 and list(table.multidegrees(2)) == sorted(
-        syz3, key=lambda m: m.exponents(), reverse=True
-    )
-
-
 def cmd_regularity(args) -> dict:
     _check_caps(args, [args.r], R_CAP, "r")
     _check_caps(args, [args.a, args.b], AB_CAP, "a/b")
@@ -120,7 +118,7 @@ def cmd_regularity(args) -> dict:
     payload = {"schema": SCHEMA, "command": "regularity", **report.to_json_dict()}
     if args.oracle and not report.vanishes:
         q = build_q(args.a, args.b, args.r)
-        payload["betti_confirms_syzygies"] = _syzygies_match_betti(
+        payload["betti_confirms_syzygies"] = syzygies_match_betti(
             betti_oracle(report.in_q), syz2_closed_form(q), syz3_closed_form(buchberger_graph(q.in_q))
         )
     if not report.vanishes:
@@ -273,7 +271,7 @@ def cmd_betti(args) -> dict:
         syz3 = syz3_closed_form(graph)
         payload["syz2_closed_form"] = [m.render() for m in syz2]
         payload["syz3_closed_form"] = [m.render() for m in syz3]
-        payload["closed_forms_match_oracle"] = _syzygies_match_betti(table, syz2, syz3)
+        payload["closed_forms_match_oracle"] = syzygies_match_betti(table, syz2, syz3)
     return payload
 
 

@@ -9,7 +9,9 @@ The oracles share one walk of J' degree by degree (`_power_echelons`): the
 power columns are eliminated once, in the generating degree r+1, and each
 later degree is spanned by the previous echelon shifted by v and by z.  The
 initial ideal reads its pivot rows, and the colon reads the pivots that
-vanish before coordinate r+1 (`_colon_bases`).
+vanish before coordinate r+1 (`_colon_bases`).  Each oracle stops at the
+first degree its own echelon fills: distinct slopes make J', its colon and
+Q1 + Q2 Artinian, so that degree exists, and no closed form is consulted.
 
 A run over many cells passes one `ClosedFormTable` to `build_q`: the colon
 staircase depends only on (r, s), and In Q with its pruning check only on
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import count, islice
 from math import comb
 
 from ._echelon import DenseIntEchelon, _first_nonzero
@@ -219,9 +221,11 @@ def _pruned_union(
 
 
 def _check_slopes(slopes):
+    """Distinct slopes, at least two: with one, J' is principal and no
+    oracle's echelon ever fills a degree."""
     slopes = [Fraction(c) for c in slopes]
-    if not slopes:
-        raise InvalidSlopeCount("need at least one slope")
+    if len(slopes) < 2:
+        raise InvalidSlopeCount(f"need at least 2 distinct slopes, got {len(slopes)}")
     if len(set(slopes)) != len(slopes):
         raise DuplicateSlope(f"repeated slope in {slopes}")
     return slopes
@@ -279,28 +283,21 @@ def _colon_bases(r: int, pairs):
         yield [ech.pivots[t][r + 1:] for t in ech.pivot_rows() if t > r]
 
 
-def default_oracle_bound(r: int, s: int) -> int:
-    """Past lambda_0 the staircase is complete; +2 guards off-by-one."""
-    if s < 2:
-        return r + 1
-    return r + 1 + r // (s - 1) + 2
-
-
-def initial_ideal_oracle(r, slopes, d_max=None, axis: str = "x") -> MonomialIdeal:
+def initial_ideal_oracle(r, slopes, axis: str = "x") -> MonomialIdeal:
     """In<(v+c_i z)^{r+1}> recomputed degree by degree: the pivot rows of an
     echelon basis of J'_d (from `_power_echelons`) are the leading
     monomials, and new minimal generators are the ones no earlier generator
-    divides."""
+    divides.  The walk stops at the first degree whose echelon spans all of
+    S_d; every later monomial is a multiple of one found by then."""
     slopes = _check_slopes(slopes)
-    if d_max is None:
-        d_max = default_oracle_bound(r, len(slopes))
     gens: list[Monomial] = []
-    for d, ech in zip(range(r + 1, d_max + 1), _power_echelons(r, _slope_pairs(slopes))):
+    for d, ech in zip(count(r + 1), _power_echelons(r, _slope_pairs(slopes))):
         for t in ech.pivot_rows():
             m = _axis_monomial(axis, d - t, t)
             if not any(g.divides(m) for g in gens):
                 gens.append(m)
-    return minimalize(gens)
+        if ech.rank == d + 1:
+            return minimalize(gens)
 
 
 def colon_degree_basis(r, slopes, e: int):
@@ -315,45 +312,40 @@ def colon_degree_basis(r, slopes, e: int):
     return [[Fraction(v, f[_first_nonzero(f)]) for v in f] for f in basis]
 
 
-def colon_initial_oracle(r, slopes, d_max=None, axis: str = "x") -> MonomialIdeal:
+def colon_initial_oracle(r, slopes, axis: str = "x") -> MonomialIdeal:
     """In(J' : z^{r+1}) computed from the colon subspaces themselves, never
-    from the staircase closed form."""
+    from the staircase closed form; it stops at the first degree e whose
+    colon basis has e+1 vectors."""
     slopes = _check_slopes(slopes)
-    if d_max is None:
-        cs = colon_staircase(staircase_closed_form(r, len(slopes)))
-        d_max = max((g.degree for g in cs.ideal().gens), default=0) + 2
     gens: list[Monomial] = []
-    for e, basis in zip(range(d_max + 1), _colon_bases(r, _slope_pairs(slopes))):
+    for e, basis in enumerate(_colon_bases(r, _slope_pairs(slopes))):
         for vec in basis:
             t = _first_nonzero(vec)
             m = _axis_monomial(axis, e - t, t)
             if not any(g.divides(m) for g in gens):
                 gens.append(m)
-        if gens and gens[0].degree == 0:
-            break  # unit ideal, nothing more to find
-    return minimalize(gens)
+        if len(basis) == e + 1:
+            return minimalize(gens)
 
 
 # -- sum oracle --------------------------------------------------------------
 
 
-def sum_initial_oracle(r, slopes1, slopes2, d_max=None) -> MonomialIdeal:
+def sum_initial_oracle(r, slopes1, slopes2) -> MonomialIdeal:
     """In(Q(v1) + Q(v2)) recomputed from the colon subspaces: Q1 lives in
     k[x,z] and Q2 in k[y,z], so (Q1 + Q2)_d is spanned by y^j Q1_{d-j} and
     x^i Q2_{d-i}, with the colon bases stepped one degree at a time by
     `_colon_bases`; pivot rows are the leading monomials.  The Q1 vectors
-    have distinct leads and go in without reduction."""
+    have distinct leads and go in without reduction.  It stops at the first
+    degree whose echelon spans all of S_d."""
     slopes1 = _check_slopes(slopes1)
     slopes2 = _check_slopes(slopes2)
-    if d_max is None:
-        q = build_q(len(slopes1) + 1, len(slopes2) + 1, r)
-        d_max = max((g.degree for g in q.in_q.gens), default=0) + 2
     gens: list[Monomial] = []
     bases1: list[list[list[int]]] = []  # bases1[e] spans Q1_e
     bases2: list[list[list[int]]] = []
     colons1 = _colon_bases(r, _slope_pairs(slopes1))
     colons2 = _colon_bases(r, _slope_pairs(slopes2))
-    for d, basis1, basis2 in zip(range(d_max + 1), colons1, colons2):
+    for d, basis1, basis2 in zip(count(), colons1, colons2):
         bases1.append(basis1)
         bases2.append(basis2)
         n = (d + 2) * (d + 1) // 2
@@ -373,6 +365,5 @@ def sum_initial_oracle(r, slopes1, slopes2, d_max=None) -> MonomialIdeal:
             m = Monomial(ex, ey, d - ex - ey)
             if not any(g.divides(m) for g in gens):
                 gens.append(m)
-        if gens and gens[0].degree == 0:
-            break
-    return minimalize(gens)
+        if ech.rank == n:
+            return minimalize(gens)

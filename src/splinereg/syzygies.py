@@ -229,6 +229,15 @@ def betti_oracle(ideal: MonomialIdeal) -> BettiTable:
     return BettiTable(tuple(entries))
 
 
+def syzygies_match_betti(table: BettiTable, syz2, syz3) -> bool:
+    """Whether the closed-form second and third syzygies are the Betti
+    oracle's multidegrees in homological degrees 1 and 2, multiplicities
+    included."""
+    return table.multidegrees(1) == tuple(syz2) and table.multidegrees(2) == tuple(
+        sorted(syz3, key=lex_key, reverse=True)
+    )
+
+
 def euler_hilbert_check(ideal: MonomialIdeal, table: BettiTable, d: int) -> bool:
     """C(d+2,2) - sum beta_0 C(d-|b|+2,2) + sum beta_1 ... - sum beta_2 ...
     must reproduce dim (S/I)_d."""

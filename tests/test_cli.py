@@ -314,6 +314,43 @@ def test_cli_golden_bytes(tmp_path, capsys, complex_, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def _one34_file(tmp_path):
+    path = tmp_path / "one34.json"
+    path.write_text(one_edge_complex(3, 4).to_json())
+    return str(path)
+
+
+def test_regularity_from_complex_golden_bytes(tmp_path, capsys):
+    # the one command that reports the bottom-face, socle and chain-oracle
+    # routes together with the Betti check; digest taken before the
+    # staircase oracles stopped on their own echelons
+    code, out, _ = run(
+        capsys, "regularity", "--complex", _one34_file(tmp_path),
+        "--a", "3", "--b", "4", "--r", "4", "--oracle",
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "3b2d168bc9ceefd97b97a1a19526f869cb0069be0347f7132ab2213cfe7edd6a"
+    )
+    data = json.loads(out)
+    assert data["routes"] == {"bottom_face": 7, "chain_oracle": 7, "socle_shift": 7}
+    assert data["betti_confirms_syzygies"] is True
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("--a", "3", "--b", "4", "--r", "4"), "pass --oracle"),
+        (("--a", "3", "--b", "5", "--r", "4", "--oracle"), "flags say (3, 5)"),
+    ],
+)
+def test_regularity_from_complex_rejects_bad_flags(tmp_path, capsys, flags, message):
+    code, out, err = run(capsys, "regularity", "--complex", _one34_file(tmp_path), *flags)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: SplineRegError: ") and message in err
+
+
 def test_analyze_rejects_boolean_indices_and_duplicate_keys(tmp_path, capsys):
     verts = '[["0", "0"], ["1", "0"], ["0", "1"]]'
     for name, text in (

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from itertools import count
 from math import comb
 from pathlib import Path
 
@@ -31,7 +32,6 @@ from splinereg.staircase import (
     colon_degree_basis,
     colon_initial_oracle,
     colon_staircase,
-    default_oracle_bound,
     initial_ideal_oracle,
     staircase_closed_form,
     sum_initial_oracle,
@@ -101,11 +101,13 @@ def test_oracle_equals_closed_form_seeded():
 
 
 def test_oracle_single_form():
-    assert initial_ideal_oracle(1, [Fraction(0)], 4).gens == (M(2),)
+    # a principal J' never fills a degree, so the walk would not stop
+    with pytest.raises(InvalidSlopeCount):
+        initial_ideal_oracle(1, [Fraction(0)])
 
 
 def test_oracle_three_slopes_r2():
-    got = initial_ideal_oracle(2, [Fraction(0), Fraction(1), Fraction(-1)], 6)
+    got = initial_ideal_oracle(2, [Fraction(0), Fraction(1), Fraction(-1)])
     assert got.gens == (M(3), M(2, 0, 1), M(1, 0, 2), M(0, 0, 4))
 
 
@@ -202,13 +204,13 @@ def test_colon_initial_oracle_matches_both_routes():
 
 
 def test_sum_oracle_33_r2():
-    got = sum_initial_oracle(2, [Fraction(0), Fraction(1)], [Fraction(0), Fraction(1)], 6)
+    got = sum_initial_oracle(2, [Fraction(0), Fraction(1)], [Fraction(0), Fraction(1)])
     assert got == build_q(3, 3, 2).in_q
 
 
 def test_sum_oracle_34_r8():
     got = sum_initial_oracle(
-        8, [Fraction(0), Fraction(1)], [Fraction(0), Fraction(1), Fraction(2)], 12
+        8, [Fraction(0), Fraction(1)], [Fraction(0), Fraction(1), Fraction(2)]
     )
     assert got == build_q(3, 4, 8).in_q
 
@@ -242,7 +244,7 @@ def slopes_with_zero(rng, s):
 
 
 def colon_bound(r, s):
-    """The colon oracle's default degree bound: two past the closed-form
+    """A walk depth past every colon generator: two past the closed-form
     colon generators for s >= 2; a principal J' has its colon generated in
     degree r+1."""
     if s < 2:
@@ -261,7 +263,11 @@ def test_colon_degree_basis_solves_the_colon(s):
         walk = _colon_bases(r, _slope_pairs(slopes))
         for e, int_basis in zip(range(top), walk):
             basis = [[Fraction(v, f[_first_nonzero(f)]) for v in f] for f in int_basis]
-            assert colon_degree_basis(r, slopes, e) == basis
+            if s == 1:
+                with pytest.raises(InvalidSlopeCount):
+                    colon_degree_basis(r, slopes, e)
+            else:
+                assert colon_degree_basis(r, slopes, e) == basis
             mat = fraction_power_matrix(r, slopes, e + r + 1)
             shifts = RatMatrix.from_rows(
                 [[int(t == i + r + 1) for i in range(e + 1)] for t in range(e + r + 2)]
@@ -282,14 +288,16 @@ def test_colon_degree_basis_solves_the_colon(s):
 def test_initial_ideal_oracle_matches_fraction_pivot_rows(s):
     # the walk's echelon of J'_d, built by shifting the previous degree's
     # pivots, against a from-scratch echelon of the power columns and the
-    # Fraction pivot rows, through degrees where J'_d is all of S_d
+    # Fraction pivot rows, through two degrees past the first where J'_d is
+    # all of S_d (a principal J', s = 1, never fills: through degree r+4)
     rng = random.Random(5200 + s)
     for r in range(0, 9):
         slopes = slopes_with_zero(rng, s)
-        bound = default_oracle_bound(r, s)
         gens = []
+        full = None  # the first degree the walk fills
+        stop = r + 4 if s == 1 else None
         walk = _power_echelons(r, _slope_pairs(slopes))
-        for d, stepped in zip(range(r + 1, bound + 3), walk):
+        for d, stepped in zip(count(r + 1), walk):
             mat = fraction_power_matrix(r, slopes, d)
             cols = _power_columns(r, _slope_pairs(slopes), d)
             for j, col in enumerate(cols):
@@ -302,11 +310,19 @@ def test_initial_ideal_oracle_matches_fraction_pivot_rows(s):
             assert ech.pivot_rows() == stepped.pivot_rows() == rows
             # same rank and no stepped pivot outside the span: same space
             assert not any(ech.insert(p) for p in stepped.pivot_vectors())
-            if d <= bound:
+            if full is None:
                 gens += [M(d - t, 0, t) for t in rows]
-        if s >= 2:
-            assert rows == list(range(d + 1))  # saturated: J'_d = S_d
-        assert initial_ideal_oracle(r, slopes) == minimalize(gens)
+                if rows == list(range(d + 1)):  # saturated: J'_d = S_d
+                    full, stop = d, d + 2
+            if d == stop:
+                break
+        if s == 1:
+            assert full is None
+            with pytest.raises(InvalidSlopeCount):
+                initial_ideal_oracle(r, slopes)
+        else:
+            assert rows == list(range(d + 1))  # and it stays saturated
+            assert initial_ideal_oracle(r, slopes) == minimalize(gens)
 
 
 @pytest.mark.parametrize(
@@ -330,6 +346,81 @@ def test_power_columns_built_once_per_slope_set(monkeypatch, oracle, args, calls
     monkeypatch.setattr(staircase, "_power_columns", counting)
     oracle(*args)
     assert seen == [args[0] + 1] * calls
+
+
+def _count_draws(monkeypatch, name):
+    """Replace staircase.<name> by a wrapper that records, per walk, how
+    many degrees the caller drew from it."""
+    draws = []
+    real = getattr(staircase, name)
+
+    def counting(r, pairs):
+        draws.append(0)
+        slot = len(draws) - 1
+        for item in real(r, pairs):
+            draws[slot] += 1
+            yield item
+
+    monkeypatch.setattr(staircase, name, counting)
+    return draws
+
+
+def fill_degree(ideal, monomials=monomials_of_degree):
+    """The least degree d with every monomial of `monomials(d)` in the ideal."""
+    return next(d for d in count() if all(ideal.contains(m) for m in monomials(d)))
+
+
+def xz_monomials(d):
+    return [M(d - t, 0, t) for t in range(d + 1)]
+
+
+@pytest.mark.parametrize("s", [7, 8])
+@pytest.mark.parametrize("r", [5, 16, 24])
+def test_initial_and_colon_oracles_stop_where_they_fill(monkeypatch, r, s):
+    # the closed forms fill at their last generator's degree (lambda_0 for
+    # In J'), two below the old lambda_0 + 2 style search bounds
+    slopes = random_slopes(random.Random(5300 + 31 * r + s), s)
+    st = staircase_closed_form(r, s)
+    closed_colon = colon_staircase(st).ideal("x")
+    draws = _count_draws(monkeypatch, "_power_echelons")
+    assert initial_ideal_oracle(r, slopes) == st.ideal("x")
+    assert draws == [st.lam[0] - r] == [fill_degree(st.ideal("x"), xz_monomials) - r]
+    draws = _count_draws(monkeypatch, "_colon_bases")
+    assert colon_initial_oracle(r, slopes) == closed_colon
+    assert draws == [fill_degree(closed_colon, xz_monomials) + 1]
+
+
+@pytest.mark.parametrize(
+    "s1, s2, stop",
+    [
+        (4, 4, 11),  # a search bound of two past In Q's generators stopped at 10
+        (2, 2, 24),  # ... and at 26
+        (2, 15, 12),
+        (15, 15, 1),
+    ],
+)
+def test_sum_oracle_stops_where_it_fills(monkeypatch, s1, s2, stop):
+    rng = random.Random(5400 + 16 * s1 + s2)
+    slopes1, slopes2 = random_slopes(rng, s1), random_slopes(rng, s2)
+    in_q = build_q(s1 + 1, s2 + 1, 24).in_q
+    draws = _count_draws(monkeypatch, "_colon_bases")
+    assert sum_initial_oracle(24, slopes1, slopes2) == in_q
+    assert fill_degree(in_q) == stop
+    assert draws == [stop + 1, stop + 1]  # degrees 0..stop on each side
+
+
+@pytest.mark.parametrize(
+    "oracle, args",
+    [
+        (initial_ideal_oracle, (4, [Fraction(1, 2)])),
+        (colon_initial_oracle, (4, [Fraction(1, 2)])),
+        (sum_initial_oracle, (4, [Fraction(1, 2)], [0, 1])),
+        (sum_initial_oracle, (4, [0, 1], [Fraction(1, 2)])),
+    ],
+)
+def test_oracles_refuse_one_slope(oracle, args):
+    with pytest.raises(InvalidSlopeCount):
+        oracle(*args)
 
 
 def test_index_to_exps_round_trip():

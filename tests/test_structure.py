@@ -95,11 +95,20 @@ def test_spline_dim_oracle_does_not_reach_the_formula():
 
 
 def test_power_walk_does_not_reach_the_closed_form():
-    # the walk of J' degree by degree and the colon step read off it are
-    # the independent witnesses for the staircase and colon closed forms,
-    # so neither they nor a staircase helper they call may name one
+    # the walk of J' degree by degree, the colon step read off it and the
+    # three oracles that stop on their own echelons are the independent
+    # witnesses for the staircase, colon and In Q closed forms, so neither
+    # they nor a staircase helper they call may name one
     names = _names_reached(
-        "staircase.py", ["_power_echelons", "_colon_bases", "colon_degree_basis"]
+        "staircase.py",
+        [
+            "_power_echelons",
+            "_colon_bases",
+            "colon_degree_basis",
+            "initial_ideal_oracle",
+            "colon_initial_oracle",
+            "sum_initial_oracle",
+        ],
     )
     assert {"DenseIntEchelon", "_power_columns", "_power_echelons"} <= names  # sees calls
     forbidden = {
@@ -124,3 +133,15 @@ def test_chain_oracle_stays_on_integers():
     assert not imported & {
         "fractions", "splinereg.geometry._mat_inverse", "splinereg.geometry._row_times"
     }
+
+
+def test_no_module_imports_functools():
+    # a functools cache outlives the run that filled it and grows without
+    # bound; state shared between degrees lives on the run's own objects
+    # (`ClosedFormTable`, `H0Table`, `IdealComplexData`)
+    seen = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        names = set(_imported_modules(ast.parse(path.read_text(encoding="utf-8"))))
+        seen |= names
+        assert not {n for n in names if n.split(".")[0] == "functools"}, path.name
+    assert {"fractions", "math.comb"} <= seen  # the checker does see imports
