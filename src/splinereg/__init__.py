@@ -11,7 +11,6 @@ from .chains import (
     spline_dim_formula,
     spline_dim_formulas,
     spline_dim_oracle,
-    vertex_ideal_dimension,
 )
 from .geometry import (
     SimplicialComplex,

@@ -173,11 +173,6 @@ def boundary_rank(c: SimplicialComplex, r: int, d: int, data: IdealComplexData |
     return ech.rank
 
 
-def vertex_ideal_dimension(c: SimplicialComplex, r: int, d: int, v: int) -> int:
-    """dim J(v)_d by exact rank on two-variable slices times powers of z."""
-    return _vertex_dim(ideal_complex(c, r), d, v)
-
-
 def _vertex_dim(data: IdealComplexData, d: int, v: int) -> int:
     """dim J(v)_d = sum over e <= d of dim J'(v)_e (J(v)_d is the direct sum
     of the slices t^{d-e} J'(v)_e), walking v's echelon on as far as d."""

@@ -323,6 +323,18 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _check_fields(payload) -> list:
+    """Every check field of a payload, looked up where its command puts it;
+    a sweep's rows are covered by its `violations`."""
+    fields = [
+        payload.get(key)
+        for key in ("betti_confirms_syzygies", "theorem_2r_holds", "closed_forms_match_oracle")
+    ]
+    fields.append(payload.get("path_bounds", {}).get("oracle_within_bounds"))
+    fields += [entry.get("agree") for entry in payload.get("spline_dimensions", ())]
+    return fields
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -331,7 +343,7 @@ def main(argv=None) -> int:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     _emit(args, payload)
-    if isinstance(payload, dict) and payload.get("violations"):
+    if payload.get("violations") or any(f is False for f in _check_fields(payload)):
         return 1
     return 0
 

@@ -1,7 +1,7 @@
 """Planar simplicial complexes with exact rational vertex coordinates:
-strict file parsing, interior-edge statistics, and the projective
-normalization that sends a one-totally-interior-edge configuration to the
-standard position (v1 -> [0,1,0], v2 -> [1,0,0], shared edge -> {z = 0}).
+strict file parsing, interior-edge statistics, and the identification of a
+configuration with one totally interior edge [v1 v2] and its slope counts
+(a, b) = (k(v1), k(v2)).
 
 Orientation convention: triangles are stored counterclockwise with the
 smallest vertex index first; edges are ordered by ascending vertex index.
@@ -321,53 +321,26 @@ def interior_stats(c: SimplicialComplex, r: int) -> InteriorData:
 
 
 # ---------------------------------------------------------------------------
-# one-edge normalization
+# one-edge identification
 
 
 @dataclass(frozen=True)
 class OneEdgeNormalization:
-    matrix: tuple[tuple[Fraction, ...], ...]  # sends v1 -> [0,1,0], v2 -> [1,0,0]
+    """The one totally interior edge [v1 v2], with k(v1) = a <= k(v2) = b."""
+
     v1: int
     v2: int
     a: int
     b: int
-    slopes1: tuple[Fraction, ...]  # forms x + c z at v1; contains 0
-    slopes2: tuple[Fraction, ...]  # forms y + c z at v2; contains 0
-    swapped: bool
-
-
-def _mat_inverse(m):
-    a, b, c = m[0]
-    d, e, f = m[1]
-    g, h, i = m[2]
-    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    if det == 0:
-        raise DegenerateTriangle("projective frame is singular")
-    adj = (
-        (e * i - f * h, c * h - b * i, b * f - c * e),
-        (f * g - d * i, a * i - c * g, c * d - a * f),
-        (d * h - e * g, b * g - a * h, a * e - b * d),
-    )
-    return tuple(tuple(Fraction(x, 1) / det for x in row) for row in adj)
-
-
-def _mat_mul(m1, m2):
-    return tuple(
-        tuple(sum(m1[i][k] * m2[k][j] for k in range(3)) for j in range(3))
-        for i in range(3)
-    )
-
-
-def _row_times(row, m):
-    return tuple(sum(row[k] * m[k][j] for k in range(3)) for j in range(3))
 
 
 def normalize_one_edge(
     c: SimplicialComplex, r: int, stats: InteriorData | None = None
 ) -> OneEdgeNormalization:
-    """Projective change of coordinates for a complex with exactly one
-    totally interior edge: its endpoints go to [0,1,0] and [1,0,0], the edge
-    line to {z=0}, and one slope on each side is sheared to 0.  `stats` is
+    """Identify a complex with exactly one totally interior edge and no other
+    interior vertex, ordering the edge's endpoints so that v1 has the smaller
+    slope count.  Each count is read off `interior_stats` and recounted as
+    the number of distinct edge lines through the vertex.  `stats` is
     `interior_stats(c, r)` when the caller already has it."""
     if stats is None:
         stats = interior_stats(c, r)
@@ -380,81 +353,13 @@ def normalize_one_edge(
         raise ExtraInteriorVertex(
             f"interior vertices {c.interior_vertices} beyond the edge {eps}"
         )
-    v1, v2 = eps
-    swapped = stats.per_vertex[v1].k > stats.per_vertex[v2].k
-    if swapped:
-        v1, v2 = v2, v1
-    a = stats.per_vertex[v1].k
-    b = stats.per_vertex[v2].k
-
-    p1, p2 = c.vertices[v1], c.vertices[v2]
-    h1 = (p1[0], p1[1], Fraction(1))
-    h2 = (p2[0], p2[1], Fraction(1))
-    normal = (
-        h1[1] * h2[2] - h1[2] * h2[1],
-        h1[2] * h2[0] - h1[0] * h2[2],
-        h1[0] * h2[1] - h1[1] * h2[0],
-    )
-    frame = tuple(
-        (h2[i], h1[i], normal[i]) for i in range(3)
-    )  # columns v2_hat, v1_hat, normal
-    m = _mat_inverse(frame)
-
-    def transformed(form: LinearForm):
-        # forms transform by the inverse, i.e. by multiplying with `frame`
-        return _row_times((Fraction(form.a), Fraction(form.b), Fraction(form.c)), frame)
-
-    eps_t = transformed(c.edge_form(eps))
-    if eps_t[0] != 0 or eps_t[1] != 0 or eps_t[2] == 0:
-        raise RouteDisagreement(
-            f"edge {eps} transforms to ({', '.join(map(str, eps_t))}), not a multiple of z"
-        )
-
-    def side_slopes(v, component):
-        slopes = {}  # raw slope -> one edge form with that slope
-        for e in c.edges:
-            if v not in e or e == eps:
-                continue
-            form = c.edge_form(e)
-            vec = transformed(form)
-            if vec[1 - component] != 0:
-                raise RouteDisagreement(
-                    f"edge {e} at vertex {v} transforms to ({', '.join(map(str, vec))}), "
-                    "which misses the vertex"
-                )
-            if vec[component] == 0:
-                raise SlopeClashAssumption(
-                    f"edge {e} at vertex {v} is parallel to the totally interior edge"
-                )
-            slopes[vec[2] / vec[component]] = form
-        return slopes
-
-    forms1 = side_slopes(v1, 0)
-    forms2 = side_slopes(v2, 1)
-    raw1, raw2 = sorted(forms1), sorted(forms2)
-    if len(raw1) != a - 1 or len(raw2) != b - 1:
-        raise RouteDisagreement(
-            f"{len(raw1)} and {len(raw2)} side slopes, expected k - 1 = {a - 1} and {b - 1}"
-        )
-    alpha0, beta0 = raw1[0], raw2[0]
-    shear = (
-        (Fraction(1), Fraction(0), alpha0),
-        (Fraction(0), Fraction(1), beta0),
-        (Fraction(0), Fraction(0), Fraction(1)),
-    )
-    matrix = _mat_mul(shear, m)
-    # the shear must send the side forms of raw slope alpha0, beta0 to x, y
-    inv = _mat_inverse(matrix)
-    for form, keep in ((forms1[alpha0], 0), (forms2[beta0], 1)):
-        image = _row_times(form.vector(), inv)
-        if image[1 - keep] != 0 or image[2] != 0:
-            raise RouteDisagreement(
-                f"side form {form.vector()} maps to ({', '.join(map(str, image))}), "
-                f"not a multiple of {'xy'[keep]}"
-            )
-    slopes1 = tuple(s - alpha0 for s in raw1)
-    slopes2 = tuple(s - beta0 for s in raw2)
-    return OneEdgeNormalization(matrix, v1, v2, a, b, slopes1, slopes2, swapped)
+    v1, v2 = sorted(eps, key=lambda v: stats.per_vertex[v].k)
+    for v in (v1, v2):
+        k = stats.per_vertex[v].k
+        lines = len({c.edge_form(e) for e in c.edges if v in e})
+        if lines != k:
+            raise RouteDisagreement(f"vertex {v}: {lines} distinct edge lines, but k = {k}")
+    return OneEdgeNormalization(v1, v2, stats.per_vertex[v1].k, stats.per_vertex[v2].k)
 
 
 # ---------------------------------------------------------------------------
@@ -502,9 +407,17 @@ def one_edge_complex(a: int, b: int) -> SimplicialComplex:
     """
     if a < 3 or b < 3 or a > 8 or b > 8:
         raise ValueError("one_edge_complex supports 3 <= a, b <= 8")
-    lefts = sorted(_LEFT_MENU[: a - 2], reverse=True)  # ccw from U down to D
-    mids = sorted(_RIGHT_MENU[: b - 3])
-    right_s = [Fraction(-2)] + mids + [Fraction(2)]
+    return one_edge_fan(_LEFT_MENU[: a - 2], _RIGHT_MENU[: b - 3])
+
+
+def one_edge_fan(lefts, mids) -> SimplicialComplex:
+    """The layout of `one_edge_complex` with the left fan's ordinates
+    `lefts` (at least one) on x = -2 and the right fan's middle ordinates
+    `mids` on x = 3, strictly between -2 and 2.  Distinct nonzero ordinates
+    give k(v1) = len(lefts) + 2 and k(v2) = len(mids) + 3; a zero one
+    repeats the slope of the shared edge."""
+    lefts = sorted(map(Fraction, lefts), reverse=True)  # ccw from U down to D
+    right_s = [Fraction(-2)] + sorted(map(Fraction, mids)) + [Fraction(2)]
     verts: list[tuple[Fraction, Fraction]] = [
         (Fraction(0), Fraction(0)),
         (Fraction(1), Fraction(0)),

@@ -141,7 +141,7 @@ def _checked_routes(q: QData) -> tuple[int, int, Monomial]:
 def regularity_from_complex(
     c: SimplicialComplex, r: int, h0: H0Table | None = None
 ) -> RegularityReport:
-    """Exact regularity of a one-edge complex: normalize coordinates, run the
+    """Exact regularity of a one-edge complex: identify the edge, run the
     closed-form pipeline on (a, b) = (k(v1), k(v2)), then confirm with the
     chain-complex oracle (on the run's `H0Table` when passed); the three
     routes must agree."""

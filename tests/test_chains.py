@@ -10,6 +10,7 @@ import pytest
 import splinereg
 from splinereg import chains
 from splinereg.chains import (
+    _vertex_dim,
     boundary_rank,
     h0_hilbert_oracle,
     h0_regularity_oracle,
@@ -18,7 +19,6 @@ from splinereg.chains import (
     spline_dim_formula,
     spline_dim_formulas,
     spline_dim_oracle,
-    vertex_ideal_dimension,
 )
 from splinereg.errors import CapExceeded
 from splinereg.geometry import SimplicialComplex, square_with_diagonals
@@ -121,11 +121,10 @@ def test_adapted_rank_equals_naive_ce1(complex_ce1):
 
 
 def test_vertex_dim_equals_naive(complex_one34):
+    data = ideal_complex(complex_one34, 2)
     for v in complex_one34.interior_vertices:
         for d in range(3, 7):
-            assert vertex_ideal_dimension(complex_one34, 2, d, v) == naive_vertex_dim(
-                complex_one34, 2, d, v
-            )
+            assert _vertex_dim(data, d, v) == naive_vertex_dim(complex_one34, 2, d, v)
 
 
 def test_ideal_complex_structure(complex_one33, complex_star):

@@ -5,9 +5,9 @@ from collections import Counter
 
 import pytest
 
-from splinereg import chains
+from splinereg import chains, cli, regularity
 from splinereg.cli import main
-from splinereg.geometry import ce1_complex, one_edge_complex
+from splinereg.geometry import SimplicialComplex, ce1_complex, one_edge_complex
 from splinereg.staircase import ClosedFormTable, build_q
 
 
@@ -380,3 +380,60 @@ def test_table_format(capsys):
     )
     assert code == 0
     assert "exact_regularity: 4" in out
+
+
+def _slope_clash_complex():
+    # the left vertex sits on the line of the totally interior edge
+    verts = [(0, 0), (1, 0), (0, 1), (0, -1), (-1, 0), (3, -2), (3, 2)]
+    tris = [(0, 1, 2), (0, 2, 4), (0, 4, 3), (0, 3, 1), (1, 3, 5), (1, 5, 6), (1, 6, 2)]
+    return SimplicialComplex(verts, tris)
+
+
+@pytest.mark.parametrize(
+    "complex_, error",
+    [(ce1_complex, "NotOneEdge"), (_slope_clash_complex, "SlopeClashAssumption")],
+)
+def test_regularity_from_complex_rejects_non_one_edge(tmp_path, capsys, complex_, error):
+    path = tmp_path / "complex.json"
+    path.write_text(complex_().to_json())
+    code, out, err = run(
+        capsys, "regularity", "--complex", str(path), "--a", "3", "--b", "3", "--r", "2", "--oracle"
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {error}: ")
+
+
+@pytest.mark.parametrize(
+    "name, field",
+    [("syzygies_match_betti", "betti_confirms_syzygies"), ("check_2r_theorem", "theorem_2r_holds")],
+)
+def test_regularity_failed_check_exits_1(capsys, monkeypatch, name, field):
+    monkeypatch.setattr(cli, name, lambda *args: False)
+    code, out, _ = run(capsys, "regularity", "--a", "3", "--b", "4", "--r", "4", "--oracle")
+    assert code == 1
+    assert json.loads(out)[field] is False
+
+
+def test_betti_failed_check_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "syzygies_match_betti", lambda *args: False)
+    code, out, _ = run(capsys, "betti", "--a", "3", "--b", "4", "--r", "4")
+    assert code == 1
+    assert json.loads(out)["closed_forms_match_oracle"] is False
+
+
+def test_analyze_failed_check_exits_1(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "ce1.json"
+    path.write_text(ce1_complex().to_json())
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "spline_dim_oracle", lambda c, r, d: -1)
+        code, out, _ = run(capsys, "analyze", str(path), "--r", "1", "--d", "3", "--oracle")
+    assert code == 1
+    data = json.loads(out)
+    assert not any(row["agree"] for row in data["spline_dimensions"])
+    assert data["path_bounds"]["oracle_within_bounds"] is True
+    # an oracle regularity far above the path bounds
+    monkeypatch.setattr(regularity, "h0_regularity_oracle", lambda c, r, h0=None: 99)
+    code, out, _ = run(capsys, "analyze", str(path), "--r", "1", "--oracle")
+    assert code == 1
+    assert json.loads(out)["path_bounds"]["oracle_within_bounds"] is False

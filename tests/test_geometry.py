@@ -6,6 +6,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 import splinereg
 from splinereg.errors import (
@@ -25,6 +27,7 @@ from splinereg.geometry import (
     interior_stats,
     normalize_one_edge,
     one_edge_complex,
+    one_edge_fan,
     parse_complex,
     single_triangle,
     square_with_diagonals,
@@ -207,52 +210,57 @@ def test_slope_clash_detected():
 def test_normalize_one_edge_symmetric(complex_one33):
     norm = normalize_one_edge(complex_one33, 2)
     assert (norm.a, norm.b) == (3, 3)
-    assert norm.slopes1[0] == 0 and norm.slopes2[0] == 0
-    assert len(set(norm.slopes1)) == 2 and len(set(norm.slopes2)) == 2
-    # v1 goes to [0,1,0], v2 to [1,0,0]
-    m = norm.matrix
-    for v, target in ((norm.v1, (0, 1, 0)), (norm.v2, (1, 0, 0))):
-        p = complex_one33.vertices[v]
-        image = tuple(
-            m[i][0] * p[0] + m[i][1] * p[1] + m[i][2] for i in range(3)
-        )
-        nz = [x for x in image if x != 0]
-        assert len(nz) == 1
-        assert tuple(x / nz[0] for x in image) == target
-
-
-def test_normalize_sends_edge_form_to_z(complex_one33):
-    from splinereg.geometry import _mat_inverse, _row_times
-
-    norm = normalize_one_edge(complex_one33, 1)
-    eps = (min(norm.v1, norm.v2), max(norm.v1, norm.v2))
-    form = complex_one33.edge_form(eps)
-    inv = _mat_inverse(norm.matrix)
-    image = _row_times(tuple(map(Fraction, form.vector())), inv)
-    assert image[0] == 0 and image[1] == 0 and image[2] != 0
+    assert (norm.v1, norm.v2) == (0, 1)  # a tie keeps the edge's order
 
 
 def test_normalize_34(complex_one34):
     norm = normalize_one_edge(complex_one34, 8)
     assert (norm.a, norm.b) == (3, 4)
-    assert len(norm.slopes2) == 3
+    assert interior_stats(complex_one34, 8).per_vertex[norm.v1].k == 3
 
 
-def test_normalization_check_survives_python_O():
+_ORDINATE = hs.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool)
+_MID = hs.fractions(min_value=-2, max_value=2, max_denominator=7).filter(lambda y: 0 < abs(y) < 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    lefts=hs.lists(_ORDINATE, min_size=1, max_size=7, unique=True),
+    mids=hs.lists(_MID, max_size=7, unique=True),
+    zero_on=hs.sampled_from([None, None, "left", "right"]),
+)
+def test_normalize_reads_built_counts_on_random_fans(lefts, mids, zero_on):
+    # a zero ordinate puts a boundary vertex on the shared edge's line
+    if zero_on == "left":
+        lefts = lefts[1:] + [0]
+    elif zero_on == "right":
+        mids = mids + [0]
+    c = one_edge_fan(lefts, mids)
+    if zero_on:
+        with pytest.raises(SlopeClashAssumption):
+            interior_stats(c, 2)
+        return
+    built = (len(lefts) + 2, len(mids) + 3)
+    norm = normalize_one_edge(c, 2)
+    assert (norm.a, norm.b) == tuple(sorted(built))
+    assert (norm.v1, norm.v2) == ((0, 1) if built[0] <= built[1] else (1, 0))
+
+
+def test_slope_recount_survives_python_O():
+    # an edge_form that gives every edge its own line no longer merges the
+    # opposite rays U and D at v1, so the recount finds 4 lines where k = 3
     script = """
 from splinereg import geometry
 from splinereg.errors import RouteDisagreement
 
 assert not __debug__
-row_times = geometry._row_times
+edge_form = geometry.SimplicialComplex.edge_form
 
-def broken(row, m):
-    out = row_times(row, m)
-    if out[0] == 0 and out[1] == 0:
-        out = (out[0] + 1,) + out[1:]
-    return out
+def broken(self, e):
+    form = edge_form(self, e)
+    return geometry.LinearForm(form.a, form.b, form.c + e[1])
 
-geometry._row_times = broken
+geometry.SimplicialComplex.edge_form = broken
 try:
     geometry.normalize_one_edge(geometry.one_edge_complex(3, 3), 2)
 except RouteDisagreement as exc:
@@ -263,32 +271,7 @@ except RouteDisagreement as exc:
         [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.startswith("raised: edge (0, 1) transforms to (1, 0, ")
-    assert "not a multiple of z" in out.stdout
-
-
-def test_shear_check_survives_python_O():
-    # on one_edge_complex(4, 6) the v1 side's first raw slope is nonzero, so
-    # dropping the shear leaves that side form off the x axis
-    script = """
-from splinereg import geometry
-from splinereg.errors import RouteDisagreement
-
-assert not __debug__
-c = geometry.one_edge_complex(4, 6)
-geometry._mat_mul = lambda shear, m: m
-try:
-    geometry.normalize_one_edge(c, 2)
-except RouteDisagreement as exc:
-    print("raised:", exc)
-"""
-    env = dict(os.environ, PYTHONPATH=str(Path(splinereg.__file__).parents[1]))
-    out = subprocess.run(
-        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.startswith("raised: side form (1, -2, 0) maps to (1, 0, -2)")
-    assert "not a multiple of x" in out.stdout
+    assert out.stdout.strip() == "raised: vertex 0: 4 distinct edge lines, but k = 3"
 
 
 def test_normalize_rejects_ce1(complex_ce1):
