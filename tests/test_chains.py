@@ -1,13 +1,8 @@
-import os
-import subprocess
-import sys
 from fractions import Fraction
 from math import comb
-from pathlib import Path
 
 import pytest
 
-import splinereg
 from splinereg import chains
 from splinereg.chains import (
     _vertex_dim,
@@ -224,38 +219,6 @@ def test_h0_table_ranks_each_degree_once(monkeypatch, complex_ce1):
     assert h0_regularity_oracle(complex_ce1, r, table) == 5
     assert spline_dim_formulas(complex_ce1, r, 10, table) == dims
     assert ranked == [3, 4, 5, 6]
-
-
-@pytest.mark.parametrize("end", ["home", "far"])
-def test_frame_checks_survive_python_O(end, complex_one34):
-    # the totally interior edge's form vanishes at both of its ends; a form
-    # that misses either end must still raise with asserts stripped
-    missed = complex_one34.interior_vertices[0 if end == "home" else -1]
-    script = f"""
-from splinereg import chains
-from splinereg.errors import RouteDisagreement
-from splinereg.geometry import LinearForm, one_edge_complex
-
-assert not __debug__
-c = one_edge_complex(3, 4)
-evaluate = LinearForm.evaluate
-
-def broken(self, p):
-    return evaluate(self, p) + (p == c.vertices[{missed}])
-
-LinearForm.evaluate = broken
-try:
-    chains.boundary_rank(c, 2, 5)
-except RouteDisagreement as exc:
-    print("raised:", exc)
-"""
-    env = dict(os.environ, PYTHONPATH=str(Path(splinereg.__file__).parents[1]))
-    out = subprocess.run(
-        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.startswith("raised: edge ")
-    assert out.stdout.rstrip().endswith(f"its form misses vertex {missed}")
 
 
 def test_schumaker_values():

@@ -156,10 +156,20 @@ def test_unused_vertex_rejected():
         SimplicialComplex([(0, 0), (1, 0), (0, 1), (9, 9)], [(0, 1, 2)])
 
 
-def test_linear_form_vanishes_on_edge():
-    f = LinearForm.through((Fraction(1, 2), Fraction(3)), (Fraction(-2), Fraction(1)))
-    assert f.evaluate((Fraction(1, 2), Fraction(3))) == 0
-    assert f.evaluate((Fraction(-2), Fraction(1))) == 0
+_COORD = hs.fractions(min_value=-50, max_value=50, max_denominator=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=hs.tuples(_COORD, _COORD), q=hs.tuples(_COORD, _COORD))
+def test_linear_form_vanishes_on_edge(p, q):
+    # the chain oracle takes each edge's form to vanish at both of the
+    # edge's vertices without re-checking it
+    with pytest.raises(DegenerateTriangle):
+        LinearForm.through(p, p)
+    if p != q:
+        f = LinearForm.through(p, q)
+        assert f.evaluate(p) == 0
+        assert f.evaluate(q) == 0
 
 
 def test_interior_stats_one_edge(complex_one33):

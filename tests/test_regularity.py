@@ -76,6 +76,12 @@ def test_2r_check():
         check_2r_theorem(regularity_one_edge(5, 5, 0))
 
 
+def test_2r_arithmetic_step():
+    # the step behind exact <= 2r for (a, b) != (3, 3), proved in
+    # check_2r_theorem's docstring and no longer re-checked at run time
+    assert all((r + 1) // 2 + (r + 1) // 3 <= r for r in range(1, 10_001))
+
+
 def test_from_complex_33_r2(complex_one33):
     rep = regularity_from_complex(complex_one33, 2)
     assert rep.exact == 4

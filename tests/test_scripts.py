@@ -1,11 +1,17 @@
 """The runnable scripts under `scripts/` end to end, each in a fresh
-interpreter on this checkout's package."""
+interpreter on this checkout's package, or in process where a test patches
+a layer under the script."""
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import splinereg
+from splinereg import syzygies
+from splinereg.regularity import regularity_one_edge
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -38,3 +44,25 @@ def test_grid_sweep_has_no_violations():
     out = _run("run_grid_sweep.py")
     assert out.rstrip().endswith("violations: none")
     assert "FAIL" not in out
+
+
+def test_grid_sweep_lists_failing_cells_without_a_traceback(monkeypatch, capsys):
+    # a socle route that is off by one fails every nontrivial cell; the
+    # sweep lists each one by its error's name and exits 1 at the end
+    nontrivial = [
+        (a, b, r)
+        for a in (3, 4) for b in range(a, 5) for r in (1, 2, 3)
+        if not regularity_one_edge(a, b, r).vanishes
+    ]
+    assert len(nontrivial) == 7
+    socle = syzygies.max_socle_degree
+    monkeypatch.setattr(syzygies, "max_socle_degree", lambda ideal: socle(ideal) + 1)
+    argv = ["run_grid_sweep.py", "--a-max", "4", "--b-max", "4", "--r-max", "3"]
+    monkeypatch.setattr(sys, "argv", argv)
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(ROOT / "scripts" / "run_grid_sweep.py"), run_name="__main__")
+    assert exc.value.code == 1
+    out, err = capsys.readouterr()
+    listed = [(a, b, r, "SocleMismatch") for a, b, r in nontrivial]
+    assert out.rstrip().endswith(f"violations: {listed}")
+    assert "Traceback" not in err

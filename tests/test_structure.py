@@ -145,3 +145,12 @@ def test_no_module_imports_functools():
         seen |= names
         assert not {n for n in names if n.split(".")[0] == "functools"}, path.name
     assert {"fractions", "math.comb"} <= seen  # the checker does see imports
+
+
+def test_no_assert_in_src():
+    # `python -O` strips asserts, so every check in the package is a typed
+    # raise that still runs there
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not lines, f"{path.name}: assert at line(s) {lines}"
