@@ -10,7 +10,7 @@ import sys
 import time
 
 from splinereg.errors import SplineRegError
-from splinereg.regularity import check_2r_theorem, regularity_one_edge
+from splinereg.regularity import regularity_one_edge
 from splinereg.staircase import ClosedFormTable, build_q
 from splinereg.syzygies import (
     betti_oracle,
@@ -38,10 +38,10 @@ def _cell(a, b, r, table, skip_betti):
         betti_ok = "ok" if ok else "FAIL"
         if not ok:
             failed.append("betti")
-    if not check_2r_theorem(rep):
+    if not rep.conjecture_2r:
         failed.append("2r")
     return (f"{a:>2} {b:>2} {r:>3} {rep.exact:>6} {rep.lower:>6} "
-            f"{rep.upper:>6} {rep.zeta0:>5} {str(rep.exact <= 2*r):>5} {betti_ok:>5}"), failed
+            f"{rep.upper:>6} {rep.zeta0:>5} {str(rep.conjecture_2r):>5} {betti_ok:>5}"), failed
 
 
 def main():

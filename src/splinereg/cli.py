@@ -178,7 +178,6 @@ def cmd_sweep(args) -> dict:
             for r in r_range:
                 try:
                     rep = regularity_one_edge(a, b, r, table)
-                    ok_2r = True if rep.vanishes else check_2r_theorem(rep)
                     rows.append(
                         {
                             "a": a,
@@ -188,11 +187,11 @@ def cmd_sweep(args) -> dict:
                             "lower": rep.lower,
                             "upper": rep.upper,
                             "zeta0": rep.zeta0,
-                            "conjecture_2r": ok_2r,
+                            "conjecture_2r": rep.conjecture_2r,
                             "routes_agree": rep.routes_agree,
                         }
                     )
-                    if not ok_2r or not rep.routes_agree:
+                    if not rep.conjecture_2r or not rep.routes_agree:
                         violations.append(f"({a},{b},{r})")
                 except SplineRegError as exc:
                     violations.append(f"({a},{b},{r}): {type(exc).__name__}: {exc}")

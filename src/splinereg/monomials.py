@@ -152,19 +152,23 @@ def hilbert_function(i: MonomialIdeal, d: int) -> int:
     return sum(1 for m in monomials_of_degree(d) if not i.contains(m))
 
 
-def _pure_power(i: MonomialIdeal, axis: int):
+def _pure_powers(i: MonomialIdeal):
+    """Exponents (px, py, pz) of the pure powers among the generators, None
+    for a variable with none, read in one pass."""
+    p = [None, None, None]
     for g in i.gens:
         e = g.exponents()
-        if e[axis] > 0 and all(e[j] == 0 for j in range(3) if j != axis):
-            return e[axis]
-    return None
+        if e.count(0) == 2:
+            top = max(e)
+            p[e.index(top)] = top
+    return tuple(p)
 
 
 def is_artinian(i: MonomialIdeal) -> bool:
     """True iff the generators contain a pure power of each variable."""
     if i.is_trivial:
         return True
-    return all(_pure_power(i, axis) is not None for axis in range(3))
+    return None not in _pure_powers(i)
 
 
 def max_socle_degree(i: MonomialIdeal) -> int:
@@ -181,9 +185,9 @@ def max_socle_degree(i: MonomialIdeal) -> int:
     (a, b).  The pure z-power sits at (0, 0), so every h is at most pz."""
     if i.is_trivial:
         raise TrivialIdeal("unit ideal: quotient is the zero module")
-    if not is_artinian(i):
+    px, py, pz = _pure_powers(i)
+    if None in (px, py, pz):
         raise NotArtinian(f"no pure power of every variable in {i.render()}")
-    px, py, pz = (_pure_power(i, axis) for axis in range(3))
     z_at = {(g.ex, g.ey): g.ez for g in i.gens if g.ex < px and g.ey < py}
     top = 0
     heights = [pz] * py  # h(a-1, b) for every b; pz bounds them all

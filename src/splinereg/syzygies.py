@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 from .errors import (
     NonMonotone,
-    NotArtinian,
     SocleMismatch,
     StaircaseInvariant,
     TrivialIdeal,
@@ -30,7 +29,6 @@ from .monomials import (
     MonomialIdeal,
     count_degree,
     hilbert_function,
-    is_artinian,
     lex_key,
     max_socle_degree,
     mono_lcm,
@@ -57,42 +55,55 @@ def buchberger_graph(ideal: MonomialIdeal) -> BuchGraph:
     gens = ideal.gens
     if not gens:
         return BuchGraph((), (), ())
+    exps = [g.exponents() for g in gens]
+    edges = _edges(exps)
+    return BuchGraph(gens, tuple(edges), tuple(_region_faces(exps, edges)))
+
+
+def _edges(exps):
+    """(i, j, lcm) for every pair i < j of lex-descending exponent tuples
+    whose lcm no third one divides.  The lcm's x-exponent is ex_i, and the
+    tuples with ex <= ex_i are exactly those from the first one whose
+    x-exponent equals ex_i onwards, so only that window can hold a third
+    divisor, and only y and z need comparing there."""
+    n = len(exps)
     edges = []
-    for i, j in itertools.combinations(range(len(gens)), 2):
-        m = mono_lcm(gens[i], gens[j])
-        if not any(k != i and k != j and gens[k].divides(m) for k in range(len(gens))):
-            edges.append((i, j, m))
-    faces = _region_faces(gens, edges)
-    return BuchGraph(gens, tuple(edges), tuple(faces))
+    lo = 0
+    for i, (xi, yi, zi) in enumerate(exps):
+        if xi != exps[lo][0]:
+            lo = i
+        window = list(enumerate(exps[lo:], lo))
+        for j in range(i + 1, n):
+            _, yj, zj = exps[j]
+            my, mz = max(yi, yj), max(zi, zj)
+            for k, (_, yk, zk) in window:
+                if yk <= my and zk <= mz and k != i and k != j:
+                    break
+            else:
+                edges.append((i, j, Monomial(xi, my, mz)))
+    return edges
 
 
-def _region_faces(gens, edges):
-    if any(g.ex > 0 and g.ey > 0 for g in gens):
+def _region_faces(exps, edges):
+    """Faces of the two-chain layout.  In lex-descending order the x-chain
+    is the prefix with ex > 0 (ex falling) and the y/z-chain the rest (ey
+    falling), so a generator's place on its chain is read off its index."""
+    if any(ex > 0 and ey > 0 for ex, ey, _ in exps):
         raise TwoChainRequired(
             "face extraction needs generators supported on an x-chain and a y/z-chain"
         )
-    order = {g: idx for idx, g in enumerate(gens)}
-    xs = sorted((g for g in gens if g.ex > 0), key=lambda g: g.ex)
-    ys = sorted((g for g in gens if g.ex == 0), key=lambda g: g.ey)
-    pos_x = {order[g]: p for p, g in enumerate(xs)}
-    pos_y = {order[g]: p for p, g in enumerate(ys)}
-    crossing = []
-    for i, j, _ in edges:
-        if i in pos_x and j in pos_y:
-            crossing.append((pos_x[i], pos_y[j]))
-        elif j in pos_x and i in pos_y:
-            crossing.append((pos_x[j], pos_y[i]))
-    crossing.sort()
+    n = len(exps)
+    nx = sum(1 for e in exps if e[0] > 0)
+    # positions counted from the low end of each chain: x-chain by rising
+    # ex, y/z-chain by rising ey
+    crossing = sorted((nx - 1 - i, n - 1 - j) for i, j, _ in edges if i < nx <= j)
     for (p1, q1), (p2, q2) in zip(crossing, crossing[1:]):
         if p2 < p1 or q2 < q1:
             raise NonMonotone("crossing edges of the Buchberger graph are not a ladder")
     faces = []
     for (p1, q1), (p2, q2) in zip(crossing, crossing[1:]):
-        region = xs[p1 : p2 + 1] + ys[q1 : q2 + 1]
-        m = region[0]
-        for g in region[1:]:
-            m = mono_lcm(m, g)
-        faces.append((tuple(sorted(order[g] for g in region)), m))
+        region = tuple(range(nx - 1 - p2, nx - p1)) + tuple(range(n - 1 - q2, n - q1))
+        faces.append((region, Monomial(*map(max, zip(*(exps[k] for k in region))))))
     return faces
 
 
@@ -144,10 +155,8 @@ def regularity_from_bottom_face(q: QData) -> tuple[int, int]:
     route's own value, raising SocleMismatch unless they agree."""
     if q.is_trivial:
         raise TrivialIdeal("In Q is the unit ideal; the module is zero")
-    if not is_artinian(q.in_q):
-        raise NotArtinian(f"In Q = {q.in_q.render()} is not Artinian")
+    socle = max_socle_degree(q.in_q) + (q.r + 1)  # raises NotArtinian first
     reg = bottom_face(q).degree - 3 + (q.r + 1)
-    socle = max_socle_degree(q.in_q) + (q.r + 1)
     if reg != socle:
         raise SocleMismatch(f"bottom-face route gives {reg}, socle route {socle}")
     return reg, socle

@@ -109,6 +109,14 @@ def test_max_socle_errors():
         max_socle_degree(minimalize([M()]))
 
 
+@pytest.mark.parametrize("missing", [0, 1, 2])
+def test_max_socle_needs_every_pure_power(missing):
+    # the other two pure powers and a mixed corner are not enough
+    pows = [M(*(3 if k == axis else 0 for k in range(3))) for axis in range(3) if axis != missing]
+    with pytest.raises(NotArtinian):
+        max_socle_degree(minimalize(pows + [M(1, 1, 1)]))
+
+
 def test_render():
     assert M(4, 3, 1).render() == "x^4 y^3 z"
     assert M(ez=4).render() == "z^4"
@@ -138,6 +146,25 @@ def test_minimalize_idempotent_and_order_free(ms, rng):
     shuffled = list(ms)
     rng.shuffle(shuffled)
     assert minimalize(shuffled) == ideal
+
+
+pure = st.builds(
+    lambda axis, e: M(*(e if k == axis else 0 for k in range(3))),
+    st.integers(0, 2),
+    st.integers(1, 5),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mono_lists, st.lists(pure, max_size=3))
+def test_is_artinian_matches_per_axis_definition(ms, pows):
+    # the unit ideal, or some generator x^e, some y^e and some z^e with e > 0
+    ideal = minimalize(ms + pows)
+    literal = ideal.is_trivial or all(
+        any(g.exponents()[axis] > 0 and g.exponents().count(0) == 2 for g in ideal.gens)
+        for axis in range(3)
+    )
+    assert is_artinian(ideal) == literal
 
 
 @settings(max_examples=40, deadline=None)

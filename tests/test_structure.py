@@ -121,6 +121,22 @@ def test_power_walk_does_not_reach_the_closed_form():
     assert not names & forbidden
 
 
+def test_buchberger_graph_does_not_reach_the_closed_form():
+    # the graph's edges and faces are the independent witness for the
+    # second- and third-syzygy closed forms and the bottom face, so neither
+    # it nor a syzygies helper it calls may name one
+    names = _names_reached("syzygies.py", ["buchberger_graph", "_region_faces"])
+    assert {"Monomial", "_edges", "BuchGraph"} <= names  # the walk does see calls
+    forbidden = {
+        "syz2_closed_form",
+        "syz3_closed_form",
+        "bottom_face",
+        "QData",
+        "regularity_from_bottom_face",
+    }
+    assert not names & forbidden
+
+
 def test_chain_oracle_stays_on_integers():
     # the boundary map is built in translated integer vertex frames, so
     # neither it nor a chains helper it calls may need rational arithmetic

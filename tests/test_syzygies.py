@@ -1,14 +1,27 @@
+import dataclasses
 import itertools
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from splinereg.errors import NonMonotone, TrivialIdeal, TwoChainRequired
+from splinereg import syzygies
+from splinereg.errors import (
+    NonMonotone,
+    NotArtinian,
+    SplineRegError,
+    StaircaseInvariant,
+    TrivialIdeal,
+    TwoChainRequired,
+)
 from splinereg.monomials import Monomial, hilbert_function, max_socle_degree, minimalize, mono_lcm
 from splinereg.ratlinalg import RatMatrix, rank
-from splinereg.staircase import build_q
+from splinereg.staircase import ClosedFormTable, build_q
 from splinereg.syzygies import (
     BuchGraph,
+    _edges,
+    _region_faces,
     _koszul_homology,
     _lcm_closure,
     betti_oracle,
@@ -65,6 +78,124 @@ def test_graph_planarity_euler():
 def test_graph_rejects_mixed_generators():
     with pytest.raises(TwoChainRequired):
         buchberger_graph(minimalize([M(1, 1, 0), M(0, 0, 1)]))
+
+
+def literal_edges(gens):
+    """Reference edges, the pair-by-every-third-generator rule read
+    literally: (i, j, lcm) whenever no third generator divides the lcm."""
+    edges = []
+    for i, j in itertools.combinations(range(len(gens)), 2):
+        m = mono_lcm(gens[i], gens[j])
+        if not any(k != i and k != j and gens[k].divides(m) for k in range(len(gens))):
+            edges.append((i, j, m))
+    return edges
+
+
+def literal_faces(gens, edges):
+    """Reference faces: chain positions found by hashing the generators,
+    each face's lcm folded through `mono_lcm`."""
+    if any(g.ex > 0 and g.ey > 0 for g in gens):
+        raise TwoChainRequired(
+            "face extraction needs generators supported on an x-chain and a y/z-chain"
+        )
+    order = {g: idx for idx, g in enumerate(gens)}
+    xs = sorted((g for g in gens if g.ex > 0), key=lambda g: g.ex)
+    ys = sorted((g for g in gens if g.ex == 0), key=lambda g: g.ey)
+    pos_x = {order[g]: p for p, g in enumerate(xs)}
+    pos_y = {order[g]: p for p, g in enumerate(ys)}
+    crossing = []
+    for i, j, _ in edges:
+        if i in pos_x and j in pos_y:
+            crossing.append((pos_x[i], pos_y[j]))
+        elif j in pos_x and i in pos_y:
+            crossing.append((pos_x[j], pos_y[i]))
+    crossing.sort()
+    for (p1, q1), (p2, q2) in zip(crossing, crossing[1:]):
+        if p2 < p1 or q2 < q1:
+            raise NonMonotone("crossing edges of the Buchberger graph are not a ladder")
+    faces = []
+    for (p1, q1), (p2, q2) in zip(crossing, crossing[1:]):
+        region = xs[p1 : p2 + 1] + ys[q1 : q2 + 1]
+        m = region[0]
+        for g in region[1:]:
+            m = mono_lcm(m, g)
+        faces.append((tuple(sorted(order[g] for g in region)), m))
+    return faces
+
+
+def outcome(f, *args):
+    """f(*args), or the type of the SplineRegError it raises."""
+    try:
+        return f(*args)
+    except SplineRegError as exc:
+        return type(exc)
+
+
+def literal_graph(ideal):
+    gens = ideal.gens
+    if not gens:
+        return BuchGraph((), (), ())
+    edges = literal_edges(gens)
+    return BuchGraph(gens, tuple(edges), tuple(literal_faces(gens, edges)))
+
+
+def pure_power(axis, e):
+    return Monomial(*(e if k == axis else 0 for k in range(3)))
+
+
+small = st.integers(0, 4)
+any_mono = st.builds(Monomial, small, small, small)
+pure_powers = st.lists(st.builds(pure_power, st.integers(0, 2), st.integers(1, 6)), max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(any_mono, max_size=12), pure_powers)
+@example([M(2, 1, 0), M(2, 0, 1), M(1, 1, 1), M(0, 2, 2)], [])   # a tie in ex at the window start
+@example([M(3, 0, 2), M(1, 2, 0), M(1, 0, 3), M(0, 0, 4)], [M(0, 5)])
+def test_edges_match_literal_rule(ms, pows):
+    # mixed support, ties in the x-exponent and pure powers: the windowed
+    # scan must keep the same edges, in the same order, with the same lcms
+    gens = minimalize(ms + pows).gens
+    assert _edges([g.exponents() for g in gens]) == literal_edges(gens)
+
+
+x_chain = st.builds(Monomial, st.integers(1, 6), st.just(0), st.integers(0, 6))
+yz_chain = st.builds(Monomial, st.just(0), st.integers(0, 6), st.integers(0, 6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(x_chain, max_size=6), st.lists(yz_chain, max_size=6), st.lists(any_mono, max_size=1))
+def test_graph_matches_literal_rule_on_two_chain_ideals(xs, yzs, stray):
+    # faces too, or the same error when the stray generator has mixed
+    # support (TwoChainRequired)
+    ideal = minimalize(xs + yzs + stray)
+    assert outcome(buchberger_graph, ideal) == outcome(literal_graph, ideal)
+
+
+def test_region_faces_reject_crossing_edges_that_are_no_ladder():
+    # x-chain x^2, x z and y/z-chain y^2, y z, z^2 with the crossing edges
+    # x^2 -- y z and x z -- y^2: the x-position rises while the y-position falls
+    gens = minimalize([M(2), M(1, 0, 1), M(0, 2), M(0, 1, 1), M(0, 0, 2)]).gens
+    edges = [(0, 3, mono_lcm(gens[0], gens[3])), (1, 2, mono_lcm(gens[1], gens[2]))]
+    with pytest.raises(NonMonotone):
+        literal_faces(gens, edges)
+    with pytest.raises(NonMonotone):
+        _region_faces([g.exponents() for g in gens], edges)
+
+
+def test_graph_matches_literal_rule_on_capped_grid():
+    # every In Q class of the capped sweep: edges and faces, indices and lcms
+    table = ClosedFormTable()
+    classes = {}
+    for a in range(3, 17):
+        for b in range(a, 17):
+            for r in range(1, 25):
+                q = build_q(a, b, r, table)
+                if not q.is_trivial:
+                    classes[q.key] = q.in_q
+    assert len(classes) == 602
+    for ideal in classes.values():
+        assert buchberger_graph(ideal) == literal_graph(ideal)
 
 
 def test_syz2_worked_example():
@@ -164,6 +295,22 @@ def test_bottom_face_witness():
 def test_regularity_trivial_raises():
     with pytest.raises(TrivialIdeal):
         regularity_from_bottom_face(build_q(5, 5, 0))
+
+
+@pytest.mark.parametrize("missing", [0, 1, 2])
+def test_regularity_non_artinian_raises_before_bottom_face(monkeypatch, missing):
+    # the socle route's own Artinian check is the only one on this path, and
+    # it runs before the bottom face is read
+    q = build_q(3, 4, 8)
+    gens = [g for g in q.in_q.gens if g.exponents().count(0) != 2 or g.exponents()[missing] == 0]
+    broken = dataclasses.replace(q, in_q=minimalize(gens))
+
+    def no_face(_):
+        raise StaircaseInvariant("bottom face read before the Artinian check")
+
+    monkeypatch.setattr(syzygies, "bottom_face", no_face)
+    with pytest.raises(NotArtinian):
+        regularity_from_bottom_face(broken)
 
 
 def test_socle_shift_identity_on_sample():
