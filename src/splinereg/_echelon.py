@@ -5,6 +5,13 @@ multipliers a, b first divided by their gcd, so every intermediate value is
 an exact integer.  Each vector is made primitive (divided by the gcd of its
 entries) once, when it is stored as a pivot.  Rank is the number of pivots
 collected.
+
+The sparse echelon reduces the insert's own zero-free copy of the vector in
+place: both multipliers are negated when a < 0, so a > 0, and the scaling
+pass is skipped when a == 1, as in most steps of the spline-dimension
+oracle, whose rows lead in +-1 entries.  Its callers key coordinates by
+block-major integers (block * block_size + index), which sort like the
+(block, index) pairs they stand for and hash and compare faster.
 """
 from __future__ import annotations
 
@@ -39,24 +46,30 @@ class SparseIntEchelon:
         return len(self.pivots)
 
     def insert(self, vec):
+        # the insert's own copy, so each step below may update it in place
         vec = {k: v for k, v in vec.items() if v}
+        pivots = self.pivots
         while vec:
             lead = min(vec)
-            piv = self.pivots.get(lead)
+            piv = pivots.get(lead)
             if piv is None:
-                self.pivots[lead] = _normalize_dict(vec)
+                pivots[lead] = _normalize_dict(vec)
                 return True
             a, b = piv[lead], vec[lead]
             g = gcd(a, b)
             a, b = a // g, b // g
-            out = {k: a * v for k, v in vec.items()}
+            if a < 0:
+                a, b = -a, -b
+            if a != 1:
+                for k, v in vec.items():
+                    vec[k] = a * v
             for k, w in piv.items():
-                nv = out.get(k, 0) - b * w
+                # pivot entries are nonzero, so a zero sum means k was in vec
+                nv = vec.get(k, 0) - b * w
                 if nv:
-                    out[k] = nv
+                    vec[k] = nv
                 else:
-                    out.pop(k, None)
-            vec = out
+                    del vec[k]
         return False
 
 

@@ -134,10 +134,12 @@ def boundary_rank(c: SimplicialComplex, r: int, d: int, data: IdealComplexData |
     vpos = {v: i for i, v in enumerate(c.interior_vertices)}
     ech = SparseIntEchelon()
     big = d - r - 1
+    # block-major integer keys block * n + idx sort like (block, idx)
+    n = count_degree(d)
     for group in data.groups:
         a, b = group.form.a, group.form.b
         home_base = [comb(r + 1, m) * a ** (r + 1 - m) * b**m for m in range(r + 2)]
-        hblock = vpos[group.home]
+        hbase = vpos[group.home] * n
         # the edge is oriented by ascending vertex index; its differential is
         # (+1) at the head block and (-1) at the tail block
         hsign = 1 if group.home == max(group.edge) else -1
@@ -149,7 +151,7 @@ def boundary_rank(c: SimplicialComplex, r: int, d: int, data: IdealComplexData |
             p_alpha = _poly_pow(_linear_poly((a, b, 0)), r + 1)
             u_home = _linear_poly((1, 0, fx - hx))
             w_home = _linear_poly((0, 1, fy - hy))
-            fblock = vpos[group.far]
+            fbase = vpos[group.far] * n
         for alpha in range(big + 1):
             if p_alpha is not None and alpha > 0:
                 p_alpha = _poly_mul(p_alpha, u_home)
@@ -158,14 +160,14 @@ def boundary_rank(c: SimplicialComplex, r: int, d: int, data: IdealComplexData |
                 if q_ab is not None and beta > 0:
                     q_ab = _poly_mul(q_ab, w_home)
                 col = {
-                    (hblock, monomial_index(r + 1 - m + alpha, m + beta, d)): hsign * home_base[m]
+                    hbase + monomial_index(r + 1 - m + alpha, m + beta, d): hsign * home_base[m]
                     for m in range(r + 2)
                 }
                 if q_ab is not None:
                     # far-frame exponents are (eu, ew, et + gamma); the index
                     # only needs the first two at fixed total degree d
                     for (eu, ew, _et), v in q_ab.items():
-                        col[(fblock, monomial_index(eu, ew, d))] = -hsign * v
+                        col[fbase + monomial_index(eu, ew, d)] = -hsign * v
                 ech.insert(col)
     return ech.rank
 
@@ -305,16 +307,20 @@ def spline_dim_oracle(c: SimplicialComplex, r: int, d: int) -> int:
         raise ValueError("degree must be nonnegative")
     big = d - r - 1
     g_monos = [(ex, ey) for ex in range(big + 1) for ey in range(big + 1 - ex)]
+    n_s, n_g = count_degree(d), len(g_monos)
+    g_base = len(c.triangles) * n_s
     ech = SparseIntEchelon()
-    # f-keys (0, t, m) sort before g-keys (1, e, m'), so every row leads in an f
+    # block-major integer keys: f-keys t * n_s + m come before g-keys
+    # g_base + j * n_g + m', so every row leads in an f
     for j, e in enumerate(c.interior_edges):
         t1, t2 = c.edge_triangles[e]
-        rows = [{(0, t1, m): 1, (0, t2, m): -1} for m in range(count_degree(d))]
+        rows = [{t1 * n_s + m: 1, t2 * n_s + m: -1} for m in range(n_s)]
         power = _poly_pow(_linear_poly(c.edge_form(e).vector()), r + 1)
+        j_base = g_base + j * n_g
         for (a, b, _c), v in power.items():
             for gm, (ex, ey) in enumerate(g_monos):
-                rows[monomial_index(a + ex, b + ey, d)][(1, j, gm)] = -v
+                rows[monomial_index(a + ex, b + ey, d)][j_base + gm] = -v
         for row in rows:
             ech.insert(row)
-    n_unknowns = len(c.triangles) * count_degree(d) + len(c.interior_edges) * len(g_monos)
+    n_unknowns = g_base + len(c.interior_edges) * n_g
     return n_unknowns - ech.rank

@@ -12,7 +12,7 @@ import json
 import sys
 
 from .chains import H0Table, spline_dim_formulas, spline_dim_oracle
-from .errors import NegativeFlag, SplineRegError
+from .errors import BadRange, FlagAboveCap, NegativeFlag, SplineRegError
 from .geometry import parse_complex, interior_stats
 from .regularity import (
     check_2r_theorem,
@@ -35,13 +35,14 @@ AB_CAP = 16
 
 
 def _parse_range(text: str) -> list[int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        lo, hi = int(lo), int(hi)
-    else:
-        lo = hi = int(text)
+    lo, sep, hi = text.partition("..")
+    try:
+        lo = int(lo)
+        hi = int(hi) if sep else lo
+    except ValueError:
+        raise BadRange(f"range {text!r} is not an integer or lo..hi") from None
     if hi < lo:
-        raise ValueError(f"empty range {text!r}")
+        raise BadRange(f"empty range {text!r}")
     return list(range(lo, hi + 1))
 
 
@@ -57,7 +58,7 @@ def _check_caps(args, values, cap, what):
         return
     for v in values:
         if v > cap:
-            raise ValueError(f"{what} = {v} above the cap {cap}; pass --unsafe-no-cap to override")
+            raise FlagAboveCap(f"{what} = {v} above the cap {cap}; pass --unsafe-no-cap to override")
 
 
 def _emit(args, payload) -> None:

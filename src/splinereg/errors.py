@@ -10,6 +10,15 @@ class NegativeFlag(SplineRegError):
     """A command-line value that must be >= 0 (r, d, a, b or s) is negative."""
 
 
+class FlagAboveCap(SplineRegError):
+    """A command-line value (r, a, b or s) exceeds its cap and
+    --unsafe-no-cap was not passed."""
+
+
+class BadRange(SplineRegError):
+    """A command-line range is not an integer or lo..hi, or lo..hi is empty."""
+
+
 class InvalidSlopeCount(SplineRegError):
     """Fewer distinct slopes than the construction needs (s >= 2, a/b >= 3)."""
 

@@ -204,7 +204,7 @@ def test_criterion_08_third_syzygy_order_property(grid_reports):
 def test_criterion_09_dimension_formula_equivalence(
     complex_triangle, complex_star, complex_one33, complex_ce1
 ):
-    with criterion(9, "spline dimension formula = brute force on 4 complexes", budget=30.0):
+    with criterion(9, "spline dimension formula = brute force on 4 complexes", budget=10.0):
         for c in (complex_triangle, complex_star, complex_one33, complex_ce1):
             for r in range(0, 4):
                 for d in range(0, 11):

@@ -2,6 +2,8 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from splinereg import chains
 from splinereg.chains import (
@@ -16,7 +18,7 @@ from splinereg.chains import (
     spline_dim_oracle,
 )
 from splinereg.errors import CapExceeded
-from splinereg.geometry import SimplicialComplex, square_with_diagonals
+from splinereg.geometry import SimplicialComplex, one_edge_fan, square_with_diagonals
 from splinereg.monomials import count_degree, hilbert_function, monomials_of_degree
 from splinereg.ratlinalg import RatMatrix, rank
 from splinereg.staircase import _power_echelons, build_q
@@ -314,3 +316,22 @@ def test_spline_formula_equals_oracle_small(complex_star, complex_one33, complex
         for r in (0, 1, 2):
             for d in range(0, 7):
                 assert spline_dim_formula(c, r, d) == spline_dim_oracle(c, r, d)
+
+
+# nonzero ordinates: a zero one puts a boundary vertex on the shared edge's
+# line, which the interior statistics reject
+_LEFT = hs.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool)
+_MID = hs.fractions(min_value=-2, max_value=2, max_denominator=7).filter(lambda y: 0 < abs(y) < 2)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    lefts=hs.lists(_LEFT, min_size=1, max_size=5, unique=True),
+    mids=hs.lists(_MID, max_size=4, unique=True),
+    r=hs.integers(0, 2),
+    top=hs.integers(0, 8),
+)
+def test_spline_formula_equals_oracle_on_random_fans(lefts, mids, r, top):
+    c = one_edge_fan(lefts, mids)
+    oracle = [spline_dim_oracle(c, r, d) for d in range(top + 1)]
+    assert oracle == spline_dim_formulas(c, r, top)

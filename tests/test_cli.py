@@ -52,7 +52,8 @@ def test_deterministic_output(capsys):
 
 def test_caps_enforced(capsys):
     code, _, err = run(capsys, "regularity", "--a", "3", "--b", "3", "--r", "40")
-    assert code != 0 and "cap" in err
+    assert code == 1
+    assert err == "error: FlagAboveCap: r = 40 above the cap 24; pass --unsafe-no-cap to override\n"
     code, _, _ = run(
         capsys, "regularity", "--a", "3", "--b", "3", "--r", "25", "--unsafe-no-cap"
     )
@@ -103,7 +104,33 @@ def test_sweep_full_grid_no_violations(capsys):
 
 def test_sweep_empty_range_is_usage_error(capsys):
     code, _, err = run(capsys, "sweep", "--a", "5..3", "--b", "3..3", "--r", "1..2")
-    assert code != 0
+    assert code == 1
+    assert err == "error: BadRange: empty range '5..3'\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("betti", "--a", "17", "--b", "3", "--r", "2"),
+         "FlagAboveCap: a/b = 17 above the cap 16; pass --unsafe-no-cap to override"),
+        (("staircase", "--r", "2", "--s", "16"),
+         "FlagAboveCap: s = 16 above the cap 15; pass --unsafe-no-cap to override"),
+        (("sweep", "--a", "3..3", "--b", "3..3", "--r", "20..25"),
+         "FlagAboveCap: r = 25 above the cap 24; pass --unsafe-no-cap to override"),
+        (("sweep", "--a", "3..x", "--b", "3..3", "--r", "1..2"),
+         "BadRange: range '3..x' is not an integer or lo..hi"),
+        (("sweep", "--a", "3", "--b", "3..", "--r", "1..2"),
+         "BadRange: range '3..' is not an integer or lo..hi"),
+        (("sweep", "--a", "3..3", "--b", "3..3", "--r", "two"),
+         "BadRange: range 'two' is not an integer or lo..hi"),
+    ],
+    ids=["cap-ab", "cap-s", "cap-sweep-r", "non-integer", "open", "word"],
+)
+def test_flag_errors_are_typed(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_betti_command(capsys):

@@ -1,5 +1,6 @@
 """Property tests of the integer echelon kernel against the Fraction
-reference in `ratlinalg`, plus an exact count of its normalisation work."""
+reference in `ratlinalg` and of the in-place sparse step against the
+earlier out-of-place one, plus an exact count of its normalisation work."""
 from fractions import Fraction
 from functools import reduce
 from math import gcd
@@ -118,3 +119,62 @@ def test_sparse_normalises_once_per_stored_pivot(monkeypatch):
     counts = _count_normalisations(monkeypatch, SparseIntEchelon, "_normalize_dict")
     assert h0_regularity_oracle(one_edge_complex(3, 4), 5) == 9
     assert counts == [199, 199]
+
+
+class _OutOfPlaceEchelon(SparseIntEchelon):
+    """The sparse echelon with its earlier out-of-place reduction step,
+    kept verbatim as the reference for the in-place one."""
+
+    def insert(self, vec):
+        vec = {k: v for k, v in vec.items() if v}
+        while vec:
+            lead = min(vec)
+            piv = self.pivots.get(lead)
+            if piv is None:
+                self.pivots[lead] = _echelon._normalize_dict(vec)
+                return True
+            a, b = piv[lead], vec[lead]
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            out = {k: a * v for k, v in vec.items()}
+            for k, w in piv.items():
+                nv = out.get(k, 0) - b * w
+                if nv:
+                    out[k] = nv
+                else:
+                    out.pop(k, None)
+            vec = out
+        return False
+
+
+# a few keys make repeated leads common; tuple keys order like the old
+# (block, index) labels, int keys like the block-major ones that replaced them
+SPARSE_KEYS = st.one_of(
+    st.just(list(range(6))), st.just([(b, i) for b in range(2) for i in range(3)])
+)
+
+
+@st.composite
+def sparse_vector_lists(draw):
+    """Sparse vectors as dicts over one key set, with explicit zero entries,
+    empty vectors and integer combinations of earlier vectors mixed in."""
+    keys = draw(SPARSE_KEYS)
+    entry = st.one_of(st.just(0), ENTRY)
+    vecs = draw(st.lists(st.dictionaries(st.sampled_from(keys), entry), min_size=1, max_size=8))
+    for _ in range(draw(st.integers(0, 4))):
+        u, w = draw(st.sampled_from(vecs)), draw(st.sampled_from(vecs))
+        p, q = draw(ENTRY), draw(ENTRY)
+        vecs.append({k: p * u.get(k, 0) + q * w.get(k, 0) for k in u.keys() | w.keys()})
+    return draw(st.permutations(vecs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_vector_lists())
+def test_in_place_sparse_insert_matches_out_of_place_reference(vecs):
+    ech, ref = SparseIntEchelon(), _OutOfPlaceEchelon()
+    for vec in vecs:
+        before = dict(vec)
+        assert ech.insert(vec) == ref.insert(dict(vec))
+        assert vec == before
+        assert ech.rank == ref.rank
+        assert ech.pivots.keys() == ref.pivots.keys()
