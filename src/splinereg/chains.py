@@ -19,12 +19,18 @@ elimination).
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 from math import comb, lcm
+from typing import NamedTuple
 
 from ._echelon import SparseIntEchelon
 from .errors import CapExceeded
-from .geometry import LinearForm, SimplicialComplex, _canonical_int_vector, interior_stats
+from .geometry import (
+    InteriorData,
+    LinearForm,
+    SimplicialComplex,
+    _canonical_int_vector,
+    interior_stats,
+)
 from .monomials import count_degree, monomial_index
 from .staircase import _power_echelons
 
@@ -33,8 +39,7 @@ from .staircase import _power_echelons
 # chain-complex description
 
 
-@dataclass(frozen=True)
-class EdgeGroup:
+class EdgeGroup(NamedTuple):
     """One column group of the boundary map: an edge form with exponent r+1
     times all degree-(d-r-1) multipliers.  Partially interior edges at the
     same vertex with the same slope give identical columns, so one group
@@ -46,8 +51,7 @@ class EdgeGroup:
     far: int | None           # second interior endpoint for totally interior edges
 
 
-@dataclass(frozen=True)
-class IdealComplexData:
+class IdealComplexData(NamedTuple):
     """The boundary map's column groups and frames of one (complex, r), and
     at each interior vertex v the walk of J'(v) in its frame (u, w): the
     echelon of J'(v)_e for e = r+1, r+2, ..., advanced only as far as a
@@ -240,8 +244,7 @@ def h0_regularity_oracle(c: SimplicialComplex, r: int, h0: H0Table | None = None
 # spline dimensions
 
 
-@dataclass(frozen=True)
-class LocalResolution:
+class LocalResolution(NamedTuple):
     """Free resolution data of a vertex star with k distinct slopes."""
 
     k: int
@@ -277,11 +280,17 @@ def spline_dim_formula(c: SimplicialComplex, r: int, d: int) -> int:
 
 
 def spline_dim_formulas(
-    c: SimplicialComplex, r: int, top: int, h0: H0Table | None = None
+    c: SimplicialComplex,
+    r: int,
+    top: int,
+    h0: H0Table | None = None,
+    stats: InteriorData | None = None,
 ) -> list[int]:
     """`spline_dim_formula` for d = 0..top, from one set of interior
-    statistics and one H0 table (the run's `H0Table` when passed)."""
-    stats = interior_stats(c, r)
+    statistics and one H0 table (the run's `stats` and `H0Table` when
+    passed)."""
+    if stats is None:
+        stats = interior_stats(c, r)
     local = [schumaker_local(st.k, r) for st in stats.per_vertex.values()]
     h0 = (h0 or H0Table(c, r)).upto(top)
     dims = []

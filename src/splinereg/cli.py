@@ -12,7 +12,7 @@ import json
 import sys
 
 from .chains import H0Table, spline_dim_formulas, spline_dim_oracle
-from .errors import BadRange, FlagAboveCap, NegativeFlag, SplineRegError
+from .errors import BadRange, FlagAboveCap, NegativeFlag, NotAnInteger, SplineRegError
 from .geometry import parse_complex, interior_stats
 from .regularity import (
     check_2r_theorem,
@@ -44,6 +44,19 @@ def _parse_range(text: str) -> list[int]:
     if hi < lo:
         raise BadRange(f"empty range {text!r}")
     return list(range(lo, hi + 1))
+
+
+def _read_ints(args, *names):
+    """Replace the text of each named integer flag by its value, leaving an
+    absent optional flag at None."""
+    for name in names:
+        text = getattr(args, name)
+        if text is None:
+            continue
+        try:
+            setattr(args, name, int(text))
+        except ValueError:
+            raise NotAnInteger(f"{name} = {text!r} is not an integer") from None
 
 
 def _check_nonnegative(values, what):
@@ -102,6 +115,7 @@ def _graph_dict(graph):
 
 
 def cmd_regularity(args) -> dict:
+    _read_ints(args, "a", "b", "r")
     _check_caps(args, [args.r], R_CAP, "r")
     _check_caps(args, [args.a, args.b], AB_CAP, "a/b")
     if args.complex and not args.oracle:
@@ -128,6 +142,7 @@ def cmd_regularity(args) -> dict:
 
 
 def cmd_analyze(args) -> dict:
+    _read_ints(args, "r", "d")
     _check_caps(args, [args.r], R_CAP, "r")
     if args.d is not None:
         _check_nonnegative([args.d], "d")
@@ -142,18 +157,18 @@ def cmd_analyze(args) -> dict:
         "interior_data": stats.to_json_dict(),
     }
     if len(stats.totally_interior) == 1 and len(c.interior_vertices) == 2:
-        report = regularity_from_complex(c, args.r, h0)
+        report = regularity_from_complex(c, args.r, h0, stats)
         payload["regularity"] = report.to_json_dict()
         if args.emit_graph and not report.vanishes:
             payload["buchberger_graph"] = _graph_dict(buchberger_graph(report.in_q))
     elif stats.totally_interior:
-        pb = path_bounds(c, args.r, run_oracle=args.oracle, h0=h0)
+        pb = path_bounds(c, args.r, run_oracle=args.oracle, h0=h0, stats=stats)
         payload["path_bounds"] = pb.to_json_dict()
     else:
         payload["note"] = "no totally interior edges: H0 vanishes"
     if args.d is not None:
         dims = []
-        for d, formula in enumerate(spline_dim_formulas(c, args.r, args.d, h0)):
+        for d, formula in enumerate(spline_dim_formulas(c, args.r, args.d, h0, stats)):
             entry = {"d": d, "dim_formula": formula}
             if args.oracle:
                 entry["dim_oracle"] = spline_dim_oracle(c, args.r, d)
@@ -206,6 +221,7 @@ def cmd_sweep(args) -> dict:
 
 
 def cmd_staircase(args) -> dict:
+    _read_ints(args, "r", "s", "a", "b")
     _check_caps(args, [args.r], R_CAP, "r")
     payload = {"schema": SCHEMA, "command": "staircase", "r": args.r}
     if args.s is not None:
@@ -250,6 +266,7 @@ def cmd_staircase(args) -> dict:
 
 
 def cmd_betti(args) -> dict:
+    _read_ints(args, "a", "b", "r")
     _check_caps(args, [args.r], R_CAP, "r")
     _check_caps(args, [args.a, args.b], AB_CAP, "a/b")
     q = build_q(args.a, args.b, args.r)
@@ -286,17 +303,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     reg = sub.add_parser("regularity", help="exact regularity from (a, b, r)", parents=[common])
-    reg.add_argument("--a", type=int, required=True)
-    reg.add_argument("--b", type=int, required=True)
-    reg.add_argument("--r", type=int, required=True)
+    reg.add_argument("--a", required=True)
+    reg.add_argument("--b", required=True)
+    reg.add_argument("--r", required=True)
     reg.add_argument("--oracle", action="store_true")
     reg.add_argument("--complex", help="complex file for the chain-complex route")
     reg.set_defaults(func=cmd_regularity)
 
     an = sub.add_parser("analyze", help="analyze a complex file", parents=[common])
     an.add_argument("path")
-    an.add_argument("--r", type=int, required=True)
-    an.add_argument("--d", type=int, default=None, help="also print spline dimensions up to d")
+    an.add_argument("--r", required=True)
+    an.add_argument("--d", default=None, help="also print spline dimensions up to d")
     an.add_argument("--oracle", action="store_true")
     an.add_argument("--emit-graph", action="store_true")
     an.set_defaults(func=cmd_analyze)
@@ -308,17 +325,17 @@ def build_parser() -> argparse.ArgumentParser:
     sw.set_defaults(func=cmd_sweep)
 
     st = sub.add_parser("staircase", help="staircases, colon staircases, In Q", parents=[common])
-    st.add_argument("--r", type=int, required=True)
-    st.add_argument("--s", type=int, default=None)
-    st.add_argument("--a", type=int, default=None)
-    st.add_argument("--b", type=int, default=None)
+    st.add_argument("--r", required=True)
+    st.add_argument("--s", default=None)
+    st.add_argument("--a", default=None)
+    st.add_argument("--b", default=None)
     st.add_argument("--emit-graph", action="store_true")
     st.set_defaults(func=cmd_staircase)
 
     be = sub.add_parser("betti", help="Betti table of In Q vs closed-form syzygies", parents=[common])
-    be.add_argument("--a", type=int, required=True)
-    be.add_argument("--b", type=int, required=True)
-    be.add_argument("--r", type=int, required=True)
+    be.add_argument("--a", required=True)
+    be.add_argument("--b", required=True)
+    be.add_argument("--r", required=True)
     be.set_defaults(func=cmd_betti)
     return p
 

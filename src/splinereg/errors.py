@@ -19,6 +19,10 @@ class BadRange(SplineRegError):
     """A command-line range is not an integer or lo..hi, or lo..hi is empty."""
 
 
+class NotAnInteger(SplineRegError):
+    """A command-line value that must be an integer (r, d, a, b or s) is not one."""
+
+
 class InvalidSlopeCount(SplineRegError):
     """Fewer distinct slopes than the construction needs (s >= 2, a/b >= 3)."""
 

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .errors import (
     AlphaUndefined,
@@ -56,8 +56,7 @@ def slope_key(p: Point, q: Point) -> tuple[int, int]:
     return _canonical_int_vector((q[0] - p[0], q[1] - p[1]))
 
 
-@dataclass(frozen=True)
-class LinearForm:
+class LinearForm(NamedTuple):
     """A x + B y + C z with coprime integer coefficients, first nonzero
     positive; vanishes on the cone over the line it came from."""
 
@@ -221,8 +220,7 @@ def parse_complex(text: str) -> SimplicialComplex:
 # interior statistics
 
 
-@dataclass(frozen=True)
-class VertexStats:
+class VertexStats(NamedTuple):
     f1: int
     k: int
     f1_00: int
@@ -232,8 +230,7 @@ class VertexStats:
     alpha: int | None  # floor((r+1)/k_0b) when k_0b > 0
 
 
-@dataclass(frozen=True)
-class InteriorData:
+class InteriorData(NamedTuple):
     r: int
     per_vertex: dict[int, VertexStats]
     interior_edges: tuple[tuple[int, int], ...]
@@ -317,8 +314,7 @@ def interior_stats(c: SimplicialComplex, r: int) -> InteriorData:
 # one-edge identification
 
 
-@dataclass(frozen=True)
-class OneEdgeNormalization:
+class OneEdgeNormalization(NamedTuple):
     """The one totally interior edge [v1 v2], with k(v1) = a <= k(v2) = b."""
 
     v1: int
@@ -327,12 +323,16 @@ class OneEdgeNormalization:
     b: int
 
 
-def normalize_one_edge(c: SimplicialComplex, r: int) -> OneEdgeNormalization:
+def normalize_one_edge(
+    c: SimplicialComplex, r: int, stats: InteriorData | None = None
+) -> OneEdgeNormalization:
     """Identify a complex with exactly one totally interior edge and no other
     interior vertex, ordering the edge's endpoints so that v1 has the smaller
-    slope count.  Each count is read off `interior_stats` and recounted as
-    the number of distinct edge lines through the vertex."""
-    stats = interior_stats(c, r)
+    slope count.  Each count is read off `interior_stats(c, r)` (the run's
+    `stats` when passed) and recounted as the number of distinct edge lines
+    through the vertex."""
+    if stats is None:
+        stats = interior_stats(c, r)
     if len(stats.totally_interior) != 1:
         raise NotOneEdge(
             f"complex has {len(stats.totally_interior)} totally interior edges, need exactly 1"

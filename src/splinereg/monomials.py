@@ -11,23 +11,35 @@ byte-reproducible.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import isqrt
+from typing import NamedTuple
 
 from .errors import NotArtinian, TrivialIdeal
 
 VARS = ("x", "y", "z")
 
 
-@dataclass(frozen=True)
-class Monomial:
+# typing.NamedTuple allows no `__new__` in its body, so each record with a
+# construction check subclasses a NamedTuple of its fields
+class _MonomialFields(NamedTuple):
     ex: int = 0
     ey: int = 0
     ez: int = 0
 
-    def __post_init__(self):
-        if self.ex < 0 or self.ey < 0 or self.ez < 0:
+
+class Monomial(_MonomialFields):
+    """x^ex y^ey z^ez; an immutable tuple of its exponents."""
+
+    __slots__ = ()
+
+    def __new__(cls, ex=0, ey=0, ez=0):
+        if ex < 0 or ey < 0 or ez < 0:
             raise ValueError("negative exponent")
+        return tuple.__new__(cls, (ex, ey, ez))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)  # so `_replace` runs the checks too
 
     @property
     def degree(self) -> int:
@@ -70,18 +82,26 @@ def mono_lcm(m1: Monomial, m2: Monomial) -> Monomial:
     return Monomial(max(m1.ex, m2.ex), max(m1.ey, m2.ey), max(m1.ez, m2.ez))
 
 
-@dataclass(frozen=True)
-class MonomialIdeal:
-    """Finite divisibility antichain of monomials, lex-descending."""
-
+class _MonomialIdealFields(NamedTuple):
     gens: tuple[Monomial, ...]
 
-    def __post_init__(self):
-        for a, b in itertools.combinations(self.gens, 2):
+
+class MonomialIdeal(_MonomialIdealFields):
+    """Finite divisibility antichain of monomials, lex-descending."""
+
+    __slots__ = ()
+
+    def __new__(cls, gens):
+        for a, b in itertools.combinations(gens, 2):
             if a.divides(b) or b.divides(a):
                 raise ValueError("generators are not an antichain")
-        if list(self.gens) != sorted(self.gens, key=lex_key, reverse=True):
+        if list(gens) != sorted(gens, key=lex_key, reverse=True):
             raise ValueError("generators not in canonical lex-descending order")
+        return tuple.__new__(cls, (gens,))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @classmethod
     def of(cls, monomials) -> "MonomialIdeal":

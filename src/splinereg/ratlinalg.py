@@ -12,22 +12,32 @@ compare those routes against, and as a public export of the package.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from typing import NamedTuple
 
 Rational = Fraction
 
 
-@dataclass(frozen=True)
-class RatMatrix:
+# the checked record subclasses a NamedTuple of its fields, which allows no
+# `__new__` in its body
+class _RatMatrixFields(NamedTuple):
     rows: int
     cols: int
     entries: tuple[Fraction, ...]  # row-major
 
-    def __post_init__(self):
-        if len(self.entries) != self.rows * self.cols:
+
+class RatMatrix(_RatMatrixFields):
+    __slots__ = ()
+
+    def __new__(cls, rows, cols, entries):
+        if len(entries) != rows * cols:
             raise ValueError("entry count does not match rows*cols")
+        return tuple.__new__(cls, (rows, cols, entries))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @classmethod
     def from_rows(cls, data) -> "RatMatrix":

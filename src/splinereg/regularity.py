@@ -13,11 +13,11 @@ run once per such class, while each cell's sandwich is checked on its own.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .chains import H0Table, h0_regularity_oracle
 from .errors import HypothesisViolated, RouteDisagreement
-from .geometry import SimplicialComplex, interior_stats, normalize_one_edge
+from .geometry import InteriorData, SimplicialComplex, interior_stats, normalize_one_edge
 from .monomials import Monomial, MonomialIdeal
 from .staircase import ClosedFormTable, QData, build_q
 from .syzygies import (
@@ -29,8 +29,7 @@ from .syzygies import (
 )
 
 
-@dataclass(frozen=True)
-class RegularityReport:
+class RegularityReport(NamedTuple):
     a: int
     b: int
     r: int
@@ -139,20 +138,23 @@ def _checked_routes(q: QData) -> tuple[int, int, Monomial]:
 
 
 def regularity_from_complex(
-    c: SimplicialComplex, r: int, h0: H0Table | None = None
+    c: SimplicialComplex,
+    r: int,
+    h0: H0Table | None = None,
+    stats: InteriorData | None = None,
 ) -> RegularityReport:
-    """Exact regularity of a one-edge complex: identify the edge, run the
-    closed-form pipeline on (a, b) = (k(v1), k(v2)), then confirm with the
-    chain-complex oracle (on the run's `H0Table` when passed); the three
-    routes must agree."""
-    norm = normalize_one_edge(c, r)
+    """Exact regularity of a one-edge complex: identify the edge (from the
+    run's interior `stats` when passed), run the closed-form pipeline on
+    (a, b) = (k(v1), k(v2)), then confirm with the chain-complex oracle (on
+    the run's `H0Table` when passed); the three routes must agree."""
+    norm = normalize_one_edge(c, r, stats)
     rep = regularity_one_edge(norm.a, norm.b, r)
     oracle = h0_regularity_oracle(c, r, h0)
     if oracle != rep.exact:
         raise RouteDisagreement(
             f"chain-complex oracle found {oracle}, closed form {rep.exact}"
         )
-    return replace(rep, routes={**rep.routes, "chain_oracle": oracle})
+    return rep._replace(routes={**rep.routes, "chain_oracle": oracle})
 
 
 def check_2r_theorem(report: RegularityReport) -> bool:
@@ -169,8 +171,7 @@ def check_2r_theorem(report: RegularityReport) -> bool:
     return report.exact <= 2 * report.r
 
 
-@dataclass(frozen=True)
-class PathBounds:
+class PathBounds(NamedTuple):
     r: int
     per_edge: tuple  # (edge, lower term, upper term)
     lower: int | None
@@ -195,12 +196,18 @@ class PathBounds:
 
 
 def path_bounds(
-    c: SimplicialComplex, r: int, run_oracle: bool = False, h0: H0Table | None = None
+    c: SimplicialComplex,
+    r: int,
+    run_oracle: bool = False,
+    h0: H0Table | None = None,
+    stats: InteriorData | None = None,
 ) -> PathBounds:
     """Regularity bounds maximized over the totally interior edges; needs
     every interior vertex to carry at least one partially interior edge.
-    The oracle runs on the run's `H0Table` when one is passed."""
-    stats = interior_stats(c, r)
+    The bounds read the run's interior `stats` and the oracle runs on the
+    run's `H0Table` when they are passed."""
+    if stats is None:
+        stats = interior_stats(c, r)
     for v, st in sorted(stats.per_vertex.items()):
         if st.f1_0b == 0:
             raise HypothesisViolated(

@@ -22,10 +22,10 @@ configuration carries a-1 distinct slopes, the y-side b-1.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice
 from math import comb
+from typing import NamedTuple
 
 from ._echelon import DenseIntEchelon, _first_nonzero
 from .errors import DuplicateSlope, InvalidSlopeCount, StaircaseInvariant
@@ -39,8 +39,7 @@ from .monomials import (
 )
 
 
-@dataclass(frozen=True)
-class Staircase:
+class Staircase(NamedTuple):
     """The z-exponent profile lambda_0..lambda_r of In<(x+c_1 z)^{r+1}, ...>,
     plus the implicit pure power x^{r+1}."""
 
@@ -54,8 +53,7 @@ class Staircase:
         return minimalize(gens)
 
 
-@dataclass(frozen=True)
-class ColonStaircase:
+class ColonStaircase(NamedTuple):
     """lambda'_i = max(0, lambda_i - r - 1) on 0..i0, i0 = floor((r+1)/s)."""
 
     r: int
@@ -72,8 +70,7 @@ class ColonStaircase:
         return self.i0 == 0
 
 
-@dataclass(frozen=True)
-class QData:
+class QData(NamedTuple):
     """The two colon staircases (x,z)/(y,z), the pruning index l0, and the
     minimalized union In Q.  Inputs arriving with a > b are swapped so the
     x-side always carries the smaller slope count; `swapped` records it."""

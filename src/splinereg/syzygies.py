@@ -15,7 +15,7 @@ triangles.  The Betti oracle double-checks both.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     NonMonotone,
@@ -36,8 +36,7 @@ from .monomials import (
 from .staircase import QData
 
 
-@dataclass(frozen=True)
-class BuchGraph:
+class BuchGraph(NamedTuple):
     nodes: tuple[Monomial, ...]
     edges: tuple[tuple[int, int, Monomial], ...]       # (i, j, lcm), i < j
     faces: tuple[tuple[tuple[int, ...], Monomial], ...]  # (node indices, lcm)
@@ -166,8 +165,7 @@ def regularity_from_bottom_face(q: QData) -> tuple[int, int]:
 # Betti oracle
 
 
-@dataclass(frozen=True)
-class BettiTable:
+class BettiTable(NamedTuple):
     """beta_{i,b} for i = 0 (generators), 1, 2; only nonzero entries kept."""
 
     entries: tuple[tuple[int, Monomial, int], ...]

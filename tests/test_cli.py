@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from splinereg import chains, cli, regularity
+from splinereg import chains, cli, geometry, regularity
 from splinereg.cli import main
 from splinereg.geometry import SimplicialComplex, ce1_complex, one_edge_complex
 from splinereg.staircase import ClosedFormTable, build_q
@@ -133,6 +133,27 @@ def test_flag_errors_are_typed(capsys, argv, message):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("regularity", "--a", "3", "--b", "4", "--r", "2.5"), "r = '2.5' is not an integer"),
+        (("analyze", "complex.json", "--r", "2", "--d", "ten"), "d = 'ten' is not an integer"),
+        (("betti", "--a", "", "--b", "4", "--r", "2"), "a = '' is not an integer"),
+        (("regularity", "--a", "3", "--b", "x", "--r", "2"), "b = 'x' is not an integer"),
+        (("staircase", "--r", "2", "--s", "3..4"), "s = '3..4' is not an integer"),
+    ],
+    ids=["r", "d", "a", "b", "s"],
+)
+def test_integer_flags_are_typed(capsys, argv, message):
+    # each integer flag is read as text, so a bad value is a typed error
+    # with exit code 1 rather than argparse's usage error with exit code 2;
+    # analyze reports it before it opens the (missing) file
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: NotAnInteger: {message}\n"
+
+
 def test_betti_command(capsys):
     code, out, _ = run(capsys, "betti", "--a", "3", "--b", "4", "--r", "8")
     assert code == 0
@@ -200,6 +221,35 @@ def test_analyze_ranks_each_h0_degree_once(tmp_path, capsys, monkeypatch, comple
     assert code == 0
     assert ranked == degrees
     assert len(builds) == 1
+
+
+@pytest.mark.parametrize(
+    "complex_, argv",
+    [
+        (lambda: one_edge_complex(3, 4), ("--r", "3", "--oracle")),
+        (ce1_complex, ("--r", "2", "--oracle")),
+        (ce1_complex, ("--r", "2", "--d", "6", "--oracle")),
+    ],
+    ids=["one34", "ce1", "ce1-d"],
+)
+def test_analyze_reads_interior_stats_once(tmp_path, capsys, monkeypatch, complex_, argv):
+    # the payload's interior data, the one-edge normalization or the path
+    # bounds, and the spline-dimension formulas all read one InteriorData;
+    # the name is rebound in every module that imported it
+    calls = []
+    original = geometry.interior_stats
+
+    def counted(c, r):
+        calls.append(r)
+        return original(c, r)
+
+    for mod in (geometry, chains, regularity, cli):
+        monkeypatch.setattr(mod, "interior_stats", counted)
+    path = tmp_path / "complex.json"
+    path.write_text(complex_().to_json())
+    code, _, _ = run(capsys, "analyze", str(path), *argv)
+    assert code == 0
+    assert calls == [int(argv[1])]
 
 
 CAPPED_SWEEP = ("sweep", "--a", "3..16", "--b", "3..16", "--r", "1..24")

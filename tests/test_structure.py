@@ -1,9 +1,17 @@
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
+from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import splinereg
+from splinereg.monomials import Monomial, MonomialIdeal
+from splinereg.ratlinalg import RatMatrix
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = Path(splinereg.__file__).resolve().parent
@@ -170,3 +178,85 @@ def test_no_assert_in_src():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert not lines, f"{path.name}: assert at line(s) {lines}"
+
+
+def test_no_module_imports_dataclasses():
+    # importing dataclasses pulls in inspect, ast and dis, and every
+    # dataclass execs freshly generated methods on each start; the records
+    # are NamedTuples instead
+    seen = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        names = set(_imported_modules(ast.parse(path.read_text(encoding="utf-8"))))
+        seen |= names
+        assert not {n for n in names if n.split(".")[0] == "dataclasses"}, path.name
+    assert "typing.NamedTuple" in seen  # the checker does see imports
+
+
+def _run_python(*argv):
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run(
+        [sys.executable, *argv], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    return out.stdout
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # compared with the same interpreter before the import, so modules that
+    # `site` loads at start do not count
+    script = """
+import sys
+before = set(sys.modules)
+import splinereg.cli
+print(sorted({"dataclasses", "inspect", "splinereg.cli"} & (set(sys.modules) - before)))
+"""
+    assert _run_python("-c", script).strip() == "['splinereg.cli']"
+
+
+# every check a record runs when it is built, as (expression, exact message);
+# `_replace` builds through the same checks
+CONSTRUCTION_CHECKS = [
+    ("Monomial(1, -1, 0)", "negative exponent"),
+    ("Monomial(1, 2, 3)._replace(ez=-1)", "negative exponent"),
+    ("MonomialIdeal((Monomial(2), Monomial(3)))", "generators are not an antichain"),
+    (
+        "MonomialIdeal((Monomial(0, 1), Monomial(1)))",
+        "generators not in canonical lex-descending order",
+    ),
+    (
+        "MonomialIdeal((Monomial(1),))._replace(gens=(Monomial(0, 1), Monomial(1)))",
+        "generators not in canonical lex-descending order",
+    ),
+    ("RatMatrix(2, 2, (Fraction(1),) * 3)", "entry count does not match rows*cols"),
+    ("RatMatrix.identity(2)._replace(rows=3)", "entry count does not match rows*cols"),
+]
+RECORDS = {
+    "Fraction": Fraction, "Monomial": Monomial, "MonomialIdeal": MonomialIdeal, "RatMatrix": RatMatrix
+}
+
+
+@pytest.mark.parametrize("expr, message", CONSTRUCTION_CHECKS)
+def test_construction_checks_raise(expr, message):
+    with pytest.raises(ValueError) as exc:
+        eval(expr, dict(RECORDS))
+    assert str(exc.value) == message
+
+
+def test_construction_checks_run_under_python_O():
+    script = """
+import sys
+from fractions import Fraction
+from splinereg.monomials import Monomial, MonomialIdeal
+from splinereg.ratlinalg import RatMatrix
+
+assert not __debug__
+for expr in sys.argv[1:]:
+    try:
+        eval(expr)
+    except ValueError as exc:
+        print(exc)
+    else:
+        print("built:", expr)
+"""
+    out = _run_python("-O", "-c", script, *(expr for expr, _ in CONSTRUCTION_CHECKS))
+    assert out.splitlines() == [message for _, message in CONSTRUCTION_CHECKS]

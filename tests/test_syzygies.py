@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import time
 
@@ -303,7 +302,7 @@ def test_regularity_non_artinian_raises_before_bottom_face(monkeypatch, missing)
     # it runs before the bottom face is read
     q = build_q(3, 4, 8)
     gens = [g for g in q.in_q.gens if g.exponents().count(0) != 2 or g.exponents()[missing] == 0]
-    broken = dataclasses.replace(q, in_q=minimalize(gens))
+    broken = q._replace(in_q=minimalize(gens))
 
     def no_face(_):
         raise StaircaseInvariant("bottom face read before the Artinian check")
