@@ -39,7 +39,6 @@ from .ratlinalg import RatMatrix, Rational, in_column_span, pivot_rows, rank
 from .regularity import (
     PathBounds,
     RegularityReport,
-    check_2r_theorem,
     path_bounds,
     regularity_from_complex,
     regularity_one_edge,

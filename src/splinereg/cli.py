@@ -12,14 +12,9 @@ import json
 import sys
 
 from .chains import H0Table, spline_dim_formulas, spline_dim_oracle
-from .errors import BadRange, FlagAboveCap, NegativeFlag, NotAnInteger, SplineRegError
+from .errors import BadRange, FlagAboveCap, NegativeFlag, NotAnInteger, ParseError, SplineRegError
 from .geometry import parse_complex, interior_stats
-from .regularity import (
-    check_2r_theorem,
-    path_bounds,
-    regularity_from_complex,
-    regularity_one_edge,
-)
+from .regularity import path_bounds, regularity_from_complex, regularity_one_edge
 from .staircase import ClosedFormTable, build_q, colon_staircase, staircase_closed_form
 from .syzygies import (
     betti_oracle,
@@ -74,6 +69,17 @@ def _check_caps(args, values, cap, what):
             raise FlagAboveCap(f"{what} = {v} above the cap {cap}; pass --unsafe-no-cap to override")
 
 
+def _read_complex(path):
+    """The complex in the file at `path`; text that is not UTF-8 is a
+    ParseError, and a file that cannot be opened an OSError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"file is not UTF-8: {exc}") from None
+    return parse_complex(text)
+
+
 def _emit(args, payload) -> None:
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True, indent=2))
@@ -121,9 +127,7 @@ def cmd_regularity(args) -> dict:
     if args.complex and not args.oracle:
         raise SplineRegError("--complex only feeds the chain-complex route; pass --oracle")
     if args.complex:
-        with open(args.complex, "r", encoding="utf-8") as fh:
-            c = parse_complex(fh.read())
-        report = regularity_from_complex(c, args.r)
+        report = regularity_from_complex(_read_complex(args.complex), args.r)
         if {report.a, report.b} != {args.a, args.b}:
             raise SplineRegError(
                 f"complex has (a, b) = ({report.a}, {report.b}), flags say ({args.a}, {args.b})"
@@ -137,7 +141,7 @@ def cmd_regularity(args) -> dict:
             betti_oracle(report.in_q), syz2_closed_form(q), syz3_closed_form(buchberger_graph(q.in_q))
         )
     if not report.vanishes:
-        payload["theorem_2r_holds"] = check_2r_theorem(report)
+        payload["theorem_2r_holds"] = report.conjecture_2r
     return payload
 
 
@@ -146,8 +150,7 @@ def cmd_analyze(args) -> dict:
     _check_caps(args, [args.r], R_CAP, "r")
     if args.d is not None:
         _check_nonnegative([args.d], "d")
-    with open(args.path, "r", encoding="utf-8") as fh:
-        c = parse_complex(fh.read())
+    c = _read_complex(args.path)
     stats = interior_stats(c, args.r)
     h0 = H0Table(c, args.r)  # one ideal complex and one rank per H0 degree
     payload = {

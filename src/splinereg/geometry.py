@@ -186,8 +186,10 @@ def parse_complex(text: str) -> SimplicialComplex:
     coordinates as "p/q" or integer strings."""
     try:
         data = json.loads(text, object_pairs_hook=_reject_duplicate_keys)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer over the digit limit
         raise ParseError(f"invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise ParseError("JSON nested too deeply") from None
     if not isinstance(data, dict) or set(data) != {"vertices", "triangles"}:
         raise ParseError("top level must be an object with exactly 'vertices' and 'triangles'")
     verts = []
@@ -200,7 +202,10 @@ def parse_complex(text: str) -> SimplicialComplex:
         for coord in entry:
             if not isinstance(coord, str) or not _RATIONAL_RE.match(coord):
                 raise ParseError(f"coordinate {coord!r} is not a 'p/q' or integer string")
-            pair.append(Fraction(coord))
+            try:
+                pair.append(Fraction(coord))
+            except ValueError as exc:  # over the integer digit limit
+                raise ParseError(f"coordinate is not readable: {exc}") from None
         verts.append(tuple(pair))
     if not isinstance(data["triangles"], list):
         raise ParseError("'triangles' must be a list")

@@ -28,7 +28,8 @@ class _MonomialFields(NamedTuple):
 
 
 class Monomial(_MonomialFields):
-    """x^ex y^ey z^ez; an immutable tuple of its exponents."""
+    """x^ex y^ey z^ez; an immutable tuple of its exponents, so tuple order
+    is lex order (x > y > z)."""
 
     __slots__ = ()
 
@@ -45,9 +46,6 @@ class Monomial(_MonomialFields):
     def degree(self) -> int:
         return self.ex + self.ey + self.ez
 
-    def exponents(self):
-        return (self.ex, self.ey, self.ez)
-
     def divides(self, other: "Monomial") -> bool:
         return self.ex <= other.ex and self.ey <= other.ey and self.ez <= other.ez
 
@@ -60,7 +58,7 @@ class Monomial(_MonomialFields):
 
     def render(self) -> str:
         parts = []
-        for name, e in zip(VARS, self.exponents()):
+        for name, e in zip(VARS, self):
             if e == 1:
                 parts.append(name)
             elif e > 1:
@@ -72,10 +70,6 @@ class Monomial(_MonomialFields):
 
 
 ONE = Monomial(0, 0, 0)
-
-
-def lex_key(m: Monomial):
-    return m.exponents()
 
 
 def mono_lcm(m1: Monomial, m2: Monomial) -> Monomial:
@@ -95,7 +89,7 @@ class MonomialIdeal(_MonomialIdealFields):
         for a, b in itertools.combinations(gens, 2):
             if a.divides(b) or b.divides(a):
                 raise ValueError("generators are not an antichain")
-        if list(gens) != sorted(gens, key=lex_key, reverse=True):
+        if any(a <= b for a, b in zip(gens, gens[1:])):
             raise ValueError("generators not in canonical lex-descending order")
         return tuple.__new__(cls, (gens,))
 
@@ -122,14 +116,17 @@ class MonomialIdeal(_MonomialIdealFields):
 
 
 def minimalize(monomials) -> MonomialIdeal:
-    """Divisibility antichain of the given monomials; generated ideal unchanged."""
-    ms = sorted(set(monomials), key=lambda m: (m.degree,) + lex_key(m))
+    """Divisibility antichain of the given monomials; generated ideal
+    unchanged.  A proper divisor has lower degree, so a scan by ascending
+    degree keeps exactly the minimal generators."""
     keep: list[Monomial] = []
-    for m in ms:
+    for m in sorted(set(monomials), key=sum):
         if not any(k.divides(m) for k in keep):
             keep.append(m)
-    keep.sort(key=lex_key, reverse=True)
-    return MonomialIdeal(tuple(keep))
+    keep.sort(reverse=True)
+    # an antichain in strict lex-descending order by construction, so the
+    # checks of MonomialIdeal.__new__ are skipped
+    return tuple.__new__(MonomialIdeal, (tuple(keep),))
 
 
 def ideal_sum(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
@@ -177,10 +174,9 @@ def _pure_powers(i: MonomialIdeal):
     for a variable with none, read in one pass."""
     p = [None, None, None]
     for g in i.gens:
-        e = g.exponents()
-        if e.count(0) == 2:
-            top = max(e)
-            p[e.index(top)] = top
+        if g.count(0) == 2:
+            top = max(g)
+            p[g.index(top)] = top
     return tuple(p)
 
 

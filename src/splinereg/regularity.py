@@ -1,5 +1,5 @@
-"""Top-level engine: exact one-edge regularity with its sandwich bounds,
-the <= 2r theorem check, and the path bounds for complexes with several
+"""Top-level engine: exact one-edge regularity with its sandwich bounds
+and its <= 2r property, plus the path bounds for complexes with several
 totally interior edges.
 
 Every exact answer is produced by the closed-form bottom-face route and
@@ -37,11 +37,28 @@ class RegularityReport(NamedTuple):
     lower: int
     upper: int
     bottom_face: Monomial | None
-    zeta0: int | None
     in_q: MonomialIdeal
     routes: dict
-    conjecture_2r: bool
-    vanishes: bool
+
+    @property
+    def vanishes(self) -> bool:
+        return self.exact is None
+
+    @property
+    def zeta0(self) -> int | None:
+        return None if self.bottom_face is None else self.bottom_face.ez
+
+    @property
+    def conjecture_2r(self) -> bool:
+        """exact <= 2r, vacuously true when the module vanishes.
+
+        For (a, b) != (3, 3), with 3 <= a <= b, the sandwich gives exact <=
+        (r+1)//(a-1) + (r+1)//(b-1) + r <= (r+1)//2 + (r+1)//3 + r, so the
+        bound follows from (r+1)//2 + (r+1)//3 <= r for every r >= 1.  For
+        r = 1, 2, 3, 4 the left side is 1, 2, 3, 3.  For r >= 5 it is at
+        most (r+1)/2 + (r+1)/3 = 5(r+1)/6 <= r, since 5r + 5 <= 6r.  The
+        step is proved once here, not re-checked per call."""
+        return self.exact is None or self.exact <= 2 * self.r
 
     @property
     def routes_agree(self) -> bool:
@@ -95,11 +112,8 @@ def regularity_one_edge(
             lower=lower,
             upper=upper,
             bottom_face=None,
-            zeta0=None,
             in_q=q.in_q,
             routes={"bottom_face": None, "socle_shift": None},
-            conjecture_2r=True,   # vacuously: the module is zero
-            vanishes=True,
         )
     routes = table.routes.get(q.key)
     if routes is None:
@@ -113,11 +127,8 @@ def regularity_one_edge(
         lower=lower,
         upper=upper,
         bottom_face=face,
-        zeta0=face.ez,
         in_q=q.in_q,
         routes={"bottom_face": reg, "socle_shift": socle},
-        conjecture_2r=reg <= 2 * r,
-        vanishes=False,
     )
 
 
@@ -155,20 +166,6 @@ def regularity_from_complex(
             f"chain-complex oracle found {oracle}, closed form {rep.exact}"
         )
     return rep._replace(routes={**rep.routes, "chain_oracle": oracle})
-
-
-def check_2r_theorem(report: RegularityReport) -> bool:
-    """exact <= 2r.
-
-    For (a, b) != (3, 3), with 3 <= a <= b, the sandwich gives exact <=
-    (r+1)//(a-1) + (r+1)//(b-1) + r <= (r+1)//2 + (r+1)//3 + r, so the
-    bound follows from (r+1)//2 + (r+1)//3 <= r for every r >= 1.  For
-    r = 1, 2, 3, 4 the left side is 1, 2, 3, 3.  For r >= 5 it is at most
-    (r+1)/2 + (r+1)/3 = 5(r+1)/6 <= r, since 5r + 5 <= 6r.  The step is
-    proved once here, not re-checked per call."""
-    if report.exact is None:
-        raise ValueError("2r check needs a nonzero module")
-    return report.exact <= 2 * report.r
 
 
 class PathBounds(NamedTuple):

@@ -29,7 +29,6 @@ from .monomials import (
     MonomialIdeal,
     count_degree,
     hilbert_function,
-    lex_key,
     max_socle_degree,
     mono_lcm,
 )
@@ -54,26 +53,25 @@ def buchberger_graph(ideal: MonomialIdeal) -> BuchGraph:
     gens = ideal.gens
     if not gens:
         return BuchGraph((), (), ())
-    exps = [g.exponents() for g in gens]
-    edges = _edges(exps)
-    return BuchGraph(gens, tuple(edges), tuple(_region_faces(exps, edges)))
+    edges = _edges(gens)
+    return BuchGraph(gens, tuple(edges), tuple(_region_faces(gens, edges)))
 
 
-def _edges(exps):
-    """(i, j, lcm) for every pair i < j of lex-descending exponent tuples
-    whose lcm no third one divides.  The lcm's x-exponent is ex_i, and the
-    tuples with ex <= ex_i are exactly those from the first one whose
+def _edges(gens):
+    """(i, j, lcm) for every pair i < j of lex-descending generators whose
+    lcm no third one divides.  The lcm's x-exponent is ex_i, and the
+    generators with ex <= ex_i are exactly those from the first one whose
     x-exponent equals ex_i onwards, so only that window can hold a third
     divisor, and only y and z need comparing there."""
-    n = len(exps)
+    n = len(gens)
     edges = []
     lo = 0
-    for i, (xi, yi, zi) in enumerate(exps):
-        if xi != exps[lo][0]:
+    for i, (xi, yi, zi) in enumerate(gens):
+        if xi != gens[lo][0]:
             lo = i
-        window = list(enumerate(exps[lo:], lo))
+        window = list(enumerate(gens[lo:], lo))
         for j in range(i + 1, n):
-            _, yj, zj = exps[j]
+            _, yj, zj = gens[j]
             my, mz = max(yi, yj), max(zi, zj)
             for k, (_, yk, zk) in window:
                 if yk <= my and zk <= mz and k != i and k != j:
@@ -83,16 +81,16 @@ def _edges(exps):
     return edges
 
 
-def _region_faces(exps, edges):
+def _region_faces(gens, edges):
     """Faces of the two-chain layout.  In lex-descending order the x-chain
     is the prefix with ex > 0 (ex falling) and the y/z-chain the rest (ey
     falling), so a generator's place on its chain is read off its index."""
-    if any(ex > 0 and ey > 0 for ex, ey, _ in exps):
+    if any(ex > 0 and ey > 0 for ex, ey, _ in gens):
         raise TwoChainRequired(
             "face extraction needs generators supported on an x-chain and a y/z-chain"
         )
-    n = len(exps)
-    nx = sum(1 for e in exps if e[0] > 0)
+    n = len(gens)
+    nx = sum(1 for g in gens if g.ex > 0)
     # positions counted from the low end of each chain: x-chain by rising
     # ex, y/z-chain by rising ey
     crossing = sorted((nx - 1 - i, n - 1 - j) for i, j, _ in edges if i < nx <= j)
@@ -102,7 +100,7 @@ def _region_faces(exps, edges):
     faces = []
     for (p1, q1), (p2, q2) in zip(crossing, crossing[1:]):
         region = tuple(range(nx - 1 - p2, nx - p1)) + tuple(range(n - 1 - q2, n - q1))
-        faces.append((region, Monomial(*map(max, zip(*(exps[k] for k in region))))))
+        faces.append((region, Monomial(*map(max, zip(*(gens[k] for k in region))))))
     return faces
 
 
@@ -123,7 +121,7 @@ def syz2_closed_form(q: QData) -> tuple[Monomial, ...]:
                 out.add(Monomial(i, j, etap[j]))
             if etap[j] <= lamp[i] < etap[j - 1]:
                 out.add(Monomial(i, j, lamp[i]))
-    return tuple(sorted(out, key=lex_key, reverse=True))
+    return tuple(sorted(out, reverse=True))
 
 
 def syz3_closed_form(g: BuchGraph) -> list[Monomial]:
@@ -175,7 +173,7 @@ class BettiTable(NamedTuple):
         for hom, b, mult in self.entries:
             if hom == i:
                 out.extend([b] * mult)
-        return tuple(sorted(out, key=lex_key, reverse=True))
+        return tuple(sorted(out, reverse=True))
 
     def total(self, i: int) -> int:
         return sum(mult for hom, _, mult in self.entries if hom == i)
@@ -205,10 +203,9 @@ def _koszul_homology(ideal: MonomialIdeal, b: Monomial):
     edge brings both its vertices and the 2-face all three edges.  With nv
     vertices and ne edges the boundary ranks are [nv > 0], min(ne, 2) (up
     to two edges form a forest, three a cycle) and [face present]."""
-    exps = b.exponents()
 
     def member(drop):
-        e = list(exps)
+        e = list(b)
         for v in drop:
             e[v] -= 1
             if e[v] < 0:
@@ -226,7 +223,7 @@ def betti_oracle(ideal: MonomialIdeal) -> BettiTable:
     each from the reduced homology of the upper-Koszul complex, read off
     its face counts."""
     entries = []
-    for b in sorted(_lcm_closure(ideal.gens), key=lex_key, reverse=True):
+    for b in sorted(_lcm_closure(ideal.gens), reverse=True):
         if not ideal.contains(b):
             continue
         hm1, h0, h1 = _koszul_homology(ideal, b)
@@ -240,9 +237,8 @@ def syzygies_match_betti(table: BettiTable, syz2, syz3) -> bool:
     """Whether the closed-form second and third syzygies are the Betti
     oracle's multidegrees in homological degrees 1 and 2, multiplicities
     included."""
-    return table.multidegrees(1) == tuple(syz2) and table.multidegrees(2) == tuple(
-        sorted(syz3, key=lex_key, reverse=True)
-    )
+    syz3 = tuple(sorted(syz3, reverse=True))
+    return table.multidegrees(1) == tuple(syz2) and table.multidegrees(2) == syz3
 
 
 def euler_hilbert_check(ideal: MonomialIdeal, table: BettiTable, d: int) -> bool:

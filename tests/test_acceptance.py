@@ -16,7 +16,7 @@ from splinereg.chains import (
 )
 from splinereg.geometry import one_edge_complex
 from splinereg.monomials import Monomial, colon_by_monomial, max_socle_degree
-from splinereg.regularity import check_2r_theorem, path_bounds, regularity_from_complex, regularity_one_edge
+from splinereg.regularity import path_bounds, regularity_from_complex, regularity_one_edge
 from splinereg.staircase import (
     build_q,
     colon_initial_oracle,
@@ -130,7 +130,7 @@ def test_criterion_04_2r_theorem(grid_reports, complex_one33, complex_one34):
     with criterion(4, "regularity <= 2r on the grid and on built complexes"):
         for rep in grid_reports.values():
             if not rep.vanishes:
-                assert check_2r_theorem(rep)
+                assert rep.exact <= 2 * rep.r
         for c, r in ((complex_one33, 1), (complex_one33, 3),
                      (complex_one34, 2), (one_edge_complex(4, 4), 2)):
             rep = regularity_from_complex(c, r)

@@ -49,7 +49,7 @@ def naive_boundary_rank(c, r, d):
     data = ideal_complex(c, r)
     vlist = list(c.interior_vertices)
     vpos = {v: i for i, v in enumerate(vlist)}
-    monos = [m.exponents() for m in monomials_of_degree(d)]
+    monos = [tuple(m) for m in monomials_of_degree(d)]
     midx = {m: i for i, m in enumerate(monos)}
     nrows = len(vlist) * len(monos)
     cols = []
@@ -57,7 +57,7 @@ def naive_boundary_rank(c, r, d):
         ends = [g.home] + ([g.far] if g.far is not None else [])
         for mu in monomials_of_degree(d - r - 1):
             col = [Fraction(0)] * nrows
-            poly = _expand(g.form, r + 1, mu.exponents())
+            poly = _expand(g.form, r + 1, mu)
             for sign, v in zip((1, -1), ends):
                 for key, val in poly.items():
                     col[vpos[v] * len(monos) + midx[key]] += sign * val
@@ -70,13 +70,13 @@ def naive_boundary_rank(c, r, d):
 
 def naive_vertex_dim(c, r, d, v):
     data = ideal_complex(c, r)
-    monos = [m.exponents() for m in monomials_of_degree(d)]
+    monos = [tuple(m) for m in monomials_of_degree(d)]
     midx = {m: i for i, m in enumerate(monos)}
     cols = []
     for form in data.vertex_forms[v]:
         for mu in monomials_of_degree(d - r - 1):
             col = [Fraction(0)] * len(monos)
-            for key, val in _expand(form, r + 1, mu.exponents()).items():
+            for key, val in _expand(form, r + 1, mu).items():
                 col[midx[key]] += val
             cols.append(col)
     if not cols:

@@ -451,6 +451,37 @@ def test_analyze_malformed_file(tmp_path, capsys):
     assert "ParseError" in err
 
 
+def test_deeply_nested_complex_file_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(capsys, "analyze", str(path), "--r", "1")
+    assert (code, out, err) == (1, "", "error: ParseError: JSON nested too deeply\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("analyze", "{path}", "--r", "1"),
+        ("regularity", "--complex", "{path}", "--a", "3", "--b", "3", "--r", "1", "--oracle"),
+    ],
+    ids=["analyze", "regularity"],
+)
+def test_complex_file_read_errors_are_typed(tmp_path, capsys, argv):
+    # bytes that are not UTF-8 are a ParseError; a missing file stays an OSError
+    path = tmp_path / "complex.json"
+    path.write_bytes(b"\xff\xfe")
+    code, out, err = run(capsys, *(arg.format(path=path) for arg in argv))
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: ParseError: file is not UTF-8: 'utf-8' codec can't decode byte 0xff"
+        " in position 0: invalid start byte\n"
+    )
+    path.unlink()
+    code, out, err = run(capsys, *(arg.format(path=path) for arg in argv))
+    assert (code, out) == (1, "")
+    assert err == f"error: FileNotFoundError: [Errno 2] No such file or directory: '{path}'\n"
+
+
 def test_table_format(capsys):
     code, out, _ = run(
         capsys, "regularity", "--a", "3", "--b", "3", "--r", "2", "--format", "table"
@@ -482,11 +513,23 @@ def test_regularity_from_complex_rejects_non_one_edge(tmp_path, capsys, complex_
 
 
 @pytest.mark.parametrize(
-    "name, field",
-    [("syzygies_match_betti", "betti_confirms_syzygies"), ("check_2r_theorem", "theorem_2r_holds")],
+    "target, fake, field",
+    [
+        (
+            "splinereg.cli.syzygies_match_betti",
+            lambda *args: False,
+            "betti_confirms_syzygies",
+        ),
+        (
+            "splinereg.regularity.RegularityReport.conjecture_2r",
+            property(lambda self: False),
+            "theorem_2r_holds",
+        ),
+    ],
+    ids=["syzygies_match_betti-betti_confirms_syzygies", "conjecture_2r-theorem_2r_holds"],
 )
-def test_regularity_failed_check_exits_1(capsys, monkeypatch, name, field):
-    monkeypatch.setattr(cli, name, lambda *args: False)
+def test_regularity_failed_check_exits_1(capsys, monkeypatch, target, fake, field):
+    monkeypatch.setattr(target, fake)
     code, out, _ = run(capsys, "regularity", "--a", "3", "--b", "4", "--r", "4", "--oracle")
     assert code == 1
     assert json.loads(out)[field] is False

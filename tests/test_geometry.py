@@ -6,7 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
 import splinereg
@@ -19,6 +19,7 @@ from splinereg.errors import (
     NotOneEdge,
     ParseError,
     SlopeClashAssumption,
+    SplineRegError,
 )
 from splinereg.geometry import (
     LinearForm,
@@ -117,6 +118,37 @@ def test_parse_rejects_boolean_vertex_indices():
 def test_parse_rejects_duplicate_keys(text):
     with pytest.raises(ParseError, match="duplicate key"):
         parse_complex(text)
+
+
+_JSON = hs.recursive(
+    hs.none() | hs.booleans() | hs.integers() | hs.floats() | hs.text(),
+    lambda inner: hs.lists(inner, max_size=4) | hs.dictionaries(hs.text(), inner, max_size=4),
+    max_leaves=20,
+)
+# the shape a complex file has, so that inputs also get past the top-level
+# checks into the coordinate, triangle and complex checks
+_COORD_TEXT = hs.from_regex(r"-?\d{1,3}(/[1-9]\d?)?", fullmatch=True) | _JSON
+_SHAPED = hs.fixed_dictionaries(
+    {
+        "vertices": hs.lists(hs.lists(_COORD_TEXT, min_size=2, max_size=2) | _JSON, max_size=6),
+        "triangles": hs.lists(
+            hs.lists(hs.integers(-1, 6), min_size=3, max_size=3) | _JSON, max_size=6
+        ),
+    }
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(hs.text() | _JSON.map(json.dumps) | _SHAPED.map(json.dumps))
+@example("[" * 100_000 + "]" * 100_000)  # deeper than the JSON decoder recurses
+@example("1" * 5000)  # an integer over the int() digit limit
+@example(json.dumps({"vertices": [["1" * 5000, "0"]], "triangles": []}))
+def test_parse_complex_returns_a_complex_or_a_typed_error(text):
+    try:
+        c = parse_complex(text)
+    except SplineRegError:
+        return
+    assert isinstance(c, SimplicialComplex)
 
 
 def test_degenerate_triangle():

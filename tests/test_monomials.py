@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -148,6 +150,20 @@ def test_minimalize_idempotent_and_order_free(ms, rng):
     assert minimalize(shuffled) == ideal
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(mono, max_size=12))
+def test_minimalize_keeps_a_descending_antichain_of_its_inputs(ms):
+    # minimalize builds its MonomialIdeal without the construction checks,
+    # so its output must pass them by itself
+    ideal = minimalize(ms)
+    gens = ideal.gens
+    assert all(a > b for a, b in zip(gens, gens[1:]))
+    assert not any(a.divides(b) or b.divides(a) for a, b in itertools.combinations(gens, 2))
+    assert set(gens) <= set(ms)
+    assert all(any(g.divides(m) for g in gens) for m in ms)
+    assert MonomialIdeal(gens) == ideal
+
+
 pure = st.builds(
     lambda axis, e: M(*(e if k == axis else 0 for k in range(3))),
     st.integers(0, 2),
@@ -161,7 +177,7 @@ def test_is_artinian_matches_per_axis_definition(ms, pows):
     # the unit ideal, or some generator x^e, some y^e and some z^e with e > 0
     ideal = minimalize(ms + pows)
     literal = ideal.is_trivial or all(
-        any(g.exponents()[axis] > 0 and g.exponents().count(0) == 2 for g in ideal.gens)
+        any(g[axis] > 0 and g.count(0) == 2 for g in ideal.gens)
         for axis in range(3)
     )
     assert is_artinian(ideal) == literal
@@ -200,7 +216,7 @@ def test_artinian_socle_vanishing(px, py, pz, extra):
 def socle_by_enumeration(ideal):
     """Reference socle degree: the top nonzero degree of S/I, scanning every
     degree up to the sum of the pure-power exponents."""
-    bound = sum(max(g.exponents()) for g in ideal.gens if g.exponents().count(0) == 2)
+    bound = sum(max(g) for g in ideal.gens if g.count(0) == 2)
     return max(d for d in range(bound + 1) if hilbert_function(ideal, d))
 
 

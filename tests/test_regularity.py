@@ -9,12 +9,7 @@ import pytest
 import splinereg
 from splinereg.errors import HypothesisViolated, InvalidSlopeCount, NotOneEdge
 from splinereg.monomials import Monomial
-from splinereg.regularity import (
-    check_2r_theorem,
-    path_bounds,
-    regularity_from_complex,
-    regularity_one_edge,
-)
+from splinereg.regularity import path_bounds, regularity_from_complex, regularity_one_edge
 from splinereg.staircase import ClosedFormTable
 
 
@@ -69,16 +64,14 @@ def test_sandwich_small_grid():
 
 
 def test_2r_check():
-    assert check_2r_theorem(regularity_one_edge(3, 3, 5))
+    assert regularity_one_edge(3, 3, 5).conjecture_2r
     assert regularity_one_edge(3, 3, 5).exact == 10
-    assert check_2r_theorem(regularity_one_edge(3, 4, 8))
-    with pytest.raises(ValueError):
-        check_2r_theorem(regularity_one_edge(5, 5, 0))
+    assert regularity_one_edge(3, 4, 8).conjecture_2r
 
 
 def test_2r_arithmetic_step():
     # the step behind exact <= 2r for (a, b) != (3, 3), proved in
-    # check_2r_theorem's docstring and no longer re-checked at run time
+    # RegularityReport.conjecture_2r's docstring and not re-checked at run time
     assert all((r + 1) // 2 + (r + 1) // 3 <= r for r in range(1, 10_001))
 
 

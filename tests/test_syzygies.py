@@ -155,7 +155,7 @@ def test_edges_match_literal_rule(ms, pows):
     # mixed support, ties in the x-exponent and pure powers: the windowed
     # scan must keep the same edges, in the same order, with the same lcms
     gens = minimalize(ms + pows).gens
-    assert _edges([g.exponents() for g in gens]) == literal_edges(gens)
+    assert _edges(gens) == literal_edges(gens)
 
 
 x_chain = st.builds(Monomial, st.integers(1, 6), st.just(0), st.integers(0, 6))
@@ -179,7 +179,7 @@ def test_region_faces_reject_crossing_edges_that_are_no_ladder():
     with pytest.raises(NonMonotone):
         literal_faces(gens, edges)
     with pytest.raises(NonMonotone):
-        _region_faces([g.exponents() for g in gens], edges)
+        _region_faces(gens, edges)
 
 
 def test_graph_matches_literal_rule_on_capped_grid():
@@ -301,7 +301,7 @@ def test_regularity_non_artinian_raises_before_bottom_face(monkeypatch, missing)
     # the socle route's own Artinian check is the only one on this path, and
     # it runs before the bottom face is read
     q = build_q(3, 4, 8)
-    gens = [g for g in q.in_q.gens if g.exponents().count(0) != 2 or g.exponents()[missing] == 0]
+    gens = [g for g in q.in_q.gens if g.count(0) != 2 or g[missing] == 0]
     broken = q._replace(in_q=minimalize(gens))
 
     def no_face(_):
@@ -363,10 +363,8 @@ def test_betti_oracle_budget_33_r24():
 def fraction_koszul_homology(ideal, b):
     """Reduced homology ranks (dim -1, 0, 1) of the upper-Koszul complex
     K^b by Bareiss rank of its three boundary matrices over the rationals."""
-    exps = b.exponents()
-
     def member(drop):
-        e = list(exps)
+        e = list(b)
         for v in drop:
             e[v] -= 1
             if e[v] < 0:
@@ -404,7 +402,7 @@ def test_koszul_homology_matches_fraction_ranks(a, b):
         q = build_q(a, b, r)
         if q.is_trivial:
             continue
-        top = max(max(g.exponents()) for g in q.in_q.gens) + 1
+        top = max(max(g) for g in q.in_q.gens) + 1
         for exps in itertools.product(range(top + 1), repeat=3):
             m = Monomial(*exps)
             assert _koszul_homology(q.in_q, m) == fraction_koszul_homology(q.in_q, m)
