@@ -2,7 +2,8 @@
 """Sweep the standard (a, b, r) grid, print one line per cell, and recheck
 every closed form against the Betti oracle.  One ClosedFormTable serves the
 whole grid: each colon staircase is built once per (r, s), and In Q with the
-route checks once per (r, lambda', eta'); the Betti recheck runs per cell.
+route checks once per (r, lambda', eta'); the Betti recheck runs per cell,
+on the graph and syzygies that `class_routes` builds and checks.
 A cell whose pipeline raises a SplineRegError is listed by the error's name
 and the sweep goes on.  Exits nonzero on any violation."""
 import argparse
@@ -12,13 +13,7 @@ import time
 from splinereg.errors import SplineRegError
 from splinereg.regularity import regularity_one_edge
 from splinereg.staircase import ClosedFormTable, build_q
-from splinereg.syzygies import (
-    betti_oracle,
-    buchberger_graph,
-    syz2_closed_form,
-    syz3_closed_form,
-    syzygies_match_betti,
-)
+from splinereg.syzygies import betti_oracle, class_routes, syzygies_match_betti
 
 
 def _cell(a, b, r, table, skip_betti):
@@ -29,12 +24,8 @@ def _cell(a, b, r, table, skip_betti):
     failed = []
     betti_ok = "-"
     if not skip_betti:
-        q = build_q(a, b, r, table)
-        ok = syzygies_match_betti(
-            betti_oracle(q.in_q),
-            syz2_closed_form(q),
-            syz3_closed_form(buchberger_graph(q.in_q)),
-        )
+        routes = class_routes(build_q(a, b, r, table))
+        ok = syzygies_match_betti(betti_oracle(rep.in_q), routes.syz2, routes.syz3)
         betti_ok = "ok" if ok else "FAIL"
         if not ok:
             failed.append("betti")

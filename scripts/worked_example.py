@@ -13,7 +13,7 @@ from splinereg.staircase import (
     staircase_closed_form,
     sum_initial_oracle,
 )
-from splinereg.syzygies import betti_oracle, buchberger_graph, syz2_closed_form, syz3_closed_form
+from splinereg.syzygies import betti_oracle, class_routes
 
 A, B, R = 3, 4, 8
 
@@ -38,10 +38,10 @@ def main():
                                             [Fraction(0), Fraction(1), Fraction(2)]))
     show("(i0, j0, l0):", (q.i0, q.j0, q.l0))
 
-    graph = buchberger_graph(q.in_q)
-    show("edge lcms:", [m.render() for m in graph.edge_lcms()])
-    show("syz2 closed form:", [m.render() for m in syz2_closed_form(q)])
-    show("face lcms (bottom first):", [m.render() for m in syz3_closed_form(graph)])
+    routes = class_routes(q)
+    show("edge lcms:", [m.render() for m in routes.graph.edge_lcms()])
+    show("syz2 closed form:", [m.render() for m in routes.syz2])
+    show("face lcms (bottom first):", [m.render() for m in routes.syz3])
     table = betti_oracle(q.in_q)
     show("Betti beta_1 multidegrees:", [m.render() for m in table.multidegrees(1)])
     show("Betti beta_2 multidegrees:", [m.render() for m in table.multidegrees(2)])

@@ -58,12 +58,12 @@ from .staircase import (
 from .syzygies import (
     BettiTable,
     BuchGraph,
+    ClassRoutes,
     betti_oracle,
     bottom_face,
     buchberger_graph,
+    class_routes,
     regularity_from_bottom_face,
-    syz2_closed_form,
-    syz3_closed_form,
 )
 
 __version__ = "0.1.0"

@@ -16,20 +16,17 @@ from .errors import BadRange, FlagAboveCap, NegativeFlag, NotAnInteger, ParseErr
 from .geometry import parse_complex, interior_stats
 from .regularity import path_bounds, regularity_from_complex, regularity_one_edge
 from .staircase import ClosedFormTable, build_q, colon_staircase, staircase_closed_form
-from .syzygies import (
-    betti_oracle,
-    buchberger_graph,
-    syz2_closed_form,
-    syz3_closed_form,
-    syzygies_match_betti,
-)
+from .syzygies import betti_oracle, buchberger_graph, class_routes, syzygies_match_betti
 
 SCHEMA = "spline-reg/1"
 R_CAP = 24
 AB_CAP = 16
+D_CAP = 4 * R_CAP + 2
 
 
-def _parse_range(text: str) -> list[int]:
+def _parse_range(text: str) -> tuple[int, int]:
+    """The ends lo <= hi of a range flag `lo..hi` or `n`, so the caps are
+    checked before anything sized by the range is built."""
     lo, sep, hi = text.partition("..")
     try:
         lo = int(lo)
@@ -38,7 +35,7 @@ def _parse_range(text: str) -> list[int]:
         raise BadRange(f"range {text!r} is not an integer or lo..hi") from None
     if hi < lo:
         raise BadRange(f"empty range {text!r}")
-    return list(range(lo, hi + 1))
+    return lo, hi
 
 
 def _read_ints(args, *names):
@@ -54,14 +51,10 @@ def _read_ints(args, *names):
             raise NotAnInteger(f"{name} = {text!r} is not an integer") from None
 
 
-def _check_nonnegative(values, what):
+def _check_caps(args, values, cap, what):
     for v in values:
         if v < 0:
             raise NegativeFlag(f"{what} = {v} is negative")
-
-
-def _check_caps(args, values, cap, what):
-    _check_nonnegative(values, what)
     if args.unsafe_no_cap:
         return
     for v in values:
@@ -136,9 +129,9 @@ def cmd_regularity(args) -> dict:
         report = regularity_one_edge(args.a, args.b, args.r)
     payload = {"schema": SCHEMA, "command": "regularity", **report.to_json_dict()}
     if args.oracle and not report.vanishes:
-        q = build_q(args.a, args.b, args.r)
+        routes = class_routes(build_q(args.a, args.b, args.r))
         payload["betti_confirms_syzygies"] = syzygies_match_betti(
-            betti_oracle(report.in_q), syz2_closed_form(q), syz3_closed_form(buchberger_graph(q.in_q))
+            betti_oracle(report.in_q), routes.syz2, routes.syz3
         )
     if not report.vanishes:
         payload["theorem_2r_holds"] = report.conjecture_2r
@@ -149,7 +142,7 @@ def cmd_analyze(args) -> dict:
     _read_ints(args, "r", "d")
     _check_caps(args, [args.r], R_CAP, "r")
     if args.d is not None:
-        _check_nonnegative([args.d], "d")
+        _check_caps(args, [args.d], D_CAP, "d")
     c = _read_complex(args.path)
     stats = interior_stats(c, args.r)
     h0 = H0Table(c, args.r)  # one ideal complex and one rank per H0 degree
@@ -182,19 +175,19 @@ def cmd_analyze(args) -> dict:
 
 
 def cmd_sweep(args) -> dict:
-    a_range = _parse_range(args.a)
-    b_range = _parse_range(args.b)
-    r_range = _parse_range(args.r)
-    _check_caps(args, r_range, R_CAP, "r")
-    _check_caps(args, a_range + b_range, AB_CAP, "a/b")
+    a_lo, a_hi = _parse_range(args.a)
+    b_lo, b_hi = _parse_range(args.b)
+    r_lo, r_hi = _parse_range(args.r)
+    _check_caps(args, [r_lo, r_hi], R_CAP, "r")
+    _check_caps(args, [a_lo, a_hi, b_lo, b_hi], AB_CAP, "a/b")
     rows = []
     violations = []
     table = ClosedFormTable()  # one colon staircase per (r, s), one In Q check per class
-    for a in a_range:
-        for b in b_range:
+    for a in range(a_lo, a_hi + 1):
+        for b in range(b_lo, b_hi + 1):
             if b < a:
                 continue
-            for r in r_range:
+            for r in range(r_lo, r_hi + 1):
                 try:
                     rep = regularity_one_edge(a, b, r, table)
                     rows.append(
@@ -261,10 +254,10 @@ def cmd_staircase(args) -> dict:
         }
     )
     if args.emit_graph and not q.is_trivial:
-        graph = buchberger_graph(q.in_q)
-        payload["buchberger_graph"] = _graph_dict(graph)
-        payload["syz2"] = [m.render() for m in syz2_closed_form(q)]
-        payload["syz3"] = [m.render() for m in syz3_closed_form(graph)]
+        routes = class_routes(q)
+        payload["buchberger_graph"] = _graph_dict(routes.graph)
+        payload["syz2"] = [m.render() for m in routes.syz2]
+        payload["syz3"] = [m.render() for m in routes.syz3]
     return payload
 
 
@@ -286,12 +279,10 @@ def cmd_betti(args) -> dict:
         str(i): [m.render() for m in table.multidegrees(i)] for i in (0, 1, 2)
     }
     if not q.is_trivial:
-        graph = buchberger_graph(q.in_q)
-        syz2 = syz2_closed_form(q)
-        syz3 = syz3_closed_form(graph)
-        payload["syz2_closed_form"] = [m.render() for m in syz2]
-        payload["syz3_closed_form"] = [m.render() for m in syz3]
-        payload["closed_forms_match_oracle"] = syzygies_match_betti(table, syz2, syz3)
+        routes = class_routes(q)
+        payload["syz2_closed_form"] = [m.render() for m in routes.syz2]
+        payload["syz3_closed_form"] = [m.render() for m in routes.syz3]
+        payload["closed_forms_match_oracle"] = syzygies_match_betti(table, routes.syz2, routes.syz3)
     return payload
 
 
@@ -302,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "table"), default="json")
-    common.add_argument("--unsafe-no-cap", action="store_true", help="lift the r/a/b caps")
+    common.add_argument("--unsafe-no-cap", action="store_true", help="lift the r/a/b/s/d caps")
     sub = p.add_subparsers(dest="command", required=True)
 
     reg = sub.add_parser("regularity", help="exact regularity from (a, b, r)", parents=[common])

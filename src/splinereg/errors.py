@@ -11,7 +11,7 @@ class NegativeFlag(SplineRegError):
 
 
 class FlagAboveCap(SplineRegError):
-    """A command-line value (r, a, b or s) exceeds its cap and
+    """A command-line value (r, a, b, s or d) exceeds its cap and
     --unsafe-no-cap was not passed."""
 
 

@@ -29,7 +29,7 @@ from .errors import (
 
 Point = tuple[Fraction, Fraction]
 
-_RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
+_RATIONAL_RE = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")  # ASCII only, used with fullmatch
 
 
 def _canonical_int_vector(vec):
@@ -74,9 +74,6 @@ class LinearForm(NamedTuple):
 
     def vector(self):
         return (self.a, self.b, self.c)
-
-    def evaluate(self, p: Point) -> Fraction:
-        return self.a * p[0] + self.b * p[1] + self.c
 
 
 class SimplicialComplex:
@@ -200,7 +197,7 @@ def parse_complex(text: str) -> SimplicialComplex:
             raise ParseError(f"vertex {entry!r} is not a coordinate pair")
         pair = []
         for coord in entry:
-            if not isinstance(coord, str) or not _RATIONAL_RE.match(coord):
+            if not isinstance(coord, str) or not _RATIONAL_RE.fullmatch(coord):
                 raise ParseError(f"coordinate {coord!r} is not a 'p/q' or integer string")
             try:
                 pair.append(Fraction(coord))

@@ -49,9 +49,6 @@ class Monomial(_MonomialFields):
     def divides(self, other: "Monomial") -> bool:
         return self.ex <= other.ex and self.ey <= other.ey and self.ez <= other.ez
 
-    def times(self, other: "Monomial") -> "Monomial":
-        return Monomial(self.ex + other.ex, self.ey + other.ey, self.ez + other.ez)
-
     def colon_factor(self, m: "Monomial") -> "Monomial":
         """self / gcd(self, m): componentwise truncated subtraction."""
         return Monomial(max(self.ex - m.ex, 0), max(self.ey - m.ey, 0), max(self.ez - m.ez, 0))
@@ -96,10 +93,6 @@ class MonomialIdeal(_MonomialIdealFields):
     @classmethod
     def _make(cls, iterable):
         return cls(*iterable)
-
-    @classmethod
-    def of(cls, monomials) -> "MonomialIdeal":
-        return minimalize(monomials)
 
     def contains(self, m: Monomial) -> bool:
         return any(g.divides(m) for g in self.gens)

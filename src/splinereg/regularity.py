@@ -19,14 +19,8 @@ from .chains import H0Table, h0_regularity_oracle
 from .errors import HypothesisViolated, RouteDisagreement
 from .geometry import InteriorData, SimplicialComplex, interior_stats, normalize_one_edge
 from .monomials import Monomial, MonomialIdeal
-from .staircase import ClosedFormTable, QData, build_q
-from .syzygies import (
-    bottom_face,
-    buchberger_graph,
-    regularity_from_bottom_face,
-    syz2_closed_form,
-    syz3_closed_form,
-)
+from .staircase import ClosedFormTable, build_q
+from .syzygies import class_routes
 
 
 class RegularityReport(NamedTuple):
@@ -90,11 +84,10 @@ def regularity_one_edge(
     sandwich alpha1 + alpha2 + r - 1 <= reg <= alpha1 + alpha2 + r is
     checked whenever the module is nonzero.
 
-    A sweep passes one `ClosedFormTable`.  The route checks (bottom face
-    against socle degree, Buchberger graph, syz2/syz3 and the graph's bottom
-    face) read only `QData.key` = (r, lambda', eta'), so they run once per
-    key and the stored values serve every cell with it; the sandwich
-    depends on (a, b) and is checked for each cell."""
+    A sweep passes one `ClosedFormTable`.  The route checks of
+    `syzygies.class_routes` read only `QData.key` = (r, lambda', eta'), so
+    they run once per key and the stored values serve every cell with it;
+    the sandwich depends on (a, b) and is checked for each cell."""
     if r < 0:
         raise ValueError("r must be >= 0")
     if table is None:
@@ -117,7 +110,7 @@ def regularity_one_edge(
         )
     routes = table.routes.get(q.key)
     if routes is None:
-        routes = table.routes[q.key] = _checked_routes(q)
+        routes = table.routes[q.key] = class_routes(q)[:3]  # (reg, socle, face)
     reg, socle, face = routes
     if not lower <= reg <= upper:
         raise RouteDisagreement(f"sandwich violated: {lower} <= {reg} <= {upper}")
@@ -130,22 +123,6 @@ def regularity_one_edge(
         in_q=q.in_q,
         routes={"bottom_face": reg, "socle_shift": socle},
     )
-
-
-def _checked_routes(q: QData) -> tuple[int, int, Monomial]:
-    """(bottom-face regularity, socle regularity, bottom face) of a
-    nontrivial In Q, raising unless the Buchberger graph's faces pass the
-    syzygy checks and its bottom face is the i0/j0/zeta0 face."""
-    reg, socle = regularity_from_bottom_face(q)  # raises unless the routes agree
-    face = bottom_face(q)
-    graph = buchberger_graph(q.in_q)
-    syz2_closed_form(q)  # runs the closed-form edge enumeration's checks
-    ordered_faces = syz3_closed_form(graph)  # checks the z-order property
-    if ordered_faces[0] != face:
-        raise RouteDisagreement(
-            f"graph bottom face {ordered_faces[0]} disagrees with i0/j0/zeta0 face {face}"
-        )
-    return reg, socle, face
 
 
 def regularity_from_complex(

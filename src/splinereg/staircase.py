@@ -27,7 +27,7 @@ from itertools import count, islice
 from math import comb
 from typing import NamedTuple
 
-from ._echelon import DenseIntEchelon, _first_nonzero
+from ._echelon import DenseIntEchelon, SparseIntEchelon, _first_nonzero
 from .errors import DuplicateSlope, InvalidSlopeCount, StaircaseInvariant
 from .monomials import (
     Monomial,
@@ -73,7 +73,7 @@ class ColonStaircase(NamedTuple):
 class QData(NamedTuple):
     """The two colon staircases (x,z)/(y,z), the pruning index l0, and the
     minimalized union In Q.  Inputs arriving with a > b are swapped so the
-    x-side always carries the smaller slope count; `swapped` records it."""
+    x-side always carries the smaller slope count."""
 
     a: int
     b: int
@@ -82,7 +82,6 @@ class QData(NamedTuple):
     colon2: ColonStaircase
     l0: int
     in_q: MonomialIdeal
-    swapped: bool
 
     @property
     def i0(self) -> int:
@@ -109,8 +108,8 @@ class ClosedFormTable:
 
     `colons` holds the colon staircase of each (r, s) and `ideals` its
     ideal on each axis.  `unions` holds (l0, In Q) of each `QData.key`
-    (r, lambda', eta'), and `routes` the route values
-    `regularity.regularity_one_edge` checks for that key.
+    (r, lambda', eta'), and `routes` the (reg, socle, face) that
+    `syzygies.class_routes` checked for that key.
     This is exact: after the two colon staircases, In Q, its pruning check
     and the route checks read only r, lambda', eta', i0, j0, l0 and In Q,
     all functions of the key, so a cell reading an entry gets what it would
@@ -177,8 +176,7 @@ def build_q(a: int, b: int, r: int, table: ClosedFormTable | None = None) -> QDa
         raise ValueError("r must be >= 0")
     if table is None:
         table = ClosedFormTable()
-    swapped = a > b
-    if swapped:
+    if a > b:
         a, b = b, a
     colon1 = table.colon(r, a - 1)
     colon2 = table.colon(r, b - 1)
@@ -188,7 +186,7 @@ def build_q(a: int, b: int, r: int, table: ClosedFormTable | None = None) -> QDa
         in_q = ideal_sum(table.colon_ideal(colon1, "x"), table.colon_ideal(colon2, "y"))
         union = table.unions[key] = _pruned_union(colon1, colon2, in_q)
     l0, in_q = union
-    return QData(a, b, r, colon1, colon2, l0, in_q, swapped)
+    return QData(a, b, r, colon1, colon2, l0, in_q)
 
 
 def _pruned_union(
@@ -326,8 +324,10 @@ def sum_initial_oracle(r, slopes1, slopes2) -> MonomialIdeal:
     """In(Q(v1) + Q(v2)) recomputed from the colon subspaces: Q1 lives in
     k[x,z] and Q2 in k[y,z], so (Q1 + Q2)_d is spanned by y^j Q1_{d-j} and
     x^i Q2_{d-i}, with the colon bases stepped one degree at a time by
-    `_colon_bases`; pivot rows are the leading monomials.  The Q1 vectors
-    have distinct leads and go in without reduction.  It stops at the first
+    `_colon_bases`; pivot rows are the leading monomials.  Each vector is a
+    sparse dict keyed by monomial index, since a colon vector touches at
+    most e+1 of the (d+2)(d+1)/2 monomials of S_d.  The Q1 vectors have
+    distinct leads and go in without reduction.  It stops at the first
     degree whose echelon spans all of S_d."""
     slopes1 = _check_slopes(slopes1)
     slopes2 = _check_slopes(slopes2)
@@ -339,22 +339,21 @@ def sum_initial_oracle(r, slopes1, slopes2) -> MonomialIdeal:
     for d, basis1, basis2 in zip(count(), colons1, colons2):
         bases1.append(basis1)
         bases2.append(basis2)
-        n = (d + 2) * (d + 1) // 2
-        ech = DenseIntEchelon(n)
+        ech = SparseIntEchelon()
         for axis, bases in (("x", bases1), ("y", bases2)):
             for e, basis in enumerate(bases):
                 # basis vectors of degree e, times y^(d-e) (x side) or x^(d-e)
                 for bvec in basis:
-                    vec = [0] * n
+                    vec = {}
                     for t, val in enumerate(bvec):
                         if val:
                             ex, ey = (e - t, d - e) if axis == "x" else (d - e, e - t)
                             vec[monomial_index(ex, ey, d)] = val
                     ech.insert(vec)
-        for lead in ech.pivot_rows():
+        for lead in sorted(ech.pivots):
             ex, ey = index_exponents(lead, d)
             m = Monomial(ex, ey, d - ex - ey)
             if not any(g.divides(m) for g in gens):
                 gens.append(m)
-        if ech.rank == n:
+        if ech.rank == (d + 2) * (d + 1) // 2:
             return minimalize(gens)

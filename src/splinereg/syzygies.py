@@ -1,6 +1,7 @@
 """Buchberger graph of the staircase-union ideal, closed-form second and
 third syzygies, a multigraded Betti oracle via upper-Koszul complexes, and
-the bottom-face regularity extraction.
+the bottom-face regularity extraction.  `class_routes` is the one place that
+builds a class's graph and syzygies, and it checks them as it builds them.
 
 The Betti oracle never eliminates: each upper-Koszul complex is a
 subcomplex of the triangle on {x, y, z}, so its homology follows from how
@@ -19,6 +20,7 @@ from typing import NamedTuple
 
 from .errors import (
     NonMonotone,
+    RouteDisagreement,
     SocleMismatch,
     StaircaseInvariant,
     TrivialIdeal,
@@ -159,6 +161,33 @@ def regularity_from_bottom_face(q: QData) -> tuple[int, int]:
     return reg, socle
 
 
+class ClassRoutes(NamedTuple):
+    reg: int            # bottom-face route
+    socle: int          # socle route
+    face: Monomial      # the i0/j0/zeta0 bottom face
+    graph: BuchGraph
+    syz2: tuple[Monomial, ...]
+    syz3: list[Monomial]  # face lcms, bottom face first
+
+
+def class_routes(q: QData) -> ClassRoutes:
+    """Both regularity routes, the bottom face, the Buchberger graph and the
+    two syzygy closed forms of a nontrivial In Q.  Raises unless the routes
+    agree, the graph's faces pass the syz3 order check and its lowest face
+    is the i0/j0/zeta0 face; `syz2_closed_form` runs its own staircase
+    checks."""
+    reg, socle = regularity_from_bottom_face(q)  # raises unless the routes agree
+    face = bottom_face(q)
+    graph = buchberger_graph(q.in_q)
+    syz2 = syz2_closed_form(q)
+    syz3 = syz3_closed_form(graph)
+    if syz3[0] != face:
+        raise RouteDisagreement(
+            f"graph bottom face {syz3[0]} disagrees with i0/j0/zeta0 face {face}"
+        )
+    return ClassRoutes(reg, socle, face, graph, syz2, syz3)
+
+
 # ---------------------------------------------------------------------------
 # Betti oracle
 
@@ -174,15 +203,6 @@ class BettiTable(NamedTuple):
             if hom == i:
                 out.extend([b] * mult)
         return tuple(sorted(out, reverse=True))
-
-    def total(self, i: int) -> int:
-        return sum(mult for hom, _, mult in self.entries if hom == i)
-
-    def get(self, i: int, b: Monomial) -> int:
-        for hom, bb, mult in self.entries:
-            if hom == i and bb == b:
-                return mult
-        return 0
 
 
 def _lcm_closure(gens):

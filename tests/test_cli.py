@@ -1,11 +1,17 @@
+import builtins
 import hashlib
+import io
 import json
+import re
 import time
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hs
 
-from splinereg import chains, cli, geometry, regularity
+from splinereg import chains, cli, errors, geometry, regularity
 from splinereg.cli import main
 from splinereg.geometry import SimplicialComplex, ce1_complex, one_edge_complex
 from splinereg.staircase import ClosedFormTable, build_q
@@ -123,8 +129,13 @@ def test_sweep_empty_range_is_usage_error(capsys):
          "BadRange: range '3..' is not an integer or lo..hi"),
         (("sweep", "--a", "3..3", "--b", "3..3", "--r", "two"),
          "BadRange: range 'two' is not an integer or lo..hi"),
+        # both are checked before anything sized by the value is built
+        (("analyze", "ce1.json", "--r", "2", "--d", "10000000000000"),
+         "FlagAboveCap: d = 10000000000000 above the cap 98; pass --unsafe-no-cap to override"),
+        (("sweep", "--a", "3..4", "--b", "3..4", "--r", "1..10000000000000"),
+         "FlagAboveCap: r = 10000000000000 above the cap 24; pass --unsafe-no-cap to override"),
     ],
-    ids=["cap-ab", "cap-s", "cap-sweep-r", "non-integer", "open", "word"],
+    ids=["cap-ab", "cap-s", "cap-sweep-r", "non-integer", "open", "word", "cap-d", "huge-range"],
 )
 def test_flag_errors_are_typed(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -152,6 +163,26 @@ def test_integer_flags_are_typed(capsys, argv, message):
     assert code == 1
     assert out == ""
     assert err == f"error: NotAnInteger: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("betti", "--a", "3", "--b", "4", "--r", "4"),
+        ("staircase", "--r", "4", "--a", "3", "--b", "4", "--emit-graph"),
+    ],
+    ids=["betti", "staircase"],
+)
+def test_printed_graph_and_syzygies_pass_the_class_checks(capsys, monkeypatch, argv):
+    # the syzygies and graph these commands print come from
+    # `syzygies.class_routes`, so a failing route check stops the command
+    import splinereg.syzygies as syz
+
+    real = syz.max_socle_degree
+    monkeypatch.setattr(syz, "max_socle_degree", lambda ideal: real(ideal) + 1)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == "error: SocleMismatch: bottom-face route gives 7, socle route 8\n"
 
 
 def test_betti_command(capsys):
@@ -269,11 +300,11 @@ def test_capped_sweep_runs_each_check_once_per_class(capsys, monkeypatch):
     # the sweep's one ClosedFormTable builds each colon staircase once per
     # (r, s) and runs the route checks once per (r, lambda', eta') class:
     # 336 pairs (r, s) and 602 classes for 1,610 nontrivial cells
-    import splinereg.regularity as reg
     import splinereg.staircase as st
+    import splinereg.syzygies as syz
 
     calls = Counter()
-    for mod, name in ((reg, "buchberger_graph"), (reg, "regularity_from_bottom_face"),
+    for mod, name in ((syz, "buchberger_graph"), (syz, "regularity_from_bottom_face"),
                       (st, "staircase_closed_form")):
         def counted(*args, _real=getattr(mod, name), _name=name):
             calls[_name] += 1
@@ -557,3 +588,80 @@ def test_analyze_failed_check_exits_1(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, "analyze", str(path), "--r", "1", "--oracle")
     assert code == 1
     assert json.loads(out)["path_bounds"]["oracle_within_bounds"] is False
+
+
+# main() fuzzed over a fixed pool of flag values: small valid ones, then
+# -1, the flag's cap + 1, 10**13, a word, the empty string, a float and an
+# Arabic-Indic three, plus the range forms for `sweep`
+_HUGE = str(10**13)
+_BAD = ["-1", _HUGE, "x", "", "3.5", "\u0663"]
+_RANGES = ["3..4", "4..3", "3..", f"1..{_HUGE}"]
+
+
+def _pool(valid, cap, extra=()):
+    return hs.sampled_from([*valid, str(cap + 1), *_BAD, *extra])
+
+
+def _flag(name, pool, optional=False):
+    pair = pool.map(lambda v: [f"--{name}", v])
+    return hs.just([]) | pair if optional else pair
+
+
+def _switch(name):
+    return hs.sampled_from([[], [f"--{name}"]])
+
+
+def _command(*parts):
+    return hs.tuples(*parts).map(lambda ps: [tok for part in ps for tok in part])
+
+
+_R = _pool(["1", "2", "3"], 24)  # the Arabic-Indic three is r = 3 too
+_AB = _pool(["3", "4"], 16)
+_ARGV = hs.one_of(
+    _command(hs.just(["regularity"]), _flag("a", _AB), _flag("b", _AB), _flag("r", _R),
+             _switch("oracle")),
+    _command(hs.sampled_from([["analyze", "one34.json"], ["analyze", "ce1.json"]]),
+             _flag("r", _R), _flag("d", _pool(["2", "4"], 98), optional=True),
+             _switch("oracle"), _switch("emit-graph")),
+    _command(hs.just(["sweep"]), _flag("a", _pool(["3"], 16, _RANGES)),
+             _flag("b", _pool(["4"], 16, _RANGES)),
+             _flag("r", _pool(["2"], 24, _RANGES))),
+    _command(hs.just(["staircase"]), _flag("r", _R),
+             _flag("s", _pool(["2", "3"], 15), optional=True),
+             _flag("a", _AB, optional=True), _flag("b", _AB, optional=True),
+             _switch("emit-graph")),
+    _command(hs.just(["betti"]), _flag("a", _AB), _flag("b", _AB), _flag("r", _R)),
+)
+
+
+@pytest.fixture(scope="module")
+def complex_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("complexes")
+    files = {"one34.json": one_edge_complex(3, 4), "ce1.json": ce1_complex()}
+    for name, c in files.items():
+        (root / name).write_text(c.to_json())
+    return {name: str(root / name) for name in files}
+
+
+def _is_typed_error(name):
+    cls = getattr(errors, name, None) or getattr(builtins, name, None)
+    return isinstance(cls, type) and issubclass(cls, (errors.SplineRegError, OSError))
+
+
+@settings(max_examples=100, deadline=None)
+@given(argv=_ARGV)
+@example(argv=["analyze", "ce1.json", "--r", "2", "--d", _HUGE])
+@example(argv=["sweep", "--a", "3..4", "--b", "3..4", "--r", f"1..{_HUGE}"])
+def test_main_exits_0_or_1_with_one_typed_error_line(complex_files, argv):
+    argv = [complex_files.get(tok, tok) for tok in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    if code == 0:
+        assert err.getvalue() == "" and out.getvalue()
+        return
+    assert code == 1 and out.getvalue() == ""
+    line, = err.getvalue().splitlines()
+    assert err.getvalue() == line + "\n"
+    match = re.fullmatch(r"error: (\w+): .+", line)
+    assert match and _is_typed_error(match.group(1)), line

@@ -138,17 +138,38 @@ _SHAPED = hs.fixed_dictionaries(
 )
 
 
+# coordinates that only a non-ASCII digit or a trailing newline would let
+# through: Arabic-Indic two, "0\n" and 1/1 followed by Arabic-Indic two
+_NOT_ASCII_COORDS = ["\u0662", "0\n", "1/1\u0662"]
+
+
+def _triangle_with(coord):
+    vertices = [[coord, "0"], ["5", "0"], ["0", "5"]]
+    return json.dumps({"vertices": vertices, "triangles": [[0, 1, 2]]})
+
+
 @settings(max_examples=200, deadline=None)
 @given(hs.text() | _JSON.map(json.dumps) | _SHAPED.map(json.dumps))
 @example("[" * 100_000 + "]" * 100_000)  # deeper than the JSON decoder recurses
 @example("1" * 5000)  # an integer over the int() digit limit
 @example(json.dumps({"vertices": [["1" * 5000, "0"]], "triangles": []}))
+@example(_triangle_with(_NOT_ASCII_COORDS[0]))
+@example(_triangle_with(_NOT_ASCII_COORDS[1]))
+@example(_triangle_with(_NOT_ASCII_COORDS[2]))
 def test_parse_complex_returns_a_complex_or_a_typed_error(text):
     try:
         c = parse_complex(text)
     except SplineRegError:
         return
     assert isinstance(c, SimplicialComplex)
+
+
+@pytest.mark.parametrize("coord", _NOT_ASCII_COORDS, ids=["arabic-indic", "newline", "tail"])
+def test_coordinates_take_ascii_digits_only(coord):
+    # each would read as a number (2, 0 and 1/12) and be written back as ASCII
+    with pytest.raises(ParseError) as exc:
+        parse_complex(_triangle_with(coord))
+    assert str(exc.value) == f"coordinate {coord!r} is not a 'p/q' or integer string"
 
 
 def test_degenerate_triangle():
@@ -200,8 +221,8 @@ def test_linear_form_vanishes_on_edge(p, q):
         LinearForm.through(p, p)
     if p != q:
         f = LinearForm.through(p, q)
-        assert f.evaluate(p) == 0
-        assert f.evaluate(q) == 0
+        assert f.a * p[0] + f.b * p[1] + f.c == 0
+        assert f.a * q[0] + f.b * q[1] + f.c == 0
 
 
 def test_interior_stats_one_edge(complex_one33):

@@ -166,15 +166,19 @@ def test_report_json_shape():
 
 
 def test_bottom_face_check_survives_python_O():
+    # the socle route reads the same `bottom_face`, so the graph's lowest
+    # face is faked instead, and only the graph-face check can fire
     script = """
-import splinereg.regularity as reg
+import splinereg.syzygies as syz
 from splinereg.errors import RouteDisagreement
 from splinereg.monomials import Monomial
+from splinereg.regularity import regularity_one_edge
 
 assert not __debug__
-reg.bottom_face = lambda q: Monomial(q.i0, q.j0, 3)
+real = syz.syz3_closed_form
+syz.syz3_closed_form = lambda g: [Monomial(4, 3, 3)] + real(g)[1:]
 try:
-    reg.regularity_one_edge(3, 4, 8)
+    regularity_one_edge(3, 4, 8)
 except RouteDisagreement as exc:
     print("raised:", exc)
 """
@@ -183,7 +187,9 @@ except RouteDisagreement as exc:
         [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.startswith("raised: graph bottom face x^4 y^3 z disagrees")
+    assert out.stdout == (
+        "raised: graph bottom face x^4 y^3 z^3 disagrees with i0/j0/zeta0 face x^4 y^3 z\n"
+    )
 
 
 def test_socle_route_mismatch_names_both_values(monkeypatch):
@@ -199,15 +205,15 @@ def test_socle_route_mismatch_names_both_values(monkeypatch):
 def test_routes_record_each_route_own_value(monkeypatch):
     # the report keeps what each route computed, so a socle route that
     # drifts from the bottom face shows in `routes` and `routes_agree`
-    import splinereg.regularity as reg
+    import splinereg.syzygies as syz
 
-    real = reg.regularity_from_bottom_face
+    real = syz.regularity_from_bottom_face
 
     def drifted(q):
         face, socle = real(q)
         return face, socle + 1
 
-    monkeypatch.setattr(reg, "regularity_from_bottom_face", drifted)
+    monkeypatch.setattr(syz, "regularity_from_bottom_face", drifted)
     rep = regularity_one_edge(3, 4, 8)
     assert rep.routes == {"bottom_face": 14, "socle_shift": 15}
     assert not rep.routes_agree

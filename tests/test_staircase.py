@@ -162,7 +162,7 @@ def test_build_q_trivial():
 
 def test_build_q_swaps():
     q = build_q(5, 3, 4)
-    assert (q.a, q.b) == (3, 5) and q.swapped
+    assert (q.a, q.b) == (3, 5)
     assert q.in_q == build_q(3, 5, 4).in_q
 
 

@@ -145,6 +145,23 @@ def test_buchberger_graph_does_not_reach_the_closed_form():
     assert not names & forbidden
 
 
+def test_only_class_routes_assembles_the_syzygy_closed_forms():
+    # `syzygies.class_routes` builds a class's graph and both syzygy closed
+    # forms and checks them as it builds them, so no other module or script
+    # names a closed form and prints what no check has seen
+    closed_forms = {"syz2_closed_form", "syz3_closed_form"}
+    naming = set()
+    for path in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = {
+            getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+            for node in ast.walk(tree)
+        }
+        if names & closed_forms:
+            naming.add(path.name)
+    assert naming == {"syzygies.py"}
+
+
 def test_chain_oracle_stays_on_integers():
     # the boundary map is built in translated integer vertex frames, so
     # neither it nor a chains helper it calls may need rational arithmetic
