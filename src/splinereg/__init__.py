@@ -11,6 +11,7 @@ from .chains import (
     spline_dim_formula,
     spline_dim_formulas,
     spline_dim_oracle,
+    spline_dim_oracles,
 )
 from .geometry import (
     SimplicialComplex,

@@ -10,8 +10,8 @@ The sparse echelon reduces the insert's own zero-free copy of the vector in
 place: both multipliers are negated when a < 0, so a > 0, and the scaling
 pass is skipped when a == 1, as in most steps of the spline-dimension
 oracle, whose rows lead in +-1 entries.  Its callers key coordinates by
-block-major integers (block * block_size + index), which sort like the
-(block, index) pairs they stand for and hash and compare faster.
+integers that sort like the tuples they stand for, degree level first,
+and hash and compare faster.
 """
 from __future__ import annotations
 

@@ -15,10 +15,16 @@ for w).  Each vertex block is an invertible change of basis of S_d and
 scaling a column does not change the rank, so the rank equals the naive
 monomial-basis rank (cross-checked in the tests against dense Fraction
 elimination).
+
+Both oracles eliminate once per run, not once per degree.  Setting t = 1
+(z = 1 for the spline oracle) identifies S_d with the polynomials of
+degree <= d (Billera-Rose 1991), and under that identification each
+degree's system is a prefix of the next one's.
 """
 from __future__ import annotations
 
 from collections.abc import Iterator
+from itertools import count
 from math import comb, lcm
 from typing import NamedTuple
 
@@ -31,7 +37,7 @@ from .geometry import (
     _canonical_int_vector,
     interior_stats,
 )
-from .monomials import count_degree, monomial_index
+from .monomials import count_degree
 from .staircase import _power_echelons
 
 
@@ -55,7 +61,9 @@ class IdealComplexData(NamedTuple):
     """The boundary map's column groups and frames of one (complex, r), and
     at each interior vertex v the walk of J'(v) in its frame (u, w): the
     echelon of J'(v)_e for e = r+1, r+2, ..., advanced only as far as a
-    requested degree needs, with the slice ranks dim J'(v)_e walked so far."""
+    requested degree needs, with the slice ranks dim J'(v)_e walked so far.
+    The boundary map is walked the same way: one echelon over the degrees
+    d = r+1, r+2, ..., with the ranks walked so far."""
 
     r: int
     groups: tuple[EdgeGroup, ...]
@@ -63,6 +71,8 @@ class IdealComplexData(NamedTuple):
     origins: dict[int, tuple[int, int]]  # (L p_x, L p_y): the frame's integer translation
     walks: dict[int, Iterator]  # `_power_echelons` over v's forms as coprime (a, b)
     slice_ranks: dict[int, list[int]]  # dim J'(v)_{r+1+i} at index i
+    boundary_walk: Iterator[int]  # `_boundary_walk` over the groups
+    boundary_ranks: list[int]  # rank of the degree-(r+1+i) boundary map at index i
 
 
 def ideal_complex(c: SimplicialComplex, r: int) -> IdealComplexData:
@@ -97,7 +107,11 @@ def ideal_complex(c: SimplicialComplex, r: int) -> IdealComplexData:
         for v, forms in vertex_forms.items()
     }
     slice_ranks = {v: [] for v in vertex_forms}
-    return IdealComplexData(r, tuple(groups), vertex_forms, origins, walks, slice_ranks)
+    groups = tuple(groups)
+    return IdealComplexData(
+        r, groups, vertex_forms, origins, walks, slice_ranks,
+        _boundary_walk(r, groups, origins, vpos), [],
+    )
 
 
 def _poly_mul(p, q):
@@ -128,52 +142,69 @@ def _poly_pow(p, n):
     return out
 
 
-def boundary_rank(c: SimplicialComplex, r: int, d: int, data: IdealComplexData | None = None) -> int:
-    """Exact rank of the degree-d boundary map of the ideal complex, each
-    column scaled by L^{r+1} in the translated integer vertex frames."""
-    if data is None:
-        data = ideal_complex(c, r)
-    if d < r + 1 or not c.interior_vertices:
-        return 0
-    vpos = {v: i for i, v in enumerate(c.interior_vertices)}
+def _boundary_walk(r, groups, origins, vpos) -> Iterator[int]:
+    """The rank of the degree-d boundary map for d = r+1, r+2, ..., each
+    column scaled by L^{r+1} in the translated integer vertex frames.
+
+    With t = 1 a degree-d column is its (u, w) polynomial of degree <= d, so
+    the degree-d columns are the degree-(d-1) ones plus one new level: the
+    multipliers u^alpha w^beta with alpha + beta = d - r - 1.  One echelon
+    takes the levels in turn.  A coordinate u^eu w^ew at vertex position p
+    is keyed ((eu+ew)(eu+ew+1)/2 + ew) * n + p, total degree first and
+    vertex last, which needs no bound on d."""
+    n = len(vpos)
+
+    def key(eu, ew, pos):
+        e = eu + ew
+        return (e * (e + 1) // 2 + ew) * n + pos
+
     ech = SparseIntEchelon()
-    big = d - r - 1
-    # block-major integer keys block * n + idx sort like (block, idx)
-    n = count_degree(d)
-    for group in data.groups:
+    columns = []  # per group: home position and coefficients, far position and shifts
+    levels = []  # per group: the far blocks of the current level by alpha, or None
+    for group in groups:
         a, b = group.form.a, group.form.b
-        home_base = [comb(r + 1, m) * a ** (r + 1 - m) * b**m for m in range(r + 2)]
-        hbase = vpos[group.home] * n
         # the edge is oriented by ascending vertex index; its differential is
         # (+1) at the head block and (-1) at the tail block
         hsign = 1 if group.home == max(group.edge) else -1
-        p_alpha = None  # far block of the alpha-th multiplier row, beta = 0
-        if group.far is not None:
-            (hx, hy), (fx, fy) = data.origins[group.home], data.origins[group.far]
-            # (a u + b w)^{r+1} is the same in both frames; u_home and w_home
-            # are u_far and w_far shifted by integer multiples of t
-            p_alpha = _poly_pow(_linear_poly((a, b, 0)), r + 1)
-            u_home = _linear_poly((1, 0, fx - hx))
-            w_home = _linear_poly((0, 1, fy - hy))
-            fbase = vpos[group.far] * n
-        for alpha in range(big + 1):
-            if p_alpha is not None and alpha > 0:
-                p_alpha = _poly_mul(p_alpha, u_home)
-            q_ab = p_alpha
-            for beta in range(big - alpha + 1):
-                if q_ab is not None and beta > 0:
-                    q_ab = _poly_mul(q_ab, w_home)
-                col = {
-                    hbase + monomial_index(r + 1 - m + alpha, m + beta, d): hsign * home_base[m]
-                    for m in range(r + 2)
-                }
-                if q_ab is not None:
-                    # far-frame exponents are (eu, ew, et + gamma); the index
-                    # only needs the first two at fixed total degree d
-                    for (eu, ew, _et), v in q_ab.items():
-                        col[fbase + monomial_index(eu, ew, d)] = -hsign * v
+        coeffs = [hsign * comb(r + 1, m) * a ** (r + 1 - m) * b**m for m in range(r + 2)]
+        if group.far is None:
+            columns.append((vpos[group.home], coeffs, None, None, None))
+            levels.append(None)
+            continue
+        (hx, hy), (fx, fy) = origins[group.home], origins[group.far]
+        # (a u + b w)^{r+1} is the same in both frames; u_home and w_home are
+        # u_far and w_far shifted by integer multiples of t = 1
+        u_home, w_home = _linear_poly((1, 0, fx - hx)), _linear_poly((0, 1, fy - hy))
+        columns.append((vpos[group.home], coeffs, vpos[group.far], u_home, w_home))
+        power = _poly_pow(_linear_poly((a, b, 0)), r + 1)
+        levels.append([{mono: -hsign * v for mono, v in power.items()}])
+    for k in count():
+        for i, (hpos, coeffs, fpos, u_home, w_home) in enumerate(columns):
+            polys = levels[i]
+            if polys is not None and k > 0:
+                # level k by alpha = 0..k: each block of level k-1 times
+                # w_home, and the last one (alpha = k-1) also times u_home
+                polys = levels[i] = [_poly_mul(q, w_home) for q in polys] + [_poly_mul(polys[-1], u_home)]
+            for alpha in range(k + 1):
+                col = {key(r + 1 - m + alpha, m + k - alpha, hpos): v for m, v in enumerate(coeffs)}
+                if polys is not None:
+                    for (eu, ew, _et), v in polys[alpha].items():
+                        col[key(eu, ew, fpos)] = v
                 ech.insert(col)
-    return ech.rank
+        yield ech.rank
+
+
+def boundary_rank(c: SimplicialComplex, r: int, d: int, data: IdealComplexData | None = None) -> int:
+    """Exact rank of the degree-d boundary map of the ideal complex, read
+    off the run's boundary walk, advanced only as far as d needs."""
+    if data is None:
+        data = ideal_complex(c, r)
+    if d < r + 1:
+        return 0
+    ranks = data.boundary_ranks
+    while len(ranks) < d - r:
+        ranks.append(next(data.boundary_walk))
+    return ranks[d - r - 1]
 
 
 def _vertex_dim(data: IdealComplexData, d: int, v: int) -> int:
@@ -304,32 +335,58 @@ def spline_dim_formulas(
 
 def spline_dim_oracle(c: SimplicialComplex, r: int, d: int) -> int:
     """Brute force from the definition (Schenck-Stillman 1997): one f_t in
-    S_d per triangle with f_t1 - f_t2 in <l_e^{r+1}> on each interior edge.
+    S_d per triangle with f_t1 - f_t2 in <l_e^{r+1}> on each interior edge;
+    see `spline_dim_oracles`."""
+    return spline_dim_oracles(c, r, d)[d]
 
-    Unknowns: the f_t and one g_e in S_{d-r-1} per interior edge; each edge
-    gives one integer row of f_t1 - f_t2 - l_e^{r+1} g_e = 0 per degree-d
-    monomial.  Multiplying by l_e^{r+1} is injective, so the solutions
-    project isomorphically onto the splines and dim C^r_d = unknowns - rank.
-    No H0, local resolution or interior statistics enters, so the oracle
-    stays independent of the formula it checks."""
-    if d < 0:
+
+def spline_dim_oracles(c: SimplicialComplex, r: int, top: int) -> list[int]:
+    """`spline_dim_oracle` for d = 0..top, from one elimination.
+
+    Unknowns: the f_t in S_top and one g_e in S_{top-r-1} per interior edge;
+    each edge gives one integer row of f_t1 - f_t2 - l_e^{r+1} g_e = 0 per
+    degree-top monomial.  Multiplying by l_e^{r+1} is injective, so the
+    solutions project isomorphically onto the splines and
+    dim C^r_d = unknowns - rank.
+
+    With z = 1, f_t's monomial x^a y^b z^c has level a + b, g_e's monomial
+    mu has level deg_xy(mu) + r + 1, and a row has the level of its
+    monomial.  Every entry of a row has a level at least the row's own, so
+    the unknowns and rows of level <= d form exactly the degree-d system.
+    Columns are keyed level by level, and the pivot columns of an echelon
+    form are its greedy column basis, so the rank of the degree-d system is
+    the number of leads of level <= d.  No H0, local resolution or interior
+    statistics enters, so the oracle stays independent of the formula it
+    checks."""
+    if top < 0:
         raise ValueError("degree must be nonnegative")
-    big = d - r - 1
-    g_monos = [(ex, ey) for ex in range(big + 1) for ey in range(big + 1 - ex)]
-    n_s, n_g = count_degree(d), len(g_monos)
-    g_base = len(c.triangles) * n_s
+    n_t, n_e = len(c.triangles), len(c.interior_edges)
+    # level-major integer keys (level * blocks + block) * (top + 1) + ey: the
+    # triangles' f blocks come before the edges' g blocks of the same level,
+    # so every row leads in an f
+    blocks, width = n_t + n_e, top + 1
     ech = SparseIntEchelon()
-    # block-major integer keys: f-keys t * n_s + m come before g-keys
-    # g_base + j * n_g + m', so every row leads in an f
     for j, e in enumerate(c.interior_edges):
         t1, t2 = c.edge_triangles[e]
-        rows = [{t1 * n_s + m: 1, t2 * n_s + m: -1} for m in range(n_s)]
+        rows = {}
+        for level in range(top + 1):
+            base = level * blocks * width
+            for b in range(level + 1):
+                rows[level - b, b] = {base + t1 * width + b: 1, base + t2 * width + b: -1}
         power = _poly_pow(_linear_poly(c.edge_form(e).vector()), r + 1)
-        j_base = g_base + j * n_g
+        g_block = n_t + j
         for (a, b, _c), v in power.items():
-            for gm, (ex, ey) in enumerate(g_monos):
-                rows[monomial_index(a + ex, b + ey, d)][j_base + gm] = -v
-        for row in rows:
+            for g_level in range(top - r):
+                base = ((g_level + r + 1) * blocks + g_block) * width
+                for ey in range(g_level + 1):
+                    rows[a + g_level - ey, b + ey][base + ey] = -v
+        for row in rows.values():
             ech.insert(row)
-    n_unknowns = g_base + len(c.interior_edges) * n_g
-    return n_unknowns - ech.rank
+    leads = [0] * (top + 1)
+    for k in ech.pivots:
+        leads[k // (blocks * width)] += 1
+    dims, rank = [], 0
+    for d in range(top + 1):
+        rank += leads[d]
+        dims.append(n_t * count_degree(d) + n_e * count_degree(d - r - 1) - rank)
+    return dims

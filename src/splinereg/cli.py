@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
-from .chains import H0Table, spline_dim_formulas, spline_dim_oracle
+from .chains import H0Table, spline_dim_formulas, spline_dim_oracles
 from .errors import BadRange, FlagAboveCap, NegativeFlag, NotAnInteger, ParseError, SplineRegError
 from .geometry import parse_complex, interior_stats
 from .regularity import path_bounds, regularity_from_complex, regularity_one_edge
@@ -22,17 +23,28 @@ SCHEMA = "spline-reg/1"
 R_CAP = 24
 AB_CAP = 16
 D_CAP = 4 * R_CAP + 2
+_INT_RE = re.compile(r"-?[0-9]+")  # ASCII only, used with fullmatch, like the coordinates
+
+
+def _ascii_int(text: str) -> int | None:
+    """The value of an integer flag's text, or None when it is not one:
+    `int()` alone would also read other Unicode digits, surrounding
+    whitespace and underscores, and fails past its digit limit."""
+    if _INT_RE.fullmatch(text):
+        try:
+            return int(text)
+        except ValueError:
+            pass
+    return None
 
 
 def _parse_range(text: str) -> tuple[int, int]:
     """The ends lo <= hi of a range flag `lo..hi` or `n`, so the caps are
     checked before anything sized by the range is built."""
     lo, sep, hi = text.partition("..")
-    try:
-        lo = int(lo)
-        hi = int(hi) if sep else lo
-    except ValueError:
-        raise BadRange(f"range {text!r} is not an integer or lo..hi") from None
+    lo, hi = _ascii_int(lo), _ascii_int(hi if sep else lo)
+    if lo is None or hi is None:
+        raise BadRange(f"range {text!r} is not an integer or lo..hi")
     if hi < lo:
         raise BadRange(f"empty range {text!r}")
     return lo, hi
@@ -45,10 +57,10 @@ def _read_ints(args, *names):
         text = getattr(args, name)
         if text is None:
             continue
-        try:
-            setattr(args, name, int(text))
-        except ValueError:
-            raise NotAnInteger(f"{name} = {text!r} is not an integer") from None
+        value = _ascii_int(text)
+        if value is None:
+            raise NotAnInteger(f"{name} = {text!r} is not an integer")
+        setattr(args, name, value)
 
 
 def _check_caps(args, values, cap, what):
@@ -164,10 +176,11 @@ def cmd_analyze(args) -> dict:
         payload["note"] = "no totally interior edges: H0 vanishes"
     if args.d is not None:
         dims = []
+        oracle = spline_dim_oracles(c, args.r, args.d) if args.oracle else None
         for d, formula in enumerate(spline_dim_formulas(c, args.r, args.d, h0, stats)):
             entry = {"d": d, "dim_formula": formula}
-            if args.oracle:
-                entry["dim_oracle"] = spline_dim_oracle(c, args.r, d)
+            if oracle is not None:
+                entry["dim_oracle"] = oracle[d]
                 entry["agree"] = entry["dim_formula"] == entry["dim_oracle"]
             dims.append(entry)
         payload["spline_dimensions"] = dims

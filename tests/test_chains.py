@@ -6,7 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from splinereg import chains
+from splinereg._echelon import SparseIntEchelon
 from splinereg.chains import (
+    _linear_poly,
+    _poly_mul,
+    _poly_pow,
     _vertex_dim,
     boundary_rank,
     h0_hilbert_oracle,
@@ -16,10 +20,11 @@ from splinereg.chains import (
     spline_dim_formula,
     spline_dim_formulas,
     spline_dim_oracle,
+    spline_dim_oracles,
 )
 from splinereg.errors import CapExceeded
 from splinereg.geometry import SimplicialComplex, one_edge_fan, square_with_diagonals
-from splinereg.monomials import count_degree, hilbert_function, monomials_of_degree
+from splinereg.monomials import count_degree, hilbert_function, monomial_index, monomials_of_degree
 from splinereg.ratlinalg import RatMatrix, rank
 from splinereg.staircase import _power_echelons, build_q
 
@@ -99,6 +104,129 @@ def _assert_image_keeps_ranks(c, r, degrees):
         assert boundary_rank(image, r, d) == naive_boundary_rank(image, r, d)
         assert boundary_rank(image, r, d) == boundary_rank(c, r, d)
     assert h0_regularity_oracle(image, r) == h0_regularity_oracle(c, r)
+
+
+# -- the per-degree kernels that the two walks replaced, kept verbatim as
+#    their references: each builds its echelon from nothing for one degree
+
+
+def per_degree_boundary_rank(c, r, d, data=None):
+    """Exact rank of the degree-d boundary map of the ideal complex, each
+    column scaled by L^{r+1} in the translated integer vertex frames."""
+    if data is None:
+        data = ideal_complex(c, r)
+    if d < r + 1 or not c.interior_vertices:
+        return 0
+    vpos = {v: i for i, v in enumerate(c.interior_vertices)}
+    ech = SparseIntEchelon()
+    big = d - r - 1
+    # block-major integer keys block * n + idx sort like (block, idx)
+    n = count_degree(d)
+    for group in data.groups:
+        a, b = group.form.a, group.form.b
+        home_base = [comb(r + 1, m) * a ** (r + 1 - m) * b**m for m in range(r + 2)]
+        hbase = vpos[group.home] * n
+        # the edge is oriented by ascending vertex index; its differential is
+        # (+1) at the head block and (-1) at the tail block
+        hsign = 1 if group.home == max(group.edge) else -1
+        p_alpha = None  # far block of the alpha-th multiplier row, beta = 0
+        if group.far is not None:
+            (hx, hy), (fx, fy) = data.origins[group.home], data.origins[group.far]
+            # (a u + b w)^{r+1} is the same in both frames; u_home and w_home
+            # are u_far and w_far shifted by integer multiples of t
+            p_alpha = _poly_pow(_linear_poly((a, b, 0)), r + 1)
+            u_home = _linear_poly((1, 0, fx - hx))
+            w_home = _linear_poly((0, 1, fy - hy))
+            fbase = vpos[group.far] * n
+        for alpha in range(big + 1):
+            if p_alpha is not None and alpha > 0:
+                p_alpha = _poly_mul(p_alpha, u_home)
+            q_ab = p_alpha
+            for beta in range(big - alpha + 1):
+                if q_ab is not None and beta > 0:
+                    q_ab = _poly_mul(q_ab, w_home)
+                col = {
+                    hbase + monomial_index(r + 1 - m + alpha, m + beta, d): hsign * home_base[m]
+                    for m in range(r + 2)
+                }
+                if q_ab is not None:
+                    # far-frame exponents are (eu, ew, et + gamma); the index
+                    # only needs the first two at fixed total degree d
+                    for (eu, ew, _et), v in q_ab.items():
+                        col[fbase + monomial_index(eu, ew, d)] = -hsign * v
+                ech.insert(col)
+    return ech.rank
+
+
+
+def per_degree_spline_dim_oracle(c, r, d):
+    """Brute force from the definition (Schenck-Stillman 1997): one f_t in
+    S_d per triangle with f_t1 - f_t2 in <l_e^{r+1}> on each interior edge.
+
+    Unknowns: the f_t and one g_e in S_{d-r-1} per interior edge; each edge
+    gives one integer row of f_t1 - f_t2 - l_e^{r+1} g_e = 0 per degree-d
+    monomial.  Multiplying by l_e^{r+1} is injective, so the solutions
+    project isomorphically onto the splines and dim C^r_d = unknowns - rank.
+    No H0, local resolution or interior statistics enters, so the oracle
+    stays independent of the formula it checks."""
+    if d < 0:
+        raise ValueError("degree must be nonnegative")
+    big = d - r - 1
+    g_monos = [(ex, ey) for ex in range(big + 1) for ey in range(big + 1 - ex)]
+    n_s, n_g = count_degree(d), len(g_monos)
+    g_base = len(c.triangles) * n_s
+    ech = SparseIntEchelon()
+    # block-major integer keys: f-keys t * n_s + m come before g-keys
+    # g_base + j * n_g + m', so every row leads in an f
+    for j, e in enumerate(c.interior_edges):
+        t1, t2 = c.edge_triangles[e]
+        rows = [{t1 * n_s + m: 1, t2 * n_s + m: -1} for m in range(n_s)]
+        power = _poly_pow(_linear_poly(c.edge_form(e).vector()), r + 1)
+        j_base = g_base + j * n_g
+        for (a, b, _c), v in power.items():
+            for gm, (ex, ey) in enumerate(g_monos):
+                rows[monomial_index(a + ex, b + ey, d)][j_base + gm] = -v
+        for row in rows:
+            ech.insert(row)
+    n_unknowns = g_base + len(c.interior_edges) * n_g
+    return n_unknowns - ech.rank
+
+
+# (complex, r) pairs whose every degree up to 4r+2 the walks must reproduce
+_REFERENCE_CASES = (
+    [("one33", r) for r in range(5)]
+    + [("one34", r) for r in range(5)]
+    + [("one34-image", r) for r in range(4)]
+    + [("ce1", r) for r in range(5)]
+    + [("star", r) for r in range(5)]
+    + [("square", r) for r in range(5)]
+)
+
+
+def _reference_complex(request, name):
+    if name == "square":
+        return square_with_diagonals()
+    if name == "one34-image":
+        return _rational_image(request.getfixturevalue("complex_one34"))
+    return request.getfixturevalue("complex_" + name)
+
+
+def _assert_walks_equal_per_degree_kernels(c, r):
+    top = 4 * r + 2
+    data = ideal_complex(c, r)
+    # the top degree first: the walk must advance to it, then read the
+    # lower degrees back from the ranks it walked
+    walked = [boundary_rank(c, r, d, data) for d in range(top, -1, -1)][::-1]
+    assert walked == [per_degree_boundary_rank(c, r, d) for d in range(top + 1)]
+    assert spline_dim_oracles(c, r, top) == [
+        per_degree_spline_dim_oracle(c, r, d) for d in range(top + 1)
+    ]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name,r", _REFERENCE_CASES, ids=[f"{n}-r{r}" for n, r in _REFERENCE_CASES])
+def test_walks_equal_per_degree_kernels(request, name, r):
+    _assert_walks_equal_per_degree_kernels(_reference_complex(request, name), r)
 
 
 @pytest.mark.parametrize("r,dmax", [(1, 5), (2, 6), (3, 10)])
@@ -335,3 +463,13 @@ def test_spline_formula_equals_oracle_on_random_fans(lefts, mids, r, top):
     c = one_edge_fan(lefts, mids)
     oracle = [spline_dim_oracle(c, r, d) for d in range(top + 1)]
     assert oracle == spline_dim_formulas(c, r, top)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    lefts=hs.lists(_LEFT, min_size=1, max_size=4, unique=True),
+    mids=hs.lists(_MID, max_size=3, unique=True),
+    r=hs.integers(0, 2),
+)
+def test_walks_equal_per_degree_kernels_on_random_fans(lefts, mids, r):
+    _assert_walks_equal_per_degree_kernels(one_edge_fan(lefts, mids), r)

@@ -134,8 +134,18 @@ def test_sweep_empty_range_is_usage_error(capsys):
          "FlagAboveCap: d = 10000000000000 above the cap 98; pass --unsafe-no-cap to override"),
         (("sweep", "--a", "3..4", "--b", "3..4", "--r", "1..10000000000000"),
          "FlagAboveCap: r = 10000000000000 above the cap 24; pass --unsafe-no-cap to override"),
+        # a range's ends are ASCII digits, as the coordinates are
+        (("sweep", "--a", " 3", "--b", "3..4", "--r", "1..2"),
+         "BadRange: range ' 3' is not an integer or lo..hi"),
+        (("sweep", "--a", "3", "--b", "3..\u0664", "--r", "1..2"),
+         "BadRange: range '3..\u0664' is not an integer or lo..hi"),
+        (("sweep", "--a", "3", "--b", "3", "--r", "1_0"),
+         "BadRange: range '1_0' is not an integer or lo..hi"),
     ],
-    ids=["cap-ab", "cap-s", "cap-sweep-r", "non-integer", "open", "word", "cap-d", "huge-range"],
+    ids=[
+        "cap-ab", "cap-s", "cap-sweep-r", "non-integer", "open", "word", "cap-d", "huge-range",
+        "space", "arabic-indic", "underscore",
+    ],
 )
 def test_flag_errors_are_typed(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -152,8 +162,14 @@ def test_flag_errors_are_typed(capsys, argv, message):
         (("betti", "--a", "", "--b", "4", "--r", "2"), "a = '' is not an integer"),
         (("regularity", "--a", "3", "--b", "x", "--r", "2"), "b = 'x' is not an integer"),
         (("staircase", "--r", "2", "--s", "3..4"), "s = '3..4' is not an integer"),
+        # ASCII digits only, as for the coordinates: int() alone reads these
+        # as 8, 10, 3 and 2
+        (("regularity", "--a", "3", "--b", "4", "--r", "\u0668"), "r = '\u0668' is not an integer"),
+        (("regularity", "--a", "3", "--b", "4", "--r", "1_0"), "r = '1_0' is not an integer"),
+        (("betti", "--a", " 3", "--b", "4", "--r", "2"), "a = ' 3' is not an integer"),
+        (("staircase", "--r", "+2", "--s", "3"), "r = '+2' is not an integer"),
     ],
-    ids=["r", "d", "a", "b", "s"],
+    ids=["r", "d", "a", "b", "s", "arabic-indic", "underscore", "space", "plus"],
 )
 def test_integer_flags_are_typed(capsys, argv, message):
     # each integer flag is read as text, so a bad value is a typed error
@@ -281,6 +297,24 @@ def test_analyze_reads_interior_stats_once(tmp_path, capsys, monkeypatch, comple
     code, _, _ = run(capsys, "analyze", str(path), *argv)
     assert code == 0
     assert calls == [int(argv[1])]
+
+
+def test_analyze_runs_the_spline_oracle_once(tmp_path, capsys, monkeypatch):
+    # one elimination ranks every degree up to --d
+    calls = []
+    original = chains.spline_dim_oracles
+
+    def counted(c, r, top):
+        calls.append((r, top))
+        return original(c, r, top)
+
+    monkeypatch.setattr(cli, "spline_dim_oracles", counted)
+    path = tmp_path / "ce1.json"
+    path.write_text(ce1_complex().to_json())
+    code, out, _ = run(capsys, "analyze", str(path), "--r", "2", "--d", "10", "--oracle")
+    assert code == 0
+    assert calls == [(2, 10)]
+    assert len(json.loads(out)["spline_dimensions"]) == 11
 
 
 CAPPED_SWEEP = ("sweep", "--a", "3..16", "--b", "3..16", "--r", "1..24")
@@ -577,7 +611,7 @@ def test_analyze_failed_check_exits_1(tmp_path, capsys, monkeypatch):
     path = tmp_path / "ce1.json"
     path.write_text(ce1_complex().to_json())
     with monkeypatch.context() as patch:
-        patch.setattr(cli, "spline_dim_oracle", lambda c, r, d: -1)
+        patch.setattr(cli, "spline_dim_oracles", lambda c, r, top: [-1] * (top + 1))
         code, out, _ = run(capsys, "analyze", str(path), "--r", "1", "--d", "3", "--oracle")
     assert code == 1
     data = json.loads(out)

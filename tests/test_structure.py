@@ -84,22 +84,46 @@ def _names_reached(module, roots):
     return names
 
 
+def _module_names(module):
+    """The names a package module defines or imports at its top level."""
+    names = set()
+    for node in ast.parse((PACKAGE / module).read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {alias.asname or alias.name for alias in node.names}
+    return names
+
+
 def test_spline_dim_oracle_does_not_reach_the_formula():
     # the brute-force spline dimension is the independent witness for the
     # formula built from H0 and the local resolutions, so neither it nor a
-    # chains helper it calls may name any piece of that formula
-    names = _names_reached("chains.py", ["spline_dim_oracle"])
-    assert {"SparseIntEchelon", "_poly_pow"} <= names  # the walk does see calls
+    # chains helper it calls may name any piece of that formula or of the
+    # chain oracle's boundary walk
+    names = _names_reached("chains.py", ["spline_dim_oracle", "spline_dim_oracles"])
+    assert {"SparseIntEchelon", "_poly_pow", "spline_dim_oracles"} <= names  # sees calls
     forbidden = {
         "H0Table",
         "_h0_dim",
         "boundary_rank",
         "ideal_complex",
+        "_boundary_walk",
+        "boundary_ranks",
         "schumaker_local",
         "interior_stats",
         "spline_dim_formulas",
     }
     assert not names & forbidden
+    # of the chains module's own and imported names, the two oracles share
+    # only the echelon, the polynomial helpers (and what those call),
+    # count_degree and the input type both take
+    module = _module_names("chains.py")
+    chain = _names_reached("chains.py", ["H0Table", "h0_regularity_oracle", "h0_hilbert_oracle"])
+    assert {"_boundary_walk", "boundary_rank", "_vertex_dim"} <= chain  # sees calls
+    kernels = _names_reached("chains.py", ["_poly_pow", "_linear_poly"]) & module
+    allowed = kernels | {"SparseIntEchelon", "_poly_pow", "_linear_poly", "count_degree", "SimplicialComplex"}
+    shared = names & chain & module
+    assert shared <= allowed, shared - allowed
 
 
 def test_power_walk_does_not_reach_the_closed_form():
