@@ -19,12 +19,14 @@ elimination).
 Both oracles eliminate once per run, not once per degree.  Setting t = 1
 (z = 1 for the spline oracle) identifies S_d with the polynomials of
 degree <= d (Billera-Rose 1991), and under that identification each
-degree's system is a prefix of the next one's.
+degree's system is a prefix of the next one's.  A run's whole H0 state is
+one generator, `_h0_walk`, which walks the boundary map and each J'(v)
+together and yields dim H0_d degree by degree.
 """
 from __future__ import annotations
 
 from collections.abc import Iterator
-from itertools import count
+from itertools import count, islice
 from math import comb, lcm
 from typing import NamedTuple
 
@@ -58,21 +60,13 @@ class EdgeGroup(NamedTuple):
 
 
 class IdealComplexData(NamedTuple):
-    """The boundary map's column groups and frames of one (complex, r), and
-    at each interior vertex v the walk of J'(v) in its frame (u, w): the
-    echelon of J'(v)_e for e = r+1, r+2, ..., advanced only as far as a
-    requested degree needs, with the slice ranks dim J'(v)_e walked so far.
-    The boundary map is walked the same way: one echelon over the degrees
-    d = r+1, r+2, ..., with the ranks walked so far."""
+    """The boundary map's column groups and the vertex forms and frames of
+    one (complex, r)."""
 
     r: int
     groups: tuple[EdgeGroup, ...]
     vertex_forms: dict[int, tuple[LinearForm, ...]]  # one form per slope at the vertex
     origins: dict[int, tuple[int, int]]  # (L p_x, L p_y): the frame's integer translation
-    walks: dict[int, Iterator]  # `_power_echelons` over v's forms as coprime (a, b)
-    slice_ranks: dict[int, list[int]]  # dim J'(v)_{r+1+i} at index i
-    boundary_walk: Iterator[int]  # `_boundary_walk` over the groups
-    boundary_ranks: list[int]  # rank of the degree-(r+1+i) boundary map at index i
 
 
 def ideal_complex(c: SimplicialComplex, r: int) -> IdealComplexData:
@@ -102,16 +96,7 @@ def ideal_complex(c: SimplicialComplex, r: int) -> IdealComplexData:
         for coord in c.vertices[v]:
             scale = lcm(scale, coord.denominator)
     origins = {v: (int(scale * c.vertices[v][0]), int(scale * c.vertices[v][1])) for v in interior}
-    walks = {
-        v: _power_echelons(r, [_canonical_int_vector((f.a, f.b)) for f in forms])
-        for v, forms in vertex_forms.items()
-    }
-    slice_ranks = {v: [] for v in vertex_forms}
-    groups = tuple(groups)
-    return IdealComplexData(
-        r, groups, vertex_forms, origins, walks, slice_ranks,
-        _boundary_walk(r, groups, origins, vpos), [],
-    )
+    return IdealComplexData(r, tuple(groups), vertex_forms, origins)
 
 
 def _poly_mul(p, q):
@@ -142,7 +127,7 @@ def _poly_pow(p, n):
     return out
 
 
-def _boundary_walk(r, groups, origins, vpos) -> Iterator[int]:
+def _boundary_walk(c: SimplicialComplex, data: IdealComplexData) -> Iterator[int]:
     """The rank of the degree-d boundary map for d = r+1, r+2, ..., each
     column scaled by L^{r+1} in the translated integer vertex frames.
 
@@ -152,6 +137,8 @@ def _boundary_walk(r, groups, origins, vpos) -> Iterator[int]:
     takes the levels in turn.  A coordinate u^eu w^ew at vertex position p
     is keyed ((eu+ew)(eu+ew+1)/2 + ew) * n + p, total degree first and
     vertex last, which needs no bound on d."""
+    r = data.r
+    vpos = {v: i for i, v in enumerate(c.interior_vertices)}
     n = len(vpos)
 
     def key(eu, ew, pos):
@@ -161,7 +148,7 @@ def _boundary_walk(r, groups, origins, vpos) -> Iterator[int]:
     ech = SparseIntEchelon()
     columns = []  # per group: home position and coefficients, far position and shifts
     levels = []  # per group: the far blocks of the current level by alpha, or None
-    for group in groups:
+    for group in data.groups:
         a, b = group.form.a, group.form.b
         # the edge is oriented by ascending vertex index; its differential is
         # (+1) at the head block and (-1) at the tail block
@@ -171,7 +158,7 @@ def _boundary_walk(r, groups, origins, vpos) -> Iterator[int]:
             columns.append((vpos[group.home], coeffs, None, None, None))
             levels.append(None)
             continue
-        (hx, hy), (fx, fy) = origins[group.home], origins[group.far]
+        (hx, hy), (fx, fy) = data.origins[group.home], data.origins[group.far]
         # (a u + b w)^{r+1} is the same in both frames; u_home and w_home are
         # u_far and w_far shifted by integer multiples of t = 1
         u_home, w_home = _linear_poly((1, 0, fx - hx)), _linear_poly((0, 1, fy - hy))
@@ -194,32 +181,29 @@ def _boundary_walk(r, groups, origins, vpos) -> Iterator[int]:
         yield ech.rank
 
 
-def boundary_rank(c: SimplicialComplex, r: int, d: int, data: IdealComplexData | None = None) -> int:
+def boundary_rank(c: SimplicialComplex, r: int, d: int) -> int:
     """Exact rank of the degree-d boundary map of the ideal complex, read
-    off the run's boundary walk, advanced only as far as d needs."""
-    if data is None:
-        data = ideal_complex(c, r)
+    off a fresh boundary walk."""
     if d < r + 1:
         return 0
-    ranks = data.boundary_ranks
-    while len(ranks) < d - r:
-        ranks.append(next(data.boundary_walk))
-    return ranks[d - r - 1]
+    return next(islice(_boundary_walk(c, ideal_complex(c, r)), d - r - 1, None))
 
 
-def _vertex_dim(data: IdealComplexData, d: int, v: int) -> int:
-    """dim J(v)_d = sum over e <= d of dim J'(v)_e (J(v)_d is the direct sum
-    of the slices t^{d-e} J'(v)_e), walking v's echelon on as far as d."""
-    ranks = data.slice_ranks[v]
-    n = max(0, d - data.r)
-    while len(ranks) < n:
-        ranks.append(next(data.walks[v]).rank)
-    return sum(ranks[:n])
-
-
-def _h0_dim(c: SimplicialComplex, r: int, d: int, data: IdealComplexData) -> int:
-    total = sum(_vertex_dim(data, d, v) for v in c.interior_vertices)
-    return total - boundary_rank(c, r, d, data)
+def _h0_walk(c: SimplicialComplex, r: int) -> Iterator[int]:
+    """dim H0_d for d = r+1, r+2, ...: sum_v dim J(v)_d minus the rank of
+    the degree-d boundary map.  J(v)_d is the direct sum of the slices
+    t^{d-e} J'(v)_e for e <= d, so one running total of the slice ranks
+    dim J'(v)_e, read off the walk of J'(v) in v's frame (u, w), is
+    sum_v dim J(v)_d."""
+    data = ideal_complex(c, r)
+    walks = [
+        _power_echelons(r, [_canonical_int_vector((f.a, f.b)) for f in data.vertex_forms[v]])
+        for v in c.interior_vertices
+    ]
+    total = 0
+    for *echs, rank in zip(*walks, _boundary_walk(c, data)):
+        total += sum(ech.rank for ech in echs)
+        yield total - rank
 
 
 def h0_hilbert_oracle(c: SimplicialComplex, r: int, d: int) -> int:
@@ -227,28 +211,28 @@ def h0_hilbert_oracle(c: SimplicialComplex, r: int, d: int) -> int:
     the boundary rank, everything by exact elimination."""
     if d < 0:
         raise ValueError("degree must be nonnegative")
-    return _h0_dim(c, r, d, ideal_complex(c, r))
+    if d < r + 1:
+        return 0
+    return next(islice(_h0_walk(c, r), d - r - 1, None))
 
 
 class H0Table:
-    """dim H0_d of one (complex, r), ranked on first request from one ideal
-    complex, so the regularity oracle and the spline-dimension formulas of
-    one run share their degrees.  Degrees below r+1 are zero, and from the
-    first zero degree d >= r+1 on every degree is zero (see
+    """dim H0_d of one (complex, r), ranked on first request from one walk,
+    so the regularity oracle and the spline-dimension formulas of one run
+    share their degrees.  Degrees below r+1 are zero, and from the first
+    zero degree d >= r+1 on every degree is zero (see
     `h0_regularity_oracle`), so those are filled without ranking."""
 
     def __init__(self, c: SimplicialComplex, r: int):
-        self.c, self.r = c, r
-        self._data: IdealComplexData | None = None
+        self.r = r
+        self._walk = _h0_walk(c, r)  # builds nothing before its first degree
         self._dims = [0] * (r + 1)
 
     def upto(self, top: int) -> list[int]:
         """dim H0_d for d = 0..top."""
-        if self._data is None:
-            self._data = ideal_complex(self.c, self.r)
         dims = self._dims
         while len(dims) <= top and (len(dims) == self.r + 1 or dims[-1]):
-            dims.append(_h0_dim(self.c, self.r, len(dims), self._data))
+            dims.append(next(self._walk))
         return dims[: top + 1] + [0] * (top + 1 - len(dims))
 
 

@@ -24,6 +24,7 @@ R_CAP = 24
 AB_CAP = 16
 D_CAP = 4 * R_CAP + 2
 _INT_RE = re.compile(r"-?[0-9]+")  # ASCII only, used with fullmatch, like the coordinates
+_INT_FLAGS = ("--a", "--b", "--r", "--d", "--s")
 
 
 def _ascii_int(text: str) -> int | None:
@@ -360,7 +361,16 @@ def _check_fields(payload) -> list:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    # argparse takes a value such as -1..3 for an option and exits 2, so a
+    # dash-and-digit token is joined to the integer flag before it, as
+    # --a=-1..3 would be, and reaches the typed checks
+    joined = []
+    for tok in sys.argv[1:] if argv is None else argv:
+        if joined and joined[-1] in _INT_FLAGS and re.match("-[0-9]", tok):
+            joined[-1] += "=" + tok
+        else:
+            joined.append(tok)
+    args = build_parser().parse_args(joined)
     try:
         payload = args.func(args)
     except (SplineRegError, ValueError, OSError) as exc:

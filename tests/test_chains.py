@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import accumulate, count
 from math import comb
 
 import pytest
@@ -11,7 +12,6 @@ from splinereg.chains import (
     _linear_poly,
     _poly_mul,
     _poly_pow,
-    _vertex_dim,
     boundary_rank,
     h0_hilbert_oracle,
     h0_regularity_oracle,
@@ -23,7 +23,12 @@ from splinereg.chains import (
     spline_dim_oracles,
 )
 from splinereg.errors import CapExceeded
-from splinereg.geometry import SimplicialComplex, one_edge_fan, square_with_diagonals
+from splinereg.geometry import (
+    SimplicialComplex,
+    _canonical_int_vector,
+    one_edge_fan,
+    square_with_diagonals,
+)
 from splinereg.monomials import count_degree, hilbert_function, monomial_index, monomials_of_degree
 from splinereg.ratlinalg import RatMatrix, rank
 from splinereg.staircase import _power_echelons, build_q
@@ -213,10 +218,7 @@ def _reference_complex(request, name):
 
 def _assert_walks_equal_per_degree_kernels(c, r):
     top = 4 * r + 2
-    data = ideal_complex(c, r)
-    # the top degree first: the walk must advance to it, then read the
-    # lower degrees back from the ranks it walked
-    walked = [boundary_rank(c, r, d, data) for d in range(top, -1, -1)][::-1]
+    walked = [boundary_rank(c, r, d) for d in range(top + 1)]
     assert walked == [per_degree_boundary_rank(c, r, d) for d in range(top + 1)]
     assert spline_dim_oracles(c, r, top) == [
         per_degree_spline_dim_oracle(c, r, d) for d in range(top + 1)
@@ -246,10 +248,14 @@ def test_adapted_rank_equals_naive_ce1(complex_ce1):
 
 
 def test_vertex_dim_equals_naive(complex_one34):
+    # dim J(v)_d is the running sum of the slice ranks dim J'(v)_e, e <= d,
+    # read off the walk of J'(v) in v's frame
     data = ideal_complex(complex_one34, 2)
     for v in complex_one34.interior_vertices:
+        pairs = [_canonical_int_vector((f.a, f.b)) for f in data.vertex_forms[v]]
+        dims = list(accumulate(walk_ranks(pairs, 2, 6)))
         for d in range(3, 7):
-            assert _vertex_dim(data, d, v) == naive_vertex_dim(complex_one34, 2, d, v)
+            assert dims[d] == naive_vertex_dim(complex_one34, 2, d, v)
 
 
 def test_ideal_complex_structure(complex_one33, complex_star):
@@ -320,11 +326,12 @@ def test_cap_exceeded_when_h0_never_vanishes(monkeypatch, complex_one33):
     r = 2
     ranked = []
 
-    def nonzero_everywhere(c, r, d, data):
-        ranked.append(d)
-        return 1
+    def nonzero_everywhere(c, r):
+        for d in count(r + 1):
+            ranked.append(d)
+            yield 1
 
-    monkeypatch.setattr(chains, "_h0_dim", nonzero_everywhere)
+    monkeypatch.setattr(chains, "_h0_walk", nonzero_everywhere)
     with pytest.raises(CapExceeded, match="degree 10 = 4r"):
         h0_regularity_oracle(complex_one33, r)
     assert ranked == list(range(r + 1, 4 * r + 3))
@@ -335,13 +342,14 @@ def test_h0_table_ranks_each_degree_once(monkeypatch, complex_ce1):
     full = [0] * (r + 1) + [h0_hilbert_oracle(complex_ce1, r, d) for d in range(r + 1, 11)]
     dims = spline_dim_formulas(complex_ce1, r, 10)
     ranked = []
-    h0_dim = chains._h0_dim
+    h0_walk = chains._h0_walk
 
-    def counted(c, r, d, data):
-        ranked.append(d)
-        return h0_dim(c, r, d, data)
+    def counted(c, r):
+        for d, dim in enumerate(h0_walk(c, r), r + 1):
+            ranked.append(d)
+            yield dim
 
-    monkeypatch.setattr(chains, "_h0_dim", counted)
+    monkeypatch.setattr(chains, "_h0_walk", counted)
     table = chains.H0Table(complex_ce1, r)
     assert table.upto(4) == full[:5]
     assert table.upto(10) == full

@@ -141,10 +141,13 @@ def test_sweep_empty_range_is_usage_error(capsys):
          "BadRange: range '3..\u0664' is not an integer or lo..hi"),
         (("sweep", "--a", "3", "--b", "3", "--r", "1_0"),
          "BadRange: range '1_0' is not an integer or lo..hi"),
+        # a value that starts with '-' and a digit belongs to the flag before
+        # it, as with --a=-1..3
+        (("sweep", "--a", "-1..3", "--b", "3", "--r", "1"), "NegativeFlag: a/b = -1 is negative"),
     ],
     ids=[
         "cap-ab", "cap-s", "cap-sweep-r", "non-integer", "open", "word", "cap-d", "huge-range",
-        "space", "arabic-indic", "underscore",
+        "space", "arabic-indic", "underscore", "negative-range",
     ],
 )
 def test_flag_errors_are_typed(capsys, argv, message):
@@ -250,24 +253,43 @@ def test_analyze_ranks_each_h0_degree_once(tmp_path, capsys, monkeypatch, comple
     # the regularity oracle and the spline-dimension formulas share one H0
     # table: one ideal complex, and each degree ranked once
     builds, ranked = [], []
-    build, boundary = chains.ideal_complex, chains.boundary_rank
+    build, h0_walk = chains.ideal_complex, chains._h0_walk
 
     def counted_build(c, r):
         builds.append(r)
         return build(c, r)
 
-    def counted_rank(c, r, d, data=None):
-        ranked.append(d)
-        return boundary(c, r, d, data)
+    def counted_walk(c, r):
+        for d, dim in enumerate(h0_walk(c, r), r + 1):
+            ranked.append(d)
+            yield dim
 
     monkeypatch.setattr(chains, "ideal_complex", counted_build)
-    monkeypatch.setattr(chains, "boundary_rank", counted_rank)
+    monkeypatch.setattr(chains, "_h0_walk", counted_walk)
     path = tmp_path / "complex.json"
     path.write_text(complex_().to_json())
     code, _, _ = run(capsys, "analyze", str(path), *argv)
     assert code == 0
     assert ranked == degrees
     assert len(builds) == 1
+
+
+def test_analyze_builds_no_ideal_complex_it_does_not_need(tmp_path, capsys, monkeypatch):
+    # without --oracle and --d no route reads H0, so the run's H0 table
+    # never starts its walk
+    builds = []
+    build = chains.ideal_complex
+
+    def counted_build(c, r):
+        builds.append(r)
+        return build(c, r)
+
+    monkeypatch.setattr(chains, "ideal_complex", counted_build)
+    path = tmp_path / "ce1.json"
+    path.write_text(ce1_complex().to_json())
+    code, _, _ = run(capsys, "analyze", str(path), "--r", "2")
+    assert code == 0
+    assert builds == []
 
 
 @pytest.mark.parametrize(
@@ -629,7 +651,7 @@ def test_analyze_failed_check_exits_1(tmp_path, capsys, monkeypatch):
 # Arabic-Indic three, plus the range forms for `sweep`
 _HUGE = str(10**13)
 _BAD = ["-1", _HUGE, "x", "", "3.5", "\u0663"]
-_RANGES = ["3..4", "4..3", "3..", f"1..{_HUGE}"]
+_RANGES = ["3..4", "4..3", "3..", f"1..{_HUGE}", "-1..3"]
 
 
 def _pool(valid, cap, extra=()):

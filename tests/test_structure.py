@@ -104,11 +104,10 @@ def test_spline_dim_oracle_does_not_reach_the_formula():
     assert {"SparseIntEchelon", "_poly_pow", "spline_dim_oracles"} <= names  # sees calls
     forbidden = {
         "H0Table",
-        "_h0_dim",
+        "_h0_walk",
         "boundary_rank",
         "ideal_complex",
         "_boundary_walk",
-        "boundary_ranks",
         "schumaker_local",
         "interior_stats",
         "spline_dim_formulas",
@@ -119,7 +118,7 @@ def test_spline_dim_oracle_does_not_reach_the_formula():
     # count_degree and the input type both take
     module = _module_names("chains.py")
     chain = _names_reached("chains.py", ["H0Table", "h0_regularity_oracle", "h0_hilbert_oracle"])
-    assert {"_boundary_walk", "boundary_rank", "_vertex_dim"} <= chain  # sees calls
+    assert {"_h0_walk", "_boundary_walk", "_power_echelons"} <= chain  # sees calls
     kernels = _names_reached("chains.py", ["_poly_pow", "_linear_poly"]) & module
     allowed = kernels | {"SparseIntEchelon", "_poly_pow", "_linear_poly", "count_degree", "SimplicialComplex"}
     shared = names & chain & module
@@ -203,7 +202,7 @@ def test_chain_oracle_stays_on_integers():
 def test_no_module_imports_functools():
     # a functools cache outlives the run that filled it and grows without
     # bound; state shared between degrees lives on the run's own objects
-    # (`ClosedFormTable`, `H0Table`, `IdealComplexData`)
+    # (`ClosedFormTable`, and `H0Table` with the one walk it holds)
     seen = set()
     for path in sorted(PACKAGE.glob("*.py")):
         names = set(_imported_modules(ast.parse(path.read_text(encoding="utf-8"))))
@@ -219,6 +218,32 @@ def test_no_assert_in_src():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert not lines, f"{path.name}: assert at line(s) {lines}"
+
+
+def test_records_hold_values_not_run_state():
+    # a record is a value: a live iterator in one of its fields is run
+    # state that advances under every holder of the record, so a walk
+    # lives in the generator of the run that reads it
+    records = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            bases = {getattr(b, "id", None) or getattr(b, "attr", None) for b in getattr(node, "bases", ())}
+            if isinstance(node, ast.ClassDef) and "NamedTuple" in bases:
+                records[node.name] = [
+                    (stmt.target.id, {getattr(n, "id", None) or getattr(n, "attr", None)
+                                      for n in ast.walk(stmt.annotation)})
+                    for stmt in node.body
+                    if isinstance(stmt, ast.AnnAssign)
+                ]
+    assert {"IdealComplexData", "EdgeGroup", "QData"} <= set(records)  # sees the records
+    assert any("LinearForm" in names for _, names in records["EdgeGroup"])  # and annotations
+    live = {
+        (record, field)
+        for record, fields in records.items()
+        for field, names in fields
+        if names & {"Iterator", "Generator"}
+    }
+    assert not live, sorted(live)
 
 
 def test_no_module_imports_dataclasses():
