@@ -31,7 +31,6 @@ from .monomials import (
     colon_by_monomial,
     hilbert_function,
     ideal_sum,
-    is_artinian,
     max_socle_degree,
     minimalize,
     mono_lcm,

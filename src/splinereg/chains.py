@@ -39,7 +39,7 @@ from .geometry import (
     _canonical_int_vector,
     interior_stats,
 )
-from .monomials import count_degree
+from .monomials import count_degree, monomial_index
 from .staircase import _power_echelons
 
 
@@ -135,15 +135,14 @@ def _boundary_walk(c: SimplicialComplex, data: IdealComplexData) -> Iterator[int
     the degree-d columns are the degree-(d-1) ones plus one new level: the
     multipliers u^alpha w^beta with alpha + beta = d - r - 1.  One echelon
     takes the levels in turn.  A coordinate u^eu w^ew at vertex position p
-    is keyed ((eu+ew)(eu+ew+1)/2 + ew) * n + p, total degree first and
+    is keyed `monomial_index(eu, ew) * n + p`, total degree first and
     vertex last, which needs no bound on d."""
     r = data.r
     vpos = {v: i for i, v in enumerate(c.interior_vertices)}
     n = len(vpos)
 
     def key(eu, ew, pos):
-        e = eu + ew
-        return (e * (e + 1) // 2 + ew) * n + pos
+        return monomial_index(eu, ew) * n + pos
 
     ech = SparseIntEchelon()
     columns = []  # per group: home position and coefficients, far position and shifts

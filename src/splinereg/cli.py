@@ -20,11 +20,10 @@ from .staircase import ClosedFormTable, build_q, colon_staircase, staircase_clos
 from .syzygies import betti_oracle, buchberger_graph, class_routes, syzygies_match_betti
 
 SCHEMA = "spline-reg/1"
-R_CAP = 24
-AB_CAP = 16
-D_CAP = 4 * R_CAP + 2
 _INT_RE = re.compile(r"-?[0-9]+")  # ASCII only, used with fullmatch, like the coordinates
-_INT_FLAGS = ("--a", "--b", "--r", "--d", "--s")
+# every integer flag in the order it is read and checked, with its cap (d's
+# is 4r+2 at the largest r) and the name its errors give, which a and b share
+_FLAGS = {"r": (24, "r"), "d": (98, "d"), "s": (15, "s"), "a": (16, "a/b"), "b": (16, "a/b")}
 
 
 def _ascii_int(text: str) -> int | None:
@@ -51,28 +50,31 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _read_ints(args, *names):
-    """Replace the text of each named integer flag by its value, leaving an
-    absent optional flag at None."""
-    for name in names:
-        text = getattr(args, name)
+def _read_flags(args) -> None:
+    """Replace the text of every integer flag given by its value (a `sweep`
+    range by its ends lo, hi), then check the values in table order: for
+    each message name, a negative value first, then one above the cap."""
+    checks = {}  # message name -> (cap, values read)
+    for name, (cap, what) in _FLAGS.items():
+        text = getattr(args, name, None)
         if text is None:
             continue
-        value = _ascii_int(text)
-        if value is None:
-            raise NotAnInteger(f"{name} = {text!r} is not an integer")
+        if args.command == "sweep":
+            value = ends = _parse_range(text)
+        else:
+            value = _ascii_int(text)
+            if value is None:
+                raise NotAnInteger(f"{name} = {text!r} is not an integer")
+            ends = (value,)
         setattr(args, name, value)
-
-
-def _check_caps(args, values, cap, what):
-    for v in values:
-        if v < 0:
-            raise NegativeFlag(f"{what} = {v} is negative")
-    if args.unsafe_no_cap:
-        return
-    for v in values:
-        if v > cap:
-            raise FlagAboveCap(f"{what} = {v} above the cap {cap}; pass --unsafe-no-cap to override")
+        checks.setdefault(what, (cap, []))[1].extend(ends)
+    for what, (cap, values) in checks.items():
+        for v in values:
+            if v < 0:
+                raise NegativeFlag(f"{what} = {v} is negative")
+        for v in values:
+            if v > cap and not args.unsafe_no_cap:
+                raise FlagAboveCap(f"{what} = {v} above the cap {cap}; pass --unsafe-no-cap to override")
 
 
 def _read_complex(path):
@@ -127,19 +129,7 @@ def _graph_dict(graph):
 
 
 def cmd_regularity(args) -> dict:
-    _read_ints(args, "a", "b", "r")
-    _check_caps(args, [args.r], R_CAP, "r")
-    _check_caps(args, [args.a, args.b], AB_CAP, "a/b")
-    if args.complex and not args.oracle:
-        raise SplineRegError("--complex only feeds the chain-complex route; pass --oracle")
-    if args.complex:
-        report = regularity_from_complex(_read_complex(args.complex), args.r)
-        if {report.a, report.b} != {args.a, args.b}:
-            raise SplineRegError(
-                f"complex has (a, b) = ({report.a}, {report.b}), flags say ({args.a}, {args.b})"
-            )
-    else:
-        report = regularity_one_edge(args.a, args.b, args.r)
+    report = regularity_one_edge(args.a, args.b, args.r)
     payload = {"schema": SCHEMA, "command": "regularity", **report.to_json_dict()}
     if args.oracle and not report.vanishes:
         routes = class_routes(build_q(args.a, args.b, args.r))
@@ -152,10 +142,6 @@ def cmd_regularity(args) -> dict:
 
 
 def cmd_analyze(args) -> dict:
-    _read_ints(args, "r", "d")
-    _check_caps(args, [args.r], R_CAP, "r")
-    if args.d is not None:
-        _check_caps(args, [args.d], D_CAP, "d")
     c = _read_complex(args.path)
     stats = interior_stats(c, args.r)
     h0 = H0Table(c, args.r)  # one ideal complex and one rank per H0 degree
@@ -170,6 +156,8 @@ def cmd_analyze(args) -> dict:
         payload["regularity"] = report.to_json_dict()
         if args.emit_graph and not report.vanishes:
             payload["buchberger_graph"] = _graph_dict(buchberger_graph(report.in_q))
+    elif args.emit_graph:
+        raise SplineRegError("--emit-graph needs one totally interior edge and two interior vertices")
     elif stats.totally_interior:
         pb = path_bounds(c, args.r, run_oracle=args.oracle, h0=h0, stats=stats)
         payload["path_bounds"] = pb.to_json_dict()
@@ -189,11 +177,7 @@ def cmd_analyze(args) -> dict:
 
 
 def cmd_sweep(args) -> dict:
-    a_lo, a_hi = _parse_range(args.a)
-    b_lo, b_hi = _parse_range(args.b)
-    r_lo, r_hi = _parse_range(args.r)
-    _check_caps(args, [r_lo, r_hi], R_CAP, "r")
-    _check_caps(args, [a_lo, a_hi, b_lo, b_hi], AB_CAP, "a/b")
+    (a_lo, a_hi), (b_lo, b_hi), (r_lo, r_hi) = args.a, args.b, args.r
     rows = []
     violations = []
     table = ClosedFormTable()  # one colon staircase per (r, s), one In Q check per class
@@ -231,11 +215,10 @@ def cmd_sweep(args) -> dict:
 
 
 def cmd_staircase(args) -> dict:
-    _read_ints(args, "r", "s", "a", "b")
-    _check_caps(args, [args.r], R_CAP, "r")
     payload = {"schema": SCHEMA, "command": "staircase", "r": args.r}
     if args.s is not None:
-        _check_caps(args, [args.s], AB_CAP - 1, "s")
+        if args.a is not None or args.b is not None or args.emit_graph:
+            raise SplineRegError("staircase --s takes no --a, --b or --emit-graph")
         st = staircase_closed_form(args.r, args.s)
         cs = colon_staircase(st)
         payload.update(
@@ -251,7 +234,6 @@ def cmd_staircase(args) -> dict:
         return payload
     if args.a is None or args.b is None:
         raise SplineRegError("staircase needs either --s or both --a and --b")
-    _check_caps(args, [args.a, args.b], AB_CAP, "a/b")
     q = build_q(args.a, args.b, args.r)
     payload.update(
         {
@@ -276,9 +258,6 @@ def cmd_staircase(args) -> dict:
 
 
 def cmd_betti(args) -> dict:
-    _read_ints(args, "a", "b", "r")
-    _check_caps(args, [args.r], R_CAP, "r")
-    _check_caps(args, [args.a, args.b], AB_CAP, "a/b")
     q = build_q(args.a, args.b, args.r)
     payload = {
         "schema": SCHEMA,
@@ -315,7 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     reg.add_argument("--b", required=True)
     reg.add_argument("--r", required=True)
     reg.add_argument("--oracle", action="store_true")
-    reg.add_argument("--complex", help="complex file for the chain-complex route")
     reg.set_defaults(func=cmd_regularity)
 
     an = sub.add_parser("analyze", help="analyze a complex file", parents=[common])
@@ -366,12 +344,14 @@ def main(argv=None) -> int:
     # --a=-1..3 would be, and reaches the typed checks
     joined = []
     for tok in sys.argv[1:] if argv is None else argv:
-        if joined and joined[-1] in _INT_FLAGS and re.match("-[0-9]", tok):
+        flag = joined[-1] if joined else ""
+        if flag[:2] == "--" and flag[2:] in _FLAGS and re.match("-[0-9]", tok):
             joined[-1] += "=" + tok
         else:
             joined.append(tok)
     args = build_parser().parse_args(joined)
     try:
+        _read_flags(args)
         payload = args.func(args)
     except (SplineRegError, ValueError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

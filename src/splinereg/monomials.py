@@ -137,17 +137,20 @@ def monomials_of_degree(d: int):
             yield Monomial(ex, ey, d - ex - ey)
 
 
-def monomial_index(ex: int, ey: int, d: int) -> int:
-    """Position of x^ex y^ey z^(d-ex-ey) in `monomials_of_degree(d)`."""
-    k = d - ex
-    return k * (k + 1) // 2 + (k - ey)
+def monomial_index(p: int, q: int) -> int:
+    """T(p, q) = (p+q)(p+q+1)/2 + q, which orders the pairs by p + q, then
+    by q.  For a degree-d monomial, (p, q) = (ey, ez) gives its position in
+    `monomials_of_degree(d)`."""
+    k = p + q
+    return k * (k + 1) // 2 + q
 
 
-def index_exponents(idx: int, d: int) -> tuple[int, int]:
-    """Inverse of `monomial_index`: k = d - ex is the largest k with
+def index_exponents(idx: int) -> tuple[int, int]:
+    """Inverse of `monomial_index`: k = p + q is the largest k with
     k(k+1)/2 <= idx."""
     k = (isqrt(8 * idx + 1) - 1) // 2
-    return d - k, k - (idx - k * (k + 1) // 2)
+    q = idx - k * (k + 1) // 2
+    return k - q, q
 
 
 def count_degree(d: int) -> int:
@@ -171,13 +174,6 @@ def _pure_powers(i: MonomialIdeal):
             top = max(g)
             p[g.index(top)] = top
     return tuple(p)
-
-
-def is_artinian(i: MonomialIdeal) -> bool:
-    """True iff the generators contain a pure power of each variable."""
-    if i.is_trivial:
-        return True
-    return None not in _pure_powers(i)
 
 
 def max_socle_degree(i: MonomialIdeal) -> int:

@@ -347,12 +347,12 @@ def sum_initial_oracle(r, slopes1, slopes2) -> MonomialIdeal:
                     vec = {}
                     for t, val in enumerate(bvec):
                         if val:
-                            ex, ey = (e - t, d - e) if axis == "x" else (d - e, e - t)
-                            vec[monomial_index(ex, ey, d)] = val
+                            # x^(e-t) y^(d-e) z^t or x^(d-e) y^(e-t) z^t
+                            vec[monomial_index(d - e if axis == "x" else e - t, t)] = val
                     ech.insert(vec)
         for lead in sorted(ech.pivots):
-            ex, ey = index_exponents(lead, d)
-            m = Monomial(ex, ey, d - ex - ey)
+            ey, ez = index_exponents(lead)
+            m = Monomial(d - ey - ez, ey, ez)
             if not any(g.divides(m) for g in gens):
                 gens.append(m)
         if ech.rank == (d + 2) * (d + 1) // 2:

@@ -151,14 +151,14 @@ def per_degree_boundary_rank(c, r, d, data=None):
                 if q_ab is not None and beta > 0:
                     q_ab = _poly_mul(q_ab, w_home)
                 col = {
-                    hbase + monomial_index(r + 1 - m + alpha, m + beta, d): hsign * home_base[m]
+                    hbase + monomial_index(m + beta, big - alpha - beta): hsign * home_base[m]
                     for m in range(r + 2)
                 }
                 if q_ab is not None:
-                    # far-frame exponents are (eu, ew, et + gamma); the index
-                    # only needs the first two at fixed total degree d
+                    # far-frame exponents are (eu, ew, et + gamma), whose
+                    # t-exponent is d - eu - ew at fixed total degree d
                     for (eu, ew, _et), v in q_ab.items():
-                        col[fbase + monomial_index(eu, ew, d)] = -hsign * v
+                        col[fbase + monomial_index(ew, d - eu - ew)] = -hsign * v
                 ech.insert(col)
     return ech.rank
 
@@ -188,9 +188,9 @@ def per_degree_spline_dim_oracle(c, r, d):
         rows = [{t1 * n_s + m: 1, t2 * n_s + m: -1} for m in range(n_s)]
         power = _poly_pow(_linear_poly(c.edge_form(e).vector()), r + 1)
         j_base = g_base + j * n_g
-        for (a, b, _c), v in power.items():
+        for (a, b, cz), v in power.items():
             for gm, (ex, ey) in enumerate(g_monos):
-                rows[monomial_index(a + ex, b + ey, d)][j_base + gm] = -v
+                rows[monomial_index(b + ey, cz + big - ex - ey)][j_base + gm] = -v
         for row in rows:
             ech.insert(row)
     n_unknowns = g_base + len(c.interior_edges) * n_g

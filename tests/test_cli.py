@@ -1,3 +1,4 @@
+import argparse
 import builtins
 import hashlib
 import io
@@ -13,7 +14,7 @@ from hypothesis import strategies as hs
 
 from splinereg import chains, cli, errors, geometry, regularity
 from splinereg.cli import main
-from splinereg.geometry import SimplicialComplex, ce1_complex, one_edge_complex
+from splinereg.geometry import ce1_complex, one_edge_complex
 from splinereg.staircase import ClosedFormTable, build_q
 
 
@@ -484,35 +485,106 @@ def _one34_file(tmp_path):
     return str(path)
 
 
-def test_regularity_from_complex_golden_bytes(tmp_path, capsys):
-    # the one command that reports the bottom-face, socle and chain-oracle
-    # routes together with the Betti check; digest taken before the
-    # staircase oracles stopped on their own echelons
-    code, out, _ = run(
-        capsys, "regularity", "--complex", _one34_file(tmp_path),
-        "--a", "3", "--b", "4", "--r", "4", "--oracle",
-    )
+def test_analyze_and_regularity_oracle_print_the_complex_route_report(tmp_path, capsys):
+    # analyze's regularity block (bottom-face, socle and chain-oracle routes)
+    # and the Betti check of regularity --oracle together are the report the
+    # removed `regularity --complex` printed, byte for byte
+    code, out, _ = run(capsys, "analyze", _one34_file(tmp_path), "--r", "4")
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == (
+    report = json.loads(out)["regularity"]
+    assert report["routes"] == {"bottom_face": 7, "chain_oracle": 7, "socle_shift": 7}
+    code, out, _ = run(capsys, "regularity", "--a", "3", "--b", "4", "--r", "4", "--oracle")
+    assert code == 0
+    checks = {k: json.loads(out)[k] for k in ("betti_confirms_syzygies", "theorem_2r_holds")}
+    assert checks == {"betti_confirms_syzygies": True, "theorem_2r_holds": True}
+    payload = {"schema": "spline-reg/1", "command": "regularity", **report, **checks}
+    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == (
         "3b2d168bc9ceefd97b97a1a19526f869cb0069be0347f7132ab2213cfe7edd6a"
     )
+
+
+def test_analyze_emit_graph_matches_staircase(tmp_path, capsys):
+    # the one-edge report's In Q and the staircase command's In Q for the
+    # same (a, b, r) give one Buchberger graph; its face is x^2 y z^2
+    code, out, _ = run(capsys, "analyze", _one34_file(tmp_path), "--r", "4", "--emit-graph")
+    assert code == 0
+    graph = json.loads(out)["buchberger_graph"]
+    code, out, _ = run(capsys, "staircase", "--r", "4", "--a", "3", "--b", "4", "--emit-graph")
+    assert code == 0
+    assert graph == json.loads(out)["buchberger_graph"]
+    assert [face["lcm"] for face in graph["faces"]] == ["x^2 y z^2"]
+
+
+def test_analyze_emit_graph_prints_none_for_a_vanishing_module(tmp_path, capsys):
+    # as staircase --emit-graph on a trivial In Q, a one-edge complex whose
+    # module vanishes prints no graph and no error
+    path = tmp_path / "one33.json"
+    path.write_text(one_edge_complex(3, 3).to_json())
+    code, out, _ = run(capsys, "analyze", str(path), "--r", "0", "--emit-graph")
     data = json.loads(out)
-    assert data["routes"] == {"bottom_face": 7, "chain_oracle": 7, "socle_shift": 7}
-    assert data["betti_confirms_syzygies"] is True
+    assert code == 0 and data["regularity"]["module_vanishes"] is True
+    assert "buchberger_graph" not in data
 
 
 @pytest.mark.parametrize(
-    "flags, message",
+    "argv, message",
     [
-        (("--a", "3", "--b", "4", "--r", "4"), "pass --oracle"),
-        (("--a", "3", "--b", "5", "--r", "4", "--oracle"), "flags say (3, 5)"),
+        (("staircase", "--r", "3", "--s", "2", "--a", "99", "--b", "3"),
+         "FlagAboveCap: a/b = 99 above the cap 16; pass --unsafe-no-cap to override"),
+        (("staircase", "--r", "3", "--s", "2", "--a", "3"),
+         "SplineRegError: staircase --s takes no --a, --b or --emit-graph"),
+        (("staircase", "--r", "3", "--s", "2", "--emit-graph"),
+         "SplineRegError: staircase --s takes no --a, --b or --emit-graph"),
+        (("analyze", "ce1.json", "--r", "2", "--emit-graph"),
+         "SplineRegError: --emit-graph needs one totally interior edge and two interior vertices"),
     ],
+    ids=["staircase-s-a-cap", "staircase-s-a", "staircase-s-graph", "analyze-ce1-graph"],
 )
-def test_regularity_from_complex_rejects_bad_flags(tmp_path, capsys, flags, message):
-    code, out, err = run(capsys, "regularity", "--complex", _one34_file(tmp_path), *flags)
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error: SplineRegError: ") and message in err
+def test_flags_a_command_would_ignore_are_errors(tmp_path, capsys, argv, message):
+    path = tmp_path / "ce1.json"
+    path.write_text(ce1_complex().to_json())
+    code, out, err = run(capsys, *(str(path) if tok == "ce1.json" else tok for tok in argv))
+    assert (code, out) == (1, "")
+    assert err == f"error: {message}\n"
+
+
+def test_every_integer_option_is_in_the_flag_table():
+    # _read_flags reads and caps exactly the flags the table names
+    subparsers = next(
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    declared = {
+        action.dest
+        for parser in subparsers.choices.values()
+        for action in parser._actions
+        if type(action) is argparse._StoreAction and action.option_strings and not action.choices
+    }
+    assert declared == set(cli._FLAGS)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # flags are read in table order, and all of them before any is
+        # checked, so r's text fails before a's text or a's cap
+        (("regularity", "--a", "x", "--b", "3", "--r", "y"), "NotAnInteger: r = 'y' is not an integer"),
+        (("regularity", "--a", "99", "--b", "3", "--r", "y"), "NotAnInteger: r = 'y' is not an integer"),
+        # then sign and cap in table order r, d, s, a/b
+        (("regularity", "--a", "-1", "--b", "3", "--r", "99"),
+         "FlagAboveCap: r = 99 above the cap 24; pass --unsafe-no-cap to override"),
+        (("staircase", "--r", "2", "--s", "-1", "--a", "99", "--b", "3"), "NegativeFlag: s = -1 is negative"),
+        # a and b share one check: a negative one before one above the cap
+        (("betti", "--a", "99", "--b", "-1", "--r", "2"), "NegativeFlag: a/b = -1 is negative"),
+        (("sweep", "--a", "3..99", "--b", "3..x", "--r", "1..99"),
+         "BadRange: range '3..x' is not an integer or lo..hi"),
+    ],
+    ids=["read-r-before-a", "read-before-cap", "r-before-a", "s-before-a", "ab-sign-first", "sweep"],
+)
+def test_first_bad_flag_in_table_order_wins(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: {message}\n"
 
 
 def test_analyze_rejects_boolean_indices_and_duplicate_keys(tmp_path, capsys):
@@ -545,14 +617,7 @@ def test_deeply_nested_complex_file_is_a_parse_error(tmp_path, capsys):
     assert (code, out, err) == (1, "", "error: ParseError: JSON nested too deeply\n")
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("analyze", "{path}", "--r", "1"),
-        ("regularity", "--complex", "{path}", "--a", "3", "--b", "3", "--r", "1", "--oracle"),
-    ],
-    ids=["analyze", "regularity"],
-)
+@pytest.mark.parametrize("argv", [("analyze", "{path}", "--r", "1")], ids=["analyze"])
 def test_complex_file_read_errors_are_typed(tmp_path, capsys, argv):
     # bytes that are not UTF-8 are a ParseError; a missing file stays an OSError
     path = tmp_path / "complex.json"
@@ -575,28 +640,6 @@ def test_table_format(capsys):
     )
     assert code == 0
     assert "exact_regularity: 4" in out
-
-
-def _slope_clash_complex():
-    # the left vertex sits on the line of the totally interior edge
-    verts = [(0, 0), (1, 0), (0, 1), (0, -1), (-1, 0), (3, -2), (3, 2)]
-    tris = [(0, 1, 2), (0, 2, 4), (0, 4, 3), (0, 3, 1), (1, 3, 5), (1, 5, 6), (1, 6, 2)]
-    return SimplicialComplex(verts, tris)
-
-
-@pytest.mark.parametrize(
-    "complex_, error",
-    [(ce1_complex, "NotOneEdge"), (_slope_clash_complex, "SlopeClashAssumption")],
-)
-def test_regularity_from_complex_rejects_non_one_edge(tmp_path, capsys, complex_, error):
-    path = tmp_path / "complex.json"
-    path.write_text(complex_().to_json())
-    code, out, err = run(
-        capsys, "regularity", "--complex", str(path), "--a", "3", "--b", "3", "--r", "2", "--oracle"
-    )
-    assert code == 1
-    assert out == ""
-    assert err.startswith(f"error: {error}: ")
 
 
 @pytest.mark.parametrize(

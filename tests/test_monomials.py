@@ -12,7 +12,6 @@ from splinereg.monomials import (
     count_degree,
     hilbert_function,
     ideal_sum,
-    is_artinian,
     max_socle_degree,
     minimalize,
     mono_lcm,
@@ -92,12 +91,6 @@ def test_hilbert_worked_example_degree5():
     assert survivors == [M(3, 2, 0), M(3, 1, 1), M(2, 0, 3)]
 
 
-def test_is_artinian():
-    assert is_artinian(minimalize([X, Y, Z]))
-    assert not is_artinian(minimalize([X, Y]))
-    assert is_artinian(build_q(3, 4, 8).in_q)
-
-
 def test_max_socle_degree():
     assert max_socle_degree(minimalize([X, Y, Z])) == 0
     assert max_socle_degree(minimalize([M(2), Y, Z])) == 1
@@ -173,14 +166,25 @@ pure = st.builds(
 
 @settings(max_examples=150, deadline=None)
 @given(mono_lists, st.lists(pure, max_size=3))
-def test_is_artinian_matches_per_axis_definition(ms, pows):
-    # the unit ideal, or some generator x^e, some y^e and some z^e with e > 0
+def test_not_artinian_matches_per_axis_definition(ms, pows):
+    # a proper ideal is Artinian iff some generator is x^e, some y^e and
+    # some z^e with e > 0; max_socle_degree raises NotArtinian exactly when
+    # it is not, and TrivialIdeal on the unit ideal
     ideal = minimalize(ms + pows)
-    literal = ideal.is_trivial or all(
+    if ideal.is_trivial:
+        with pytest.raises(TrivialIdeal):
+            max_socle_degree(ideal)
+        return
+    artinian = all(
         any(g[axis] > 0 and g.count(0) == 2 for g in ideal.gens)
         for axis in range(3)
     )
-    assert is_artinian(ideal) == literal
+    try:
+        max_socle_degree(ideal)
+    except NotArtinian:
+        assert not artinian
+    else:
+        assert artinian
 
 
 @settings(max_examples=40, deadline=None)

@@ -66,3 +66,20 @@ def test_grid_sweep_lists_failing_cells_without_a_traceback(monkeypatch, capsys)
     listed = [(a, b, r, "SocleMismatch") for a, b, r in nontrivial]
     assert out.rstrip().endswith(f"violations: {listed}")
     assert "Traceback" not in err
+
+
+def test_worked_example_walks_h0_once(monkeypatch, capsys):
+    # the H0 rows and the chain-oracle route read one table
+    from splinereg import chains
+
+    walks = []
+    walk = chains._h0_walk
+
+    def counted(c, r):
+        walks.append(r)
+        return walk(c, r)
+
+    monkeypatch.setattr(chains, "_h0_walk", counted)
+    runpy.run_path(str(ROOT / "scripts" / "worked_example.py"), run_name="__main__")
+    assert "H0 dimension at d=14:            3" in capsys.readouterr().out
+    assert walks == [8]
