@@ -35,7 +35,7 @@ from .monomials import (
     minimalize,
     mono_lcm,
 )
-from .ratlinalg import RatMatrix, Rational, in_column_span, pivot_rows, rank
+from .ratlinalg import RatMatrix, in_column_span, pivot_rows, rank
 from .regularity import (
     PathBounds,
     RegularityReport,

@@ -1,4 +1,9 @@
-"""Exact integer echelon accumulators used by the brute-force oracles.
+"""Exact integer echelon accumulators.
+
+Every production elimination runs on `SparseIntEchelon`: the boundary and
+spline-dimension walks in `chains`, and the walk of J' and the sum oracle
+in `staircase`.  `DenseIntEchelon` runs no production route; it stays as
+the tests' from-scratch reference and as a name the benchmark traces.
 
 All reduction is cross-multiplication (a*vec - b*pivot) with the
 multipliers a, b first divided by their gcd, so every intermediate value is
@@ -10,8 +15,9 @@ The sparse echelon reduces the insert's own zero-free copy of the vector in
 place: both multipliers are negated when a < 0, so a > 0, and the scaling
 pass is skipped when a == 1, as in most steps of the spline-dimension
 oracle, whose rows lead in +-1 entries.  Its callers key coordinates by
-integers that sort like the tuples they stand for, degree level first,
-and hash and compare faster.
+integers, which hash and compare faster than tuples: the chains walks by
+integers that sort like (degree level, index), and the walk of J' by -k
+for the coefficient of v^k, so that a pivot leads in its top term.
 """
 from __future__ import annotations
 
@@ -74,11 +80,8 @@ class SparseIntEchelon:
 
 
 class DenseIntEchelon:
-    """Same idea with list vectors over coordinates 0..n-1.
-
-    Keeps the reduced pivot vectors accessible (pivot_vectors), which the
-    initial-ideal oracles reuse as a spanning set for the next degree.
-    """
+    """Same idea with list vectors over coordinates 0..n-1: the tests'
+    from-scratch reference for the sparse echelon and the walk of J'."""
 
     def __init__(self, length):
         self.length = length
@@ -90,9 +93,6 @@ class DenseIntEchelon:
 
     def pivot_rows(self):
         return sorted(self.pivots)
-
-    def pivot_vectors(self):
-        return [self.pivots[k] for k in sorted(self.pivots)]
 
     def insert(self, vec):
         vec = list(vec)

@@ -133,7 +133,6 @@ class SimplicialComplex:
         self.boundary_edges = tuple(e for e in self.edges if len(edge_tris[e]) == 1)
         self.interior_edges = tuple(e for e in self.edges if len(edge_tris[e]) == 2)
         boundary_vs = {i for e in self.boundary_edges for i in e}
-        self.boundary_vertices = frozenset(boundary_vs)
         self.interior_vertices = tuple(i for i in range(n) if i not in boundary_vs)
 
     def edge_form(self, e) -> LinearForm:

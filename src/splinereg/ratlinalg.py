@@ -16,8 +16,6 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import NamedTuple
 
-Rational = Fraction
-
 
 # the checked record subclasses a NamedTuple of its fields, which allows no
 # `__new__` in its body

@@ -5,13 +5,15 @@ The closed forms (the lambda staircase, its colon by z^{r+1}, and the pruned
 union that presents the homology quotient) are each paired with an oracle
 that recomputes them from scratch by exact rank computations on
 coefficient matrices, so every formula is checked against brute force.
-The oracles share one walk of J' degree by degree (`_power_echelons`): the
-power columns are eliminated once, in the generating degree r+1, and each
-later degree is spanned by the previous echelon shifted by v and by z.  The
-initial ideal reads its pivot rows, and the colon reads the pivots that
-vanish before coordinate r+1 (`_colon_bases`).  Each oracle stops at the
-first degree its own echelon fills: distinct slopes make J', its colon and
-Q1 + Q2 Artinian, so that degree exists, and no closed form is consulted.
+The oracles share one walk of J' degree by degree (`_power_echelons`) on
+one sparse echelon.  With z = 1 a degree-d form is a polynomial in v of
+degree <= d, and each degree adds one level to the echelon: the s powers
+times the next power of v.  A pivot leads in its top term, so the initial
+ideal reads its pivot rows off the leads, and the colon by z^{r+1} is
+spanned by the pivots of low enough top degree (`_colon_bases`).  Each
+oracle stops at the first degree its own echelon fills: distinct slopes
+make J', its colon and Q1 + Q2 Artinian, so that degree exists, and no
+closed form is consulted.
 
 A run over many cells passes one `ClosedFormTable` to `build_q`: the colon
 staircase depends only on (r, s), and In Q with its pruning check only on
@@ -27,7 +29,7 @@ from itertools import count, islice
 from math import comb
 from typing import NamedTuple
 
-from ._echelon import DenseIntEchelon, SparseIntEchelon, _first_nonzero
+from ._echelon import SparseIntEchelon, _first_nonzero
 from .errors import DuplicateSlope, InvalidSlopeCount, StaircaseInvariant
 from .monomials import (
     Monomial,
@@ -226,62 +228,54 @@ def _slope_pairs(slopes):
     return [(c.denominator, c.numerator) for c in slopes]
 
 
-def _power_columns(r: int, pairs, d: int) -> list[list[int]]:
-    """Columns are (n1*v + n2*z)^{r+1}, for each integer pair (n1, n2),
-    times the degree-(d-r-1) monomials, in the two-variable basis (v^d,
-    v^{d-1} z, ..., z^d)."""
-    cols = []
-    for n1, n2 in pairs:
-        form = [comb(r + 1, m) * n1 ** (r + 1 - m) * n2**m for m in range(r + 2)]
-        for k in range(d - r):
-            cols.append([0] * k + form + [0] * (d - r - 1 - k))
-    return cols
-
-
 def _power_echelons(r: int, pairs):
-    """Yield an echelon of J'_d = <(n1*v + n2*z)^{r+1}>_d for d = r+1,
-    r+2, ..., over the basis (v^d, v^{d-1} z, ..., z^d).
+    """Yield one echelon of J'_d = <(n1*v + n2*z)^{r+1}>_d for d = r+1,
+    r+2, ..., grown in place by one level per degree.
 
-    Only degree r+1 is built from the power columns.  J' is generated in
-    degree r+1, so J'_{d+1} = v*J'_d + z*J'_d, and each later degree is
-    spanned by the previous pivots p shifted both ways: p + [0] (times v)
-    and [0] + p (times z)."""
-    ech = DenseIntEchelon(r + 2)
-    for col in _power_columns(r, pairs, r + 1):
-        ech.insert(col)
-    while True:
+    Set z = 1.  A degree-d form sum_t c_t v^{d-t} z^t becomes a polynomial
+    in v of degree <= d, one-to-one.  J'_d is spanned by the powers times
+    v^L z^{d-r-1-L} for L <= d-r-1, so under z = 1 each degree adds one
+    level: the s = len(pairs) powers times v^{d-r-1}.  The coefficient of
+    v^k is keyed -k, so each pivot leads in its top term, the lex-leading
+    monomial v^k z^{d-k}: In(J')_d's pivot rows are t = d + key."""
+    forms = [
+        {m - r - 1: comb(r + 1, m) * n1 ** (r + 1 - m) * n2**m for m in range(r + 2)}
+        for n1, n2 in pairs
+    ]
+    ech = SparseIntEchelon()
+    for level in count():
+        for form in forms:
+            ech.insert({k - level: c for k, c in form.items()})
         yield ech
-        pivots = ech.pivot_vectors()
-        ech = DenseIntEchelon(ech.length + 1)
-        for p in pivots:
-            ech.insert(p + [0])
-        for p in pivots:
-            ech.insert([0] + p)
 
 
 def _colon_bases(r: int, pairs):
     """Yield an integer echelon basis of (J' : z^{r+1})_e for e = 0, 1, ...,
     over (v^e, v^{e-1} z, ..., z^e), as primitive vectors by increasing lead.
 
-    z^{r+1} f for f of degree e is exactly a vector of J'_{e+r+1} that
-    vanishes before coordinate r+1.  In an echelon basis such vectors are
-    spanned by the pivots leading at r+1 or later (a combination using an
-    earlier pivot is nonzero at the earliest such lead), so those pivots
-    with their first r+1 coordinates dropped are a basis of the colon."""
-    for ech in _power_echelons(r, pairs):
-        yield [ech.pivots[t][r + 1:] for t in ech.pivot_rows() if t > r]
+    Under z = 1, z^{r+1} f is f itself, so (J' : z^{r+1})_e is the part of
+    J'_{e+r+1} of top degree <= e in v, read right after level e of the
+    walk (later levels hold the larger colons by z^{r+2}, ...).  Such
+    vectors are spanned by the pivots keyed -e or later (a combination
+    using an earlier pivot keeps that pivot's top term), so those pivots,
+    with the coefficient of v^k at coordinate e - k, are a basis of the
+    colon."""
+    for e, ech in enumerate(_power_echelons(r, pairs)):
+        leads = sorted(k for k in ech.pivots if k >= -e)
+        yield [[ech.pivots[key].get(t - e, 0) for t in range(e + 1)] for key in leads]
 
 
 def initial_ideal_oracle(r, slopes, axis: str = "x") -> MonomialIdeal:
-    """In<(v+c_i z)^{r+1}> recomputed degree by degree: the pivot rows of an
-    echelon basis of J'_d (from `_power_echelons`) are the leading
-    monomials, and new minimal generators are the ones no earlier generator
-    divides.  The walk stops at the first degree whose echelon spans all of
-    S_d; every later monomial is a multiple of one found by then."""
+    """In<(v+c_i z)^{r+1}> recomputed degree by degree: the pivot rows
+    t = d + key of the echelon of J'_d (from `_power_echelons`) are the
+    leading monomials, and new minimal generators are the ones no earlier
+    generator divides.  The walk stops at the first degree whose echelon
+    spans all of S_d; every later monomial is a multiple of one found by
+    then."""
     slopes = _check_slopes(slopes)
     gens: list[Monomial] = []
     for d, ech in zip(count(r + 1), _power_echelons(r, _slope_pairs(slopes))):
-        for t in ech.pivot_rows():
+        for t in sorted(d + k for k in ech.pivots):
             m = _axis_monomial(axis, d - t, t)
             if not any(g.divides(m) for g in gens):
                 gens.append(m)

@@ -1,12 +1,14 @@
 import argparse
 import builtins
 import hashlib
+import importlib
 import io
 import json
 import re
 import time
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,6 +18,9 @@ from splinereg import chains, cli, errors, geometry, regularity
 from splinereg.cli import main
 from splinereg.geometry import ce1_complex, one_edge_complex
 from splinereg.staircase import ClosedFormTable, build_q
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def run(capsys, *argv):
@@ -477,6 +482,23 @@ def test_cli_golden_bytes(tmp_path, capsys, complex_, argv, digest):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_benchmark_pinned_digests(tmp_path, capsys, monkeypatch):
+    # every CLI output whose sha256 the benchmark pins in
+    # perfbench/expected.json, run in a work directory that holds ce1.json as
+    # the benchmark writes it; the benchmark's files are only read
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    expected = json.loads((PERFBENCH / "expected.json").read_text())["sha256"]
+    (tmp_path / "ce1.json").write_text(workloads.CE1_JSON + "\n")
+    monkeypatch.chdir(tmp_path)
+    argvs = workloads.pinned_argvs()
+    assert sorted(map(workloads.argv_key, argvs)) == sorted(expected)
+    for argv in argvs:
+        code, out, _ = run(capsys, *argv)
+        assert code == 0, argv
+        assert hashlib.sha256(out.encode()).hexdigest() == expected[workloads.argv_key(argv)], argv
 
 
 def _one34_file(tmp_path):

@@ -84,11 +84,11 @@ def test_zero_and_spanned_vectors_are_rejected(vecs, data):
     assert dense.rank == sparse.rank == r
 
 
-def _count_normalisations(monkeypatch, cls, helper):
-    """Wrap `cls.insert` and `_echelon.<helper>`; return the counters
-    [vectors normalised, inserts that stored a pivot]."""
+def _count_normalisations(monkeypatch):
+    """Wrap `SparseIntEchelon.insert` and `_echelon._normalize_dict`; return
+    the counters [vectors normalised, inserts that stored a pivot]."""
     counts = [0, 0]
-    normalize, insert = getattr(_echelon, helper), cls.insert
+    normalize, insert = _echelon._normalize_dict, SparseIntEchelon.insert
 
     def counting_normalize(vec):
         counts[0] += 1
@@ -99,28 +99,30 @@ def _count_normalisations(monkeypatch, cls, helper):
         counts[1] += stored
         return stored
 
-    monkeypatch.setattr(_echelon, helper, counting_normalize)
-    monkeypatch.setattr(cls, "insert", counting_insert)
+    monkeypatch.setattr(_echelon, "_normalize_dict", counting_normalize)
+    monkeypatch.setattr(SparseIntEchelon, "insert", counting_insert)
     return counts
 
 
-def test_dense_normalises_once_per_stored_pivot(monkeypatch):
-    # an exact work count rather than a timing: a per-step re-normalisation
-    # of reduced vectors fails it, and so does re-eliminating each degree
-    # from its power columns (825 pivots), and so does walking on past the
-    # degree where the colon basis fills (549 pivots)
-    counts = _count_normalisations(monkeypatch, DenseIntEchelon, "_normalize_list")
+def test_power_walk_normalises_once_per_stored_pivot(monkeypatch):
+    # an exact work count rather than a timing: one echelon walks J' a level
+    # per degree and stops at e = 20, where the colon basis fills, so it
+    # stores exactly dim J'_41 = 42 pivots; a per-step re-normalisation of
+    # reduced vectors fails it, and so does an echelon per degree
+    counts = _count_normalisations(monkeypatch)
     staircase.colon_initial_oracle(20, [Fraction(-4, 5), Fraction(3, 4)])
-    assert counts == [462, 462]
+    assert counts == [42, 42]
 
 
 def test_sparse_normalises_once_per_stored_pivot(monkeypatch):
     # one echelon walks every degree of the run, so it stores exactly the
-    # rank of the last degree ranked (d = 10); a per-step re-normalisation
-    # fails this, and so does an echelon per degree (199 pivots)
-    counts = _count_normalisations(monkeypatch, SparseIntEchelon, "_normalize_dict")
+    # rank of the last degree ranked (d = 10): 81 boundary pivots, plus
+    # dim J'(v)_10 = 11 for each of the two interior vertices, whose J'(v)
+    # fills S_10 (the 103 pivots of three walks); a per-step
+    # re-normalisation fails this, and so does an echelon per degree
+    counts = _count_normalisations(monkeypatch)
     assert h0_regularity_oracle(one_edge_complex(3, 4), 5) == 9
-    assert counts == [81, 81]
+    assert counts == [103, 103]
 
 
 class _OutOfPlaceEchelon(SparseIntEchelon):

@@ -12,7 +12,7 @@ import pytest
 
 import splinereg
 from splinereg import staircase
-from splinereg._echelon import DenseIntEchelon, _first_nonzero
+from splinereg._echelon import DenseIntEchelon, SparseIntEchelon, _first_nonzero
 from splinereg.errors import DuplicateSlope, InvalidSlopeCount
 from splinereg.monomials import (
     Monomial,
@@ -25,7 +25,6 @@ from splinereg.monomials import (
 from splinereg.ratlinalg import RatMatrix, in_column_span, pivot_rows, rank
 from splinereg.staircase import (
     _colon_bases,
-    _power_columns,
     _power_echelons,
     _slope_pairs,
     build_q,
@@ -284,10 +283,23 @@ def test_colon_degree_basis_solves_the_colon(s):
             assert all(a < b for a, b in zip(leads, leads[1:]))
 
 
+def power_columns(r, pairs, d):
+    """Columns (n1*v + n2*z)^{r+1}, for each integer pair (n1, n2), times the
+    degree-(d-r-1) monomials, in the two-variable basis (v^d, v^{d-1} z,
+    ..., z^d): the general-degree reference for the walk of J', which builds
+    the degree-(r+1) powers alone."""
+    cols = []
+    for n1, n2 in pairs:
+        form = [comb(r + 1, m) * n1 ** (r + 1 - m) * n2**m for m in range(r + 2)]
+        for k in range(d - r):
+            cols.append([0] * k + form + [0] * (d - r - 1 - k))
+    return cols
+
+
 @pytest.mark.parametrize("s", range(1, 5))
 def test_initial_ideal_oracle_matches_fraction_pivot_rows(s):
-    # the walk's echelon of J'_d, built by shifting the previous degree's
-    # pivots, against a from-scratch echelon of the power columns and the
+    # the walk's one echelon of J', grown a level of v-shifted powers per
+    # degree, against a from-scratch echelon of the power columns and the
     # Fraction pivot rows, through two degrees past the first where J'_d is
     # all of S_d (a principal J', s = 1, never fills: through degree r+4)
     rng = random.Random(5200 + s)
@@ -297,9 +309,9 @@ def test_initial_ideal_oracle_matches_fraction_pivot_rows(s):
         full = None  # the first degree the walk fills
         stop = r + 4 if s == 1 else None
         walk = _power_echelons(r, _slope_pairs(slopes))
-        for d, stepped in zip(count(r + 1), walk):
+        for d, walked in zip(count(r + 1), walk):
             mat = fraction_power_matrix(r, slopes, d)
-            cols = _power_columns(r, _slope_pairs(slopes), d)
+            cols = power_columns(r, _slope_pairs(slopes), d)
             for j, col in enumerate(cols):
                 scale = Fraction(slopes[j // (d - r)].denominator) ** (r + 1)
                 assert col == [scale * v for v in mat.column(j)]
@@ -307,9 +319,12 @@ def test_initial_ideal_oracle_matches_fraction_pivot_rows(s):
             for col in cols:
                 ech.insert(col)
             rows = pivot_rows(mat)
-            assert ech.pivot_rows() == stepped.pivot_rows() == rows
-            # same rank and no stepped pivot outside the span: same space
-            assert not any(ech.insert(p) for p in stepped.pivot_vectors())
+            # the walk keys the coefficient of v^k (z = 1) as -k
+            assert ech.pivot_rows() == sorted(d + k for k in walked.pivots) == rows
+            # same rank and no walk pivot, as a degree-d form, outside the
+            # span: same space
+            for piv in walked.pivots.values():
+                assert not ech.insert([piv.get(t - d, 0) for t in range(d + 1)])
             if full is None:
                 gens += [M(d - t, 0, t) for t in rows]
                 if rows == list(range(d + 1)):  # saturated: J'_d = S_d
@@ -334,18 +349,31 @@ def test_initial_ideal_oracle_matches_fraction_pivot_rows(s):
     ],
 )
 def test_power_columns_built_once_per_slope_set(monkeypatch, oracle, args, calls):
-    # J' is generated in degree r+1, so only that degree needs its power
-    # columns; rebuilding them for every degree fails this exact count
-    seen = []
-    real = staircase._power_columns
+    # J' is generated in degree r+1, so each degree the walk draws inserts
+    # its s powers times one more power of v: s inserts per level, which
+    # re-eliminating a degree from its power columns fails
+    walks = []  # the echelon each walk yielded at each level drawn, in call order
+    real, real_insert = staircase._power_echelons, SparseIntEchelon.insert
 
-    def counting(r, pairs, d):
-        seen.append(d)
-        return real(r, pairs, d)
+    def counting(r, pairs):
+        drawn = []
+        walks.append(drawn)
+        for ech in real(r, pairs):
+            drawn.append(ech)
+            yield ech
 
-    monkeypatch.setattr(staircase, "_power_columns", counting)
+    def counting_insert(self, vec):
+        self.inserts = getattr(self, "inserts", 0) + 1
+        return real_insert(self, vec)
+
+    monkeypatch.setattr(staircase, "_power_echelons", counting)
+    monkeypatch.setattr(SparseIntEchelon, "insert", counting_insert)
     oracle(*args)
-    assert seen == [args[0] + 1] * calls
+    sizes = [len(slopes) for slopes in args[1:]]
+    assert len(walks) == len(sizes) == calls
+    for s, drawn in zip(sizes, walks):
+        assert len(drawn) > 1 and all(ech is drawn[0] for ech in drawn)  # one echelon
+        assert drawn[0].inserts == s * len(drawn)
 
 
 def _count_draws(monkeypatch, name):

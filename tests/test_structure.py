@@ -53,6 +53,22 @@ def test_traced_names_resolve_and_ratlinalg_is_test_reference_only():
     assert "__init__.py" in importers  # the checker does see relative imports
 
 
+def _names_in(path):
+    """Every name a Python file mentions: names, attributes, definitions
+    and imported aliases."""
+    return {
+        getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+    }
+
+
+def test_dense_echelon_is_test_reference_only():
+    # every production elimination runs on the sparse echelon; the dense
+    # one stays as the tests' from-scratch reference and a traced name
+    naming = {path.name for path in PACKAGE.glob("*.py") if "DenseIntEchelon" in _names_in(path)}
+    assert naming == {"_echelon.py"}  # the checker does see the definition
+
+
 def test_socle_route_does_not_import_the_closed_form():
     # the socle degree of S/In Q is the independent witness for the
     # bottom-face closed form, so the monomial layer must not reach it
@@ -141,7 +157,7 @@ def test_power_walk_does_not_reach_the_closed_form():
             "sum_initial_oracle",
         ],
     )
-    assert {"DenseIntEchelon", "_power_columns", "_power_echelons"} <= names  # sees calls
+    assert {"SparseIntEchelon", "_power_echelons"} <= names  # sees calls
     forbidden = {
         "staircase_closed_form",
         "colon_staircase",
@@ -175,11 +191,7 @@ def test_only_class_routes_assembles_the_syzygy_closed_forms():
     closed_forms = {"syz2_closed_form", "syz3_closed_form"}
     naming = set()
     for path in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        names = {
-            getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
-            for node in ast.walk(tree)
-        }
+        names = _names_in(path)
         if names & closed_forms:
             naming.add(path.name)
     assert naming == {"syzygies.py"}
