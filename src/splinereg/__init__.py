@@ -28,7 +28,6 @@ from .geometry import (
 from .monomials import (
     Monomial,
     MonomialIdeal,
-    colon_by_monomial,
     hilbert_function,
     ideal_sum,
     max_socle_degree,

@@ -7,14 +7,13 @@ translated integer frame at each interior vertex v = (p_x, p_y):
 u_v = L(x - p_x z), w_v = L(y - p_y z) and t = z, where L is the lcm of the
 denominators of the interior vertex coordinates, so L p_x and L p_y are
 integers.  A form a x + b y + c z through v equals (a u_v + b w_v)/L.  Each
-column is scaled by L^{r+1}, so its block at the edge's home endpoint is
-the integer binomial expansion of (a u + b w)^{r+1} times a multiplier
-monomial in (u, w, t), and its block at the far endpoint follows from the
-integer substitution u_home = u_far + (L p_far,x - L p_home,x) t (likewise
-for w).  Each vertex block is an invertible change of basis of S_d and
-scaling a column does not change the rank, so the rank equals the naive
-monomial-basis rank (cross-checked in the tests against dense Fraction
-elimination).
+column is scaled by L^{r+1}, so at either end v of its edge the block is
+(a u_v + b w_v)^{r+1} times a multiplier monomial in (u_home, w_home, t),
+with u_home = u_v + (L p_v,x - L p_home,x) t and likewise for w: one integer
+rule, whose shift is zero at home.  Each vertex block is an invertible
+change of basis of S_d and scaling a column does not change the rank, so
+the rank equals the naive monomial-basis rank (cross-checked in the tests
+against dense Fraction elimination).
 
 Both oracles eliminate once per run, not once per degree.  Setting t = 1
 (z = 1 for the spline oracle) identifies S_d with the polynomials of
@@ -27,7 +26,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from itertools import count, islice
-from math import comb, lcm
+from math import lcm
 from typing import NamedTuple
 
 from ._echelon import SparseIntEchelon
@@ -133,50 +132,45 @@ def _boundary_walk(c: SimplicialComplex, data: IdealComplexData) -> Iterator[int
 
     With t = 1 a degree-d column is its (u, w) polynomial of degree <= d, so
     the degree-d columns are the degree-(d-1) ones plus one new level: the
-    multipliers u^alpha w^beta with alpha + beta = d - r - 1.  One echelon
-    takes the levels in turn.  A coordinate u^eu w^ew at vertex position p
-    is keyed `monomial_index(eu, ew) * n + p`, total degree first and
-    vertex last, which needs no bound on d."""
-    r = data.r
+    multipliers u_home^alpha w_home^beta with alpha + beta = d - r - 1.  Both
+    ends v of an edge run one rule: the block is (a u_v + b w_v)^{r+1} times
+    the multiplier, in v's frame u_home = u_v + (L v_x - L home_x) t (and
+    w_home likewise), so the shift is zero at home.  One echelon takes the
+    levels in turn; u_v^eu w_v^ew at v's position p is keyed
+    `monomial_index(eu, ew) * n + p`: total degree first, no bound on d."""
     vpos = {v: i for i, v in enumerate(c.interior_vertices)}
     n = len(vpos)
-
-    def key(eu, ew, pos):
-        return monomial_index(eu, ew) * n + pos
-
-    ech = SparseIntEchelon()
-    columns = []  # per group: home position and coefficients, far position and shifts
-    levels = []  # per group: the far blocks of the current level by alpha, or None
+    groups = []  # per group, per end: position, u_home, w_home, blocks of the level by alpha
     for group in data.groups:
-        a, b = group.form.a, group.form.b
-        # the edge is oriented by ascending vertex index; its differential is
-        # (+1) at the head block and (-1) at the tail block
-        hsign = 1 if group.home == max(group.edge) else -1
-        coeffs = [hsign * comb(r + 1, m) * a ** (r + 1 - m) * b**m for m in range(r + 2)]
-        if group.far is None:
-            columns.append((vpos[group.home], coeffs, None, None, None))
-            levels.append(None)
-            continue
-        (hx, hy), (fx, fy) = data.origins[group.home], data.origins[group.far]
-        # (a u + b w)^{r+1} is the same in both frames; u_home and w_home are
-        # u_far and w_far shifted by integer multiples of t = 1
-        u_home, w_home = _linear_poly((1, 0, fx - hx)), _linear_poly((0, 1, fy - hy))
-        columns.append((vpos[group.home], coeffs, vpos[group.far], u_home, w_home))
-        power = _poly_pow(_linear_poly((a, b, 0)), r + 1)
-        levels.append([{mono: -hsign * v for mono, v in power.items()}])
+        power = _poly_pow(_linear_poly((group.form.a, group.form.b, 0)), data.r + 1)
+        hx, hy = data.origins[group.home]
+        ends = []
+        for v in (group.home, group.far):
+            if v is None:
+                continue
+            vx, vy = data.origins[v]
+            # the edge is oriented by ascending vertex index; its differential
+            # is (+1) at the head block and (-1) at the tail block
+            sign = 1 if v == max(group.edge) else -1
+            u_home, w_home = _linear_poly((1, 0, vx - hx)), _linear_poly((0, 1, vy - hy))
+            ends.append((vpos[v], u_home, w_home, [{m: sign * x for m, x in power.items()}]))
+        groups.append(ends)
+    ech = SparseIntEchelon()
     for k in count():
-        for i, (hpos, coeffs, fpos, u_home, w_home) in enumerate(columns):
-            polys = levels[i]
-            if polys is not None and k > 0:
-                # level k by alpha = 0..k: each block of level k-1 times
-                # w_home, and the last one (alpha = k-1) also times u_home
-                polys = levels[i] = [_poly_mul(q, w_home) for q in polys] + [_poly_mul(polys[-1], u_home)]
+        for ends in groups:
+            for _pos, u_home, w_home, blocks in ends:
+                if k:
+                    # level k by alpha = 0..k: each block of level k-1 times
+                    # w_home, and the last one (alpha = k-1) also times u_home
+                    blocks[:] = [_poly_mul(q, w_home) for q in blocks] + [_poly_mul(blocks[-1], u_home)]
             for alpha in range(k + 1):
-                col = {key(r + 1 - m + alpha, m + k - alpha, hpos): v for m, v in enumerate(coeffs)}
-                if polys is not None:
-                    for (eu, ew, _et), v in polys[alpha].items():
-                        col[key(eu, ew, fpos)] = v
-                ech.insert(col)
+                ech.insert(
+                    {
+                        monomial_index(eu, ew) * n + pos: x
+                        for pos, _u, _w, blocks in ends
+                        for (eu, ew, _et), x in blocks[alpha].items()
+                    }
+                )
         yield ech.rank
 
 

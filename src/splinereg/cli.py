@@ -13,7 +13,9 @@ import re
 import sys
 
 from .chains import H0Table, spline_dim_formulas, spline_dim_oracles
-from .errors import BadRange, FlagAboveCap, NegativeFlag, NotAnInteger, ParseError, SplineRegError
+from .errors import (
+    BadRange, FlagAboveCap, NegativeFlag, NotAnInteger, ParseError, SplineRegError, UsageError,
+)
 from .geometry import parse_complex, interior_stats
 from .regularity import path_bounds, regularity_from_complex, regularity_one_edge
 from .staircase import ClosedFormTable, build_q, colon_staircase, staircase_closed_form
@@ -279,8 +281,15 @@ def cmd_betti(args) -> dict:
     return payload
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises `UsageError` where argparse would exit 2; subcommands inherit it."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="spline-reg",
         description="Exact regularity of the spline homology module of planar complexes",
     )
@@ -349,8 +358,8 @@ def main(argv=None) -> int:
             joined[-1] += "=" + tok
         else:
             joined.append(tok)
-    args = build_parser().parse_args(joined)
     try:
+        args = build_parser().parse_args(joined)
         _read_flags(args)
         payload = args.func(args)
     except (SplineRegError, ValueError, OSError) as exc:

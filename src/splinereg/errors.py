@@ -6,6 +6,10 @@ class SplineRegError(Exception):
     """Base class for every domain error raised by this package."""
 
 
+class UsageError(SplineRegError):
+    """A missing required flag, an unknown flag or subcommand, or a bad choice."""
+
+
 class NegativeFlag(SplineRegError):
     """A command-line value that must be >= 0 (r, d, a, b or s) is negative."""
 

@@ -49,10 +49,6 @@ class Monomial(_MonomialFields):
     def divides(self, other: "Monomial") -> bool:
         return self.ex <= other.ex and self.ey <= other.ey and self.ez <= other.ez
 
-    def colon_factor(self, m: "Monomial") -> "Monomial":
-        """self / gcd(self, m): componentwise truncated subtraction."""
-        return Monomial(max(self.ex - m.ex, 0), max(self.ey - m.ey, 0), max(self.ez - m.ez, 0))
-
     def render(self) -> str:
         parts = []
         for name, e in zip(VARS, self):
@@ -124,10 +120,6 @@ def minimalize(monomials) -> MonomialIdeal:
 
 def ideal_sum(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
     return minimalize(a.gens + b.gens)
-
-
-def colon_by_monomial(i: MonomialIdeal, m: Monomial) -> MonomialIdeal:
-    return minimalize(g.colon_factor(m) for g in i.gens)
 
 
 def monomials_of_degree(d: int):

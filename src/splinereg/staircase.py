@@ -10,10 +10,10 @@ one sparse echelon.  With z = 1 a degree-d form is a polynomial in v of
 degree <= d, and each degree adds one level to the echelon: the s powers
 times the next power of v.  A pivot leads in its top term, so the initial
 ideal reads its pivot rows off the leads, and the colon by z^{r+1} is
-spanned by the pivots of low enough top degree (`_colon_bases`).  Each
-oracle stops at the first degree its own echelon fills: distinct slopes
-make J', its colon and Q1 + Q2 Artinian, so that degree exists, and no
-closed form is consulted.
+spanned by the pivots of low enough top degree (`_colon_bases`).  One
+reader, `_initial_ideal`, takes each oracle's leads degree by degree and
+stops at the first full degree: distinct slopes make J', its colon and
+Q1 + Q2 Artinian, so that degree exists, and no closed form is consulted.
 
 A run over many cells passes one `ClosedFormTable` to `build_q`: the colon
 staircase depends only on (r, s), and In Q with its pruning check only on
@@ -29,7 +29,7 @@ from itertools import count, islice
 from math import comb
 from typing import NamedTuple
 
-from ._echelon import SparseIntEchelon, _first_nonzero
+from ._echelon import SparseIntEchelon
 from .errors import DuplicateSlope, InvalidSlopeCount, StaircaseInvariant
 from .monomials import (
     Monomial,
@@ -66,10 +66,6 @@ class ColonStaircase(NamedTuple):
     def ideal(self, axis: str = "x") -> MonomialIdeal:
         gens = [_axis_monomial(axis, i, self.lam_prime[i]) for i in range(self.i0 + 1)]
         return minimalize(gens)
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.i0 == 0
 
 
 class QData(NamedTuple):
@@ -250,65 +246,66 @@ def _power_echelons(r: int, pairs):
 
 
 def _colon_bases(r: int, pairs):
-    """Yield an integer echelon basis of (J' : z^{r+1})_e for e = 0, 1, ...,
-    over (v^e, v^{e-1} z, ..., z^e), as primitive vectors by increasing lead.
+    """Yield an integer echelon basis of (J' : z^{r+1})_e for e = 0, 1, ...:
+    primitive sparse vectors {t: coefficient of v^{e-t} z^t} by lead min(f).
 
     Under z = 1, z^{r+1} f is f itself, so (J' : z^{r+1})_e is the part of
     J'_{e+r+1} of top degree <= e in v, read right after level e of the
     walk (later levels hold the larger colons by z^{r+2}, ...).  Such
     vectors are spanned by the pivots keyed -e or later (a combination
     using an earlier pivot keeps that pivot's top term), so those pivots,
-    with the coefficient of v^k at coordinate e - k, are a basis of the
-    colon."""
+    with the coefficient of v^k at t = e - k, are a basis of the colon."""
     for e, ech in enumerate(_power_echelons(r, pairs)):
         leads = sorted(k for k in ech.pivots if k >= -e)
-        yield [[ech.pivots[key].get(t - e, 0) for t in range(e + 1)] for key in leads]
+        yield [{e + k: c for k, c in ech.pivots[key].items()} for key in leads]
+
+
+def _initial_ideal(walk) -> MonomialIdeal:
+    """An initial ideal from its (leading monomials, full) degree by degree:
+    a lead no earlier generator divides is new, and at the first full degree
+    every later monomial is a multiple of one found by then."""
+    gens: list[Monomial] = []
+    for leads, full in walk:
+        for m in leads:
+            if not any(g.divides(m) for g in gens):
+                gens.append(m)
+        if full:
+            return minimalize(gens)
 
 
 def initial_ideal_oracle(r, slopes, axis: str = "x") -> MonomialIdeal:
     """In<(v+c_i z)^{r+1}> recomputed degree by degree: the pivot rows
     t = d + key of the echelon of J'_d (from `_power_echelons`) are the
-    leading monomials, and new minimal generators are the ones no earlier
-    generator divides.  The walk stops at the first degree whose echelon
-    spans all of S_d; every later monomial is a multiple of one found by
-    then."""
-    slopes = _check_slopes(slopes)
-    gens: list[Monomial] = []
-    for d, ech in zip(count(r + 1), _power_echelons(r, _slope_pairs(slopes))):
-        for t in sorted(d + k for k in ech.pivots):
-            m = _axis_monomial(axis, d - t, t)
-            if not any(g.divides(m) for g in gens):
-                gens.append(m)
-        if ech.rank == d + 1:
-            return minimalize(gens)
+    leading monomials v^{-key} z^{d+key}, until the echelon spans all of
+    S_d."""
+    walk = zip(count(r + 1), _power_echelons(r, _slope_pairs(_check_slopes(slopes))))
+    return _initial_ideal(
+        ([_axis_monomial(axis, -k, d + k) for k in sorted(ech.pivots)], ech.rank == d + 1)
+        for d, ech in walk
+    )
 
 
 def colon_degree_basis(r, slopes, e: int):
     """Echelonized basis of (J' : z^{r+1})_e as two-variable coefficient
     vectors over (v^e, v^{e-1} z, ..., z^e): all f with z^{r+1} f in J'.
-    It is the e-th basis of `_colon_bases`, each vector divided by its lead
-    entry, so leads are 1 and increase."""
+    It is the e-th basis of `_colon_bases` laid out densely, each vector
+    divided by its lead entry, so leads are 1 and increase."""
     slopes = _check_slopes(slopes)
     if e < 0:
         return []
     basis = next(islice(_colon_bases(r, _slope_pairs(slopes)), e, None))
-    return [[Fraction(v, f[_first_nonzero(f)]) for v in f] for f in basis]
+    return [[Fraction(f.get(t, 0), f[min(f)]) for t in range(e + 1)] for f in basis]
 
 
 def colon_initial_oracle(r, slopes, axis: str = "x") -> MonomialIdeal:
     """In(J' : z^{r+1}) computed from the colon subspaces themselves, never
-    from the staircase closed form; it stops at the first degree e whose
-    colon basis has e+1 vectors."""
-    slopes = _check_slopes(slopes)
-    gens: list[Monomial] = []
-    for e, basis in enumerate(_colon_bases(r, _slope_pairs(slopes))):
-        for vec in basis:
-            t = _first_nonzero(vec)
-            m = _axis_monomial(axis, e - t, t)
-            if not any(g.divides(m) for g in gens):
-                gens.append(m)
-        if len(basis) == e + 1:
-            return minimalize(gens)
+    from the staircase closed form: each basis vector leads in v^{e-t} z^t,
+    t = min(f), until degree e has e+1 of them."""
+    colons = _colon_bases(r, _slope_pairs(_check_slopes(slopes)))
+    return _initial_ideal(
+        ([_axis_monomial(axis, e - t, t) for t in map(min, basis)], len(basis) == e + 1)
+        for e, basis in enumerate(colons)
+    )
 
 
 # -- sum oracle --------------------------------------------------------------
@@ -323,31 +320,22 @@ def sum_initial_oracle(r, slopes1, slopes2) -> MonomialIdeal:
     most e+1 of the (d+2)(d+1)/2 monomials of S_d.  The Q1 vectors have
     distinct leads and go in without reduction.  It stops at the first
     degree whose echelon spans all of S_d."""
-    slopes1 = _check_slopes(slopes1)
-    slopes2 = _check_slopes(slopes2)
-    gens: list[Monomial] = []
-    bases1: list[list[list[int]]] = []  # bases1[e] spans Q1_e
-    bases2: list[list[list[int]]] = []
-    colons1 = _colon_bases(r, _slope_pairs(slopes1))
-    colons2 = _colon_bases(r, _slope_pairs(slopes2))
-    for d, basis1, basis2 in zip(count(), colons1, colons2):
-        bases1.append(basis1)
-        bases2.append(basis2)
+    colons1 = _colon_bases(r, _slope_pairs(_check_slopes(slopes1)))
+    colons2 = _colon_bases(r, _slope_pairs(_check_slopes(slopes2)))
+    return _initial_ideal(_sum_leads(colons1, colons2))
+
+
+def _sum_leads(colons1, colons2):
+    """(leads, full) of Q1 + Q2 in degree d = 0, 1, ..., each from a fresh echelon."""
+    bases = []  # bases[e]: the bases of Q1_e and of Q2_e
+    for d, pair in enumerate(zip(colons1, colons2)):
+        bases.append(pair)
         ech = SparseIntEchelon()
-        for axis, bases in (("x", bases1), ("y", bases2)):
-            for e, basis in enumerate(bases):
-                # basis vectors of degree e, times y^(d-e) (x side) or x^(d-e)
-                for bvec in basis:
-                    vec = {}
-                    for t, val in enumerate(bvec):
-                        if val:
-                            # x^(e-t) y^(d-e) z^t or x^(d-e) y^(e-t) z^t
-                            vec[monomial_index(d - e if axis == "x" else e - t, t)] = val
-                    ech.insert(vec)
-        for lead in sorted(ech.pivots):
-            ey, ez = index_exponents(lead)
-            m = Monomial(d - ey - ez, ey, ez)
-            if not any(g.divides(m) for g in gens):
-                gens.append(m)
-        if ech.rank == (d + 2) * (d + 1) // 2:
-            return minimalize(gens)
+        for side in (0, 1):
+            for e, sides in enumerate(bases):
+                # f in Q1_e times y^(d-e) is x^(e-t) y^(d-e) z^t, and f in Q2_e
+                # times x^(d-e) is x^(d-e) y^(e-t) z^t
+                for f in sides[side]:
+                    ech.insert({monomial_index(e - t if side else d - e, t): c for t, c in f.items()})
+        leads = [Monomial(d - ey - ez, ey, ez) for ey, ez in map(index_exponents, sorted(ech.pivots))]
+        yield leads, ech.rank == (d + 2) * (d + 1) // 2

@@ -29,8 +29,6 @@ from .errors import (
 from .monomials import (
     Monomial,
     MonomialIdeal,
-    count_degree,
-    hilbert_function,
     max_socle_degree,
     mono_lcm,
 )
@@ -259,13 +257,3 @@ def syzygies_match_betti(table: BettiTable, syz2, syz3) -> bool:
     included."""
     syz3 = tuple(sorted(syz3, reverse=True))
     return table.multidegrees(1) == tuple(syz2) and table.multidegrees(2) == syz3
-
-
-def euler_hilbert_check(ideal: MonomialIdeal, table: BettiTable, d: int) -> bool:
-    """C(d+2,2) - sum beta_0 C(d-|b|+2,2) + sum beta_1 ... - sum beta_2 ...
-    must reproduce dim (S/I)_d."""
-    total = count_degree(d)
-    for i, sign in ((0, -1), (1, 1), (2, -1)):
-        for b in table.multidegrees(i):
-            total += sign * count_degree(d - b.degree)
-    return total == hilbert_function(ideal, d)

@@ -8,6 +8,7 @@ from splinereg.geometry import (
     star_complex,
     two_triangles,
 )
+from splinereg.monomials import Monomial, count_degree, hilbert_function, minimalize
 
 
 def wheel_in_wheel():
@@ -53,3 +54,22 @@ def complex_two():
 @pytest.fixture(scope="session")
 def complex_star():
     return star_complex()
+
+
+# reference checks that several test modules share; production code has no
+# use for them
+
+
+def colon_by_monomial(ideal, m):
+    """The monomial colon ideal : m, generated by each g / gcd(g, m)."""
+    return minimalize(Monomial(*(max(e - f, 0) for e, f in zip(g, m))) for g in ideal.gens)
+
+
+def euler_hilbert_check(ideal, table, d):
+    """Whether C(d+2,2) - sum beta_0 C(d-|b|+2,2) + sum beta_1 ... - sum
+    beta_2 ... reproduces dim (S/I)_d."""
+    total = count_degree(d)
+    for i, sign in ((0, -1), (1, 1), (2, -1)):
+        for b in table.multidegrees(i):
+            total += sign * count_degree(d - b.degree)
+    return total == hilbert_function(ideal, d)

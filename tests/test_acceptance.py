@@ -9,13 +9,15 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import colon_by_monomial, euler_hilbert_check
+
 from splinereg.chains import (
     h0_regularity_oracle,
     spline_dim_formula,
     spline_dim_oracle,
 )
 from splinereg.geometry import one_edge_complex
-from splinereg.monomials import Monomial, colon_by_monomial, max_socle_degree
+from splinereg.monomials import Monomial, max_socle_degree
 from splinereg.regularity import path_bounds, regularity_from_complex, regularity_one_edge
 from splinereg.staircase import (
     build_q,
@@ -28,7 +30,6 @@ from splinereg.staircase import (
 from splinereg.syzygies import (
     betti_oracle,
     buchberger_graph,
-    euler_hilbert_check,
     syz2_closed_form,
     syz3_closed_form,
 )

@@ -738,20 +738,31 @@ def _command(*parts):
 
 _R = _pool(["1", "2", "3"], 24)  # the Arabic-Indic three is r = 3 too
 _AB = _pool(["3", "4"], 16)
+_FORMAT = _flag("format", hs.sampled_from(["json", "table", "xml"]), optional=True)
+# argv that argparse itself rejects: a missing required flag, an unknown
+# flag or subcommand, and no subcommand at all
+_USAGE = [
+    ["regularity", "--a", "3", "--b", "4"],
+    ["sweep", "--a", "3", "--b", "4", "--r", "2", "--oracle"],
+    ["bogus"],
+    ["analyze", "--r", "2"],
+    [],
+]
 _ARGV = hs.one_of(
     _command(hs.just(["regularity"]), _flag("a", _AB), _flag("b", _AB), _flag("r", _R),
-             _switch("oracle")),
+             _switch("oracle"), _FORMAT),
     _command(hs.sampled_from([["analyze", "one34.json"], ["analyze", "ce1.json"]]),
              _flag("r", _R), _flag("d", _pool(["2", "4"], 98), optional=True),
-             _switch("oracle"), _switch("emit-graph")),
+             _switch("oracle"), _switch("emit-graph"), _FORMAT),
     _command(hs.just(["sweep"]), _flag("a", _pool(["3"], 16, _RANGES)),
              _flag("b", _pool(["4"], 16, _RANGES)),
-             _flag("r", _pool(["2"], 24, _RANGES))),
+             _flag("r", _pool(["2"], 24, _RANGES)), _FORMAT),
     _command(hs.just(["staircase"]), _flag("r", _R),
              _flag("s", _pool(["2", "3"], 15), optional=True),
              _flag("a", _AB, optional=True), _flag("b", _AB, optional=True),
-             _switch("emit-graph")),
-    _command(hs.just(["betti"]), _flag("a", _AB), _flag("b", _AB), _flag("r", _R)),
+             _switch("emit-graph"), _FORMAT),
+    _command(hs.just(["betti"]), _flag("a", _AB), _flag("b", _AB), _flag("r", _R), _FORMAT),
+    hs.sampled_from(_USAGE),
 )
 
 
@@ -773,6 +784,10 @@ def _is_typed_error(name):
 @given(argv=_ARGV)
 @example(argv=["analyze", "ce1.json", "--r", "2", "--d", _HUGE])
 @example(argv=["sweep", "--a", "3..4", "--b", "3..4", "--r", f"1..{_HUGE}"])
+@example(argv=["regularity", "--a", "3", "--b", "4"])
+@example(argv=["sweep", "--a", "3", "--b", "4", "--r", "2", "--oracle"])
+@example(argv=["bogus"])
+@example(argv=["betti", "--a", "3", "--b", "4", "--r", "2", "--format", "xml"])
 def test_main_exits_0_or_1_with_one_typed_error_line(complex_files, argv):
     argv = [complex_files.get(tok, tok) for tok in argv]
     out, err = io.StringIO(), io.StringIO()
@@ -786,3 +801,35 @@ def test_main_exits_0_or_1_with_one_typed_error_line(complex_files, argv):
     assert err.getvalue() == line + "\n"
     match = re.fullmatch(r"error: (\w+): .+", line)
     assert match and _is_typed_error(match.group(1)), line
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("regularity", "--a", "3", "--b", "4"),
+         "spline-reg regularity: the following arguments are required: --r"),
+        (("sweep", "--a", "3", "--b", "4", "--r", "2", "--oracle"),
+         "spline-reg: unrecognized arguments: --oracle"),
+        (("bogus",),
+         "spline-reg: argument command: invalid choice: 'bogus' (choose from 'regularity', "
+         "'analyze', 'sweep', 'staircase', 'betti')"),
+        (("betti", "--a", "3", "--b", "4", "--r", "2", "--format", "xml"),
+         "spline-reg betti: argument --format: invalid choice: 'xml' (choose from 'json', 'table')"),
+    ],
+    ids=["missing", "unknown-flag", "unknown-command", "choice"],
+)
+def test_usage_errors_are_typed(capsys, argv, message):
+    # what argparse rejects is a UsageError with exit code 1 and one line,
+    # not a usage block with exit code 2
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", f"error: UsageError: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, prog", [(["--help"], "spline-reg"), (["analyze", "--help"], "spline-reg analyze")]
+)
+def test_help_still_exits_0(capsys, argv, prog):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: {prog} [-h]")

@@ -4,11 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import colon_by_monomial
+
 from splinereg.errors import NotArtinian, TrivialIdeal
 from splinereg.monomials import (
     Monomial,
     MonomialIdeal,
-    colon_by_monomial,
     count_degree,
     hilbert_function,
     ideal_sum,

@@ -1,6 +1,7 @@
 """The runnable scripts under `scripts/` end to end, each in a fresh
 interpreter on this checkout's package, or in process where a test patches
 a layer under the script."""
+import importlib
 import os
 import runpy
 import subprocess
@@ -11,15 +12,16 @@ import pytest
 
 import splinereg
 from splinereg import syzygies
+from splinereg.geometry import parse_complex
 from splinereg.regularity import regularity_one_edge
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _run(script):
+def _run(script, *args):
     env = dict(os.environ, PYTHONPATH=str(Path(splinereg.__file__).parents[1]))
     out = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script)],
+        [sys.executable, str(ROOT / "scripts" / script), *args],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert out.returncode == 0, out.stderr
@@ -83,3 +85,18 @@ def test_worked_example_walks_h0_once(monkeypatch, capsys):
     runpy.run_path(str(ROOT / "scripts" / "worked_example.py"), run_name="__main__")
     assert "H0 dimension at d=14:            3" in capsys.readouterr().out
     assert walks == [8]
+
+
+def test_make_complexes_writes_each_bundled_complex(tmp_path, monkeypatch):
+    # five named complexes and one one-edge complex per 3 <= a <= b <= 8,
+    # each file exactly what its complex serializes to; the two-edge path
+    # is the benchmark's ce1, whose file is only read here
+    _run("make_complexes.py", str(tmp_path))
+    files = sorted(tmp_path.iterdir())
+    assert len(files) == 26
+    for path in files:
+        text = path.read_text(encoding="utf-8")
+        assert text == parse_complex(text).to_json() + "\n", path.name
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    assert (tmp_path / "two_edge_path.json").read_text(encoding="utf-8") == workloads.CE1_JSON + "\n"

@@ -5,18 +5,19 @@ import sys
 import time
 from fractions import Fraction
 from itertools import count
-from math import comb
+from math import comb, gcd
 from pathlib import Path
 
 import pytest
 
+from conftest import colon_by_monomial
+
 import splinereg
 from splinereg import staircase
-from splinereg._echelon import DenseIntEchelon, SparseIntEchelon, _first_nonzero
+from splinereg._echelon import DenseIntEchelon, SparseIntEchelon
 from splinereg.errors import DuplicateSlope, InvalidSlopeCount
 from splinereg.monomials import (
     Monomial,
-    colon_by_monomial,
     index_exponents,
     minimalize,
     monomial_index,
@@ -156,7 +157,7 @@ def test_build_q_33_r2():
 def test_build_q_trivial():
     q = build_q(5, 5, 0)
     assert q.in_q.is_trivial
-    assert q.colon1.is_trivial and q.colon2.is_trivial
+    assert q.colon1.i0 == q.colon2.i0 == 0
 
 
 def test_build_q_swaps():
@@ -253,34 +254,36 @@ def colon_bound(r, s):
 
 @pytest.mark.parametrize("s", range(1, 5))
 def test_colon_degree_basis_solves_the_colon(s):
-    # the walk's colon bases, one walk per slope set, through degree r+3 and
-    # through the colon bound + 2, whichever is later
+    # the walk's sparse colon bases, one walk per slope set, through degree
+    # r+3 and through the colon bound + 2, whichever is later
     rng = random.Random(5100 + s)
     for r in range(0, 9):
         slopes = slopes_with_zero(rng, s)
         top = max(r + 4, colon_bound(r, s) + 3)
         walk = _colon_bases(r, _slope_pairs(slopes))
-        for e, int_basis in zip(range(top), walk):
-            basis = [[Fraction(v, f[_first_nonzero(f)]) for v in f] for f in int_basis]
+        for e, basis in zip(range(top), walk):
+            # each f is {t: coefficient of v^(e-t) z^t}, a primitive integer
+            # vector with keys in 0..e, and the leads min(f) increase
+            for f in basis:
+                assert set(f) <= set(range(e + 1)) and all(f.values())
+                assert gcd(*f.values()) == 1
+            leads = [min(f) for f in basis]
+            assert all(a < b for a, b in zip(leads, leads[1:]))
+            dense = [[Fraction(f.get(t, 0)) for t in range(e + 1)] for f in basis]
             if s == 1:
                 with pytest.raises(InvalidSlopeCount):
                     colon_degree_basis(r, slopes, e)
             else:
-                assert colon_degree_basis(r, slopes, e) == basis
+                scaled = [[v / f[min(f)] for v in row] for f, row in zip(basis, dense)]
+                assert colon_degree_basis(r, slopes, e) == scaled
             mat = fraction_power_matrix(r, slopes, e + r + 1)
             shifts = RatMatrix.from_rows(
                 [[int(t == i + r + 1) for i in range(e + 1)] for t in range(e + r + 2)]
             )
             # dim (J' : z^{r+1})_e = dim of the shifts' preimage in J'_{e+r+1}
             assert len(basis) == (e + 1) + rank(mat) - rank(mat.hstack(shifts))
-            leads = []
-            for f in basis:
-                assert len(f) == e + 1
-                lead = next(t for t, v in enumerate(f) if v)
-                assert f[lead] == 1
-                leads.append(lead)
-                assert in_column_span(mat, [Fraction(0)] * (r + 1) + list(f))
-            assert all(a < b for a, b in zip(leads, leads[1:]))
+            for row in dense:
+                assert in_column_span(mat, [Fraction(0)] * (r + 1) + row)
 
 
 def power_columns(r, pairs, d):

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import euler_hilbert_check
+
 from splinereg import syzygies
 from splinereg.errors import (
     NonMonotone,
@@ -26,7 +28,6 @@ from splinereg.syzygies import (
     betti_oracle,
     bottom_face,
     buchberger_graph,
-    euler_hilbert_check,
     regularity_from_bottom_face,
     syz2_closed_form,
     syz3_closed_form,
