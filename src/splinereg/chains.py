@@ -69,32 +69,27 @@ class IdealComplexData(NamedTuple):
 
 
 def ideal_complex(c: SimplicialComplex, r: int) -> IdealComplexData:
-    interior = set(c.interior_vertices)
     vpos = {v: i for i, v in enumerate(c.interior_vertices)}
-    totally = [e for e in c.interior_edges if e[0] in interior and e[1] in interior]
     groups: list[EdgeGroup] = []
-    for e in sorted(totally):
-        home, far = sorted(e, key=lambda v: vpos[v])
-        groups.append(EdgeGroup(e, c.edge_form(e), home, far))
+    for e in c.totally_interior:
+        home, far = sorted(e, key=vpos.get)
+        groups.append(EdgeGroup(e, c.forms[e], home, far))
     partial: dict[tuple[int, tuple[int, int]], tuple[int, int]] = {}  # least edge per key
-    for e in sorted(c.interior_edges):
-        ends_in = [v for v in e if v in interior]
-        if len(ends_in) == 1:
-            partial.setdefault((ends_in[0], c.edge_slope(e)), e)
-    for (v, _slope), e in sorted(partial.items()):
-        groups.append(EdgeGroup(e, c.edge_form(e), v, None))
-
     vertex_forms = {}
-    for v in c.interior_vertices:
-        seen = {}
-        for e in sorted(e for e in c.interior_edges if v in e):
-            seen.setdefault(c.edge_slope(e), c.edge_form(e))
+    for v, edges in c.edges_at.items():
+        seen = {}  # one form per slope, from the least edge with it
+        for e in edges:
+            seen.setdefault(c.slopes[e], c.forms[e])
+            if e not in c.totally_interior:
+                partial.setdefault((v, c.slopes[e]), e)
         vertex_forms[v] = tuple(seen.values())
+    for (v, _slope), e in sorted(partial.items()):
+        groups.append(EdgeGroup(e, c.forms[e], v, None))
     scale = 1
     for v in c.interior_vertices:
         for coord in c.vertices[v]:
             scale = lcm(scale, coord.denominator)
-    origins = {v: (int(scale * c.vertices[v][0]), int(scale * c.vertices[v][1])) for v in interior}
+    origins = {v: (int(scale * c.vertices[v][0]), int(scale * c.vertices[v][1])) for v in vpos}
     return IdealComplexData(r, tuple(groups), vertex_forms, origins)
 
 
@@ -350,7 +345,7 @@ def spline_dim_oracles(c: SimplicialComplex, r: int, top: int) -> list[int]:
             base = level * blocks * width
             for b in range(level + 1):
                 rows[level - b, b] = {base + t1 * width + b: 1, base + t2 * width + b: -1}
-        power = _poly_pow(_linear_poly(c.edge_form(e).vector()), r + 1)
+        power = _poly_pow(_linear_poly(c.forms[e].vector()), r + 1)
         g_block = n_t + j
         for (a, b, _c), v in power.items():
             for g_level in range(top - r):

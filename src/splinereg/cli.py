@@ -2,8 +2,9 @@
 
 Subcommands: regularity, analyze, sweep, staircase, betti.  JSON is the
 default output (stable key order, so identical configs give byte-identical
-bytes); --format table is for humans.  Exit code 0 iff no error was raised
-and no check failed.
+bytes); --format table is for humans.  Each `cmd_*` returns its command's
+fields, and `main` puts `schema` and `command` in front of them.  Exit code
+0 iff no error was raised and no check failed.
 """
 from __future__ import annotations
 
@@ -132,7 +133,7 @@ def _graph_dict(graph):
 
 def cmd_regularity(args) -> dict:
     report = regularity_one_edge(args.a, args.b, args.r)
-    payload = {"schema": SCHEMA, "command": "regularity", **report.to_json_dict()}
+    payload = report.to_json_dict()
     if args.oracle and not report.vanishes:
         routes = class_routes(build_q(args.a, args.b, args.r))
         payload["betti_confirms_syzygies"] = syzygies_match_betti(
@@ -148,8 +149,6 @@ def cmd_analyze(args) -> dict:
     stats = interior_stats(c, args.r)
     h0 = H0Table(c, args.r)  # one ideal complex and one rank per H0 degree
     payload = {
-        "schema": SCHEMA,
-        "command": "analyze",
         "f_vector": [len(c.vertices), len(c.edges), len(c.triangles)],
         "interior_data": stats.to_json_dict(),
     }
@@ -207,17 +206,12 @@ def cmd_sweep(args) -> dict:
                         violations.append(f"({a},{b},{r})")
                 except SplineRegError as exc:
                     violations.append(f"({a},{b},{r}): {type(exc).__name__}: {exc}")
-    return {
-        "schema": SCHEMA,
-        "command": "sweep",
-        "rows": rows,
-        "violations": violations,
-        "summary": f"{len(rows)} cells, {len(violations)} violations",
-    }
+    summary = f"{len(rows)} cells, {len(violations)} violations"
+    return {"rows": rows, "violations": violations, "summary": summary}
 
 
 def cmd_staircase(args) -> dict:
-    payload = {"schema": SCHEMA, "command": "staircase", "r": args.r}
+    payload = {"r": args.r}
     if args.s is not None:
         if args.a is not None or args.b is not None or args.emit_graph:
             raise SplineRegError("staircase --s takes no --a, --b or --emit-graph")
@@ -261,14 +255,7 @@ def cmd_staircase(args) -> dict:
 
 def cmd_betti(args) -> dict:
     q = build_q(args.a, args.b, args.r)
-    payload = {
-        "schema": SCHEMA,
-        "command": "betti",
-        "a": q.a,
-        "b": q.b,
-        "r": args.r,
-        "in_q": [g.render() for g in q.in_q.gens],
-    }
+    payload = {"a": q.a, "b": q.b, "r": args.r, "in_q": [g.render() for g in q.in_q.gens]}
     table = betti_oracle(q.in_q)
     payload["betti"] = {
         str(i): [m.render() for m in table.multidegrees(i)] for i in (0, 1, 2)
@@ -361,7 +348,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(joined)
         _read_flags(args)
-        payload = args.func(args)
+        payload = {"schema": SCHEMA, "command": args.command, **args.func(args)}
     except (SplineRegError, ValueError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

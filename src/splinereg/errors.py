@@ -82,10 +82,6 @@ class SlopeClashAssumption(SplineRegError):
     at the same vertex, which the whole pipeline assumes never happens."""
 
 
-class AlphaUndefined(SplineRegError):
-    """alpha(v) requested at a vertex with no partially interior edges."""
-
-
 class NotOneEdge(SplineRegError):
     """The complex does not have exactly one totally interior edge."""
 

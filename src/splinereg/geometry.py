@@ -16,7 +16,6 @@ from math import gcd, lcm
 from typing import NamedTuple
 
 from .errors import (
-    AlphaUndefined,
     DegenerateTriangle,
     ExtraInteriorVertex,
     NonzeroGenus,
@@ -135,11 +134,14 @@ class SimplicialComplex:
         boundary_vs = {i for e in self.boundary_edges for i in e}
         self.interior_vertices = tuple(i for i in range(n) if i not in boundary_vs)
 
-    def edge_form(self, e) -> LinearForm:
-        return LinearForm.through(self.vertices[e[0]], self.vertices[e[1]])
-
-    def edge_slope(self, e) -> tuple[int, int]:
-        return slope_key(self.vertices[e[0]], self.vertices[e[1]])
+        # derived once, for every route to read: each interior edge's line
+        # and slope, the edges at each interior vertex (all interior, in
+        # ascending order) and the totally interior edges
+        ends = {e: (self.vertices[e[0]], self.vertices[e[1]]) for e in self.interior_edges}
+        self.forms = {e: LinearForm.through(p, q) for e, (p, q) in ends.items()}
+        self.slopes = {e: slope_key(p, q) for e, (p, q) in ends.items()}
+        self.edges_at = {v: tuple(e for e in ends if v in e) for v in self.interior_vertices}
+        self.totally_interior = tuple(e for e in ends if e[0] in self.edges_at and e[1] in self.edges_at)
 
     def to_json(self) -> str:
         data = {
@@ -239,12 +241,6 @@ class InteriorData(NamedTuple):
     partially_interior: tuple[tuple[int, int], ...]
     interior_blocks: int
 
-    def alpha(self, v: int) -> int:
-        st = self.per_vertex[v]
-        if st.k_0b == 0:
-            raise AlphaUndefined(f"vertex {v} has no partially interior edge")
-        return st.alpha
-
     def to_json_dict(self):
         return {
             "r": self.r,
@@ -271,44 +267,30 @@ def interior_stats(c: SimplicialComplex, r: int) -> InteriorData:
     """Classify interior edges, count slopes per interior vertex, and check
     the standing assumption that partially and totally interior edges never
     share a slope at a vertex."""
-    interior = set(c.interior_vertices)
-    totally = tuple(e for e in c.interior_edges if e[0] in interior and e[1] in interior)
-    partially = tuple(
-        e for e in c.interior_edges if (e[0] in interior) != (e[1] in interior)
-    )
+    totally = c.totally_interior
+    partially = tuple(e for e in c.interior_edges if (e[0] in c.edges_at) != (e[1] in c.edges_at))
     per_vertex = {}
-    for v in c.interior_vertices:
-        incident = [e for e in c.edges if v in e]
-        tot = [e for e in incident if e in totally]
-        part = [e for e in incident if e in partially]
-        slopes_all = {c.edge_slope(e) for e in incident}
-        slopes_tot = {c.edge_slope(e) for e in tot}
-        slopes_part = {c.edge_slope(e) for e in part}
-        clash = slopes_tot & slopes_part
+    for v, incident in c.edges_at.items():
+        tot = [c.slopes[e] for e in incident if e in totally]
+        part = [c.slopes[e] for e in incident if e not in totally]
+        clash = set(tot) & set(part)
         if clash:
             raise SlopeClashAssumption(
                 f"vertex {v}: slope {sorted(clash)[0]} is shared by a totally and a "
                 "partially interior edge"
             )
-        k_0b = len(slopes_part)
+        k_0b = len(set(part))
         per_vertex[v] = VertexStats(
             f1=len(incident),
-            k=len(slopes_all),
+            k=len(set(tot + part)),
             f1_00=len(tot),
-            k_00=len(slopes_tot),
+            k_00=len(set(tot)),
             f1_0b=len(part),
             k_0b=k_0b,
             alpha=(r + 1) // k_0b if k_0b > 0 else None,
         )
     blocks = _component_count(c.interior_vertices, totally)
-    return InteriorData(
-        r=r,
-        per_vertex=per_vertex,
-        interior_edges=tuple(c.interior_edges),
-        totally_interior=totally,
-        partially_interior=partially,
-        interior_blocks=blocks,
-    )
+    return InteriorData(r, per_vertex, c.interior_edges, totally, partially, blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +328,7 @@ def normalize_one_edge(
     v1, v2 = sorted(eps, key=lambda v: stats.per_vertex[v].k)
     for v in (v1, v2):
         k = stats.per_vertex[v].k
-        lines = len({c.edge_form(e) for e in c.edges if v in e})
+        lines = len({c.forms[e] for e in c.edges_at[v]})
         if lines != k:
             raise RouteDisagreement(f"vertex {v}: {lines} distinct edge lines, but k = {k}")
     return OneEdgeNormalization(v1, v2, stats.per_vertex[v1].k, stats.per_vertex[v2].k)

@@ -99,21 +99,14 @@ def regularity_one_edge(
     lower = alpha1 + alpha2 + r - 1
     upper = alpha1 + alpha2 + r
     if q.is_trivial:
-        return RegularityReport(
-            a, b, r,
-            exact=None,
-            lower=lower,
-            upper=upper,
-            bottom_face=None,
-            in_q=q.in_q,
-            routes={"bottom_face": None, "socle_shift": None},
-        )
-    routes = table.routes.get(q.key)
-    if routes is None:
-        routes = table.routes[q.key] = class_routes(q)[:3]  # (reg, socle, face)
-    reg, socle, face = routes
-    if not lower <= reg <= upper:
-        raise RouteDisagreement(f"sandwich violated: {lower} <= {reg} <= {upper}")
+        reg = socle = face = None
+    else:
+        routes = table.routes.get(q.key)
+        if routes is None:
+            routes = table.routes[q.key] = class_routes(q)[:3]  # (reg, socle, face)
+        reg, socle, face = routes
+        if not lower <= reg <= upper:
+            raise RouteDisagreement(f"sandwich violated: {lower} <= {reg} <= {upper}")
     return RegularityReport(
         a, b, r,
         exact=reg,
@@ -152,7 +145,13 @@ class PathBounds(NamedTuple):
     upper: int | None
     oracle_ran: bool
     oracle_reg: int | None
-    oracle_within: bool | None
+
+    @property
+    def oracle_within(self) -> bool | None:
+        """lower <= oracle_reg <= upper, or None when either side is missing."""
+        if self.oracle_reg is None or self.lower is None:
+            return None
+        return self.lower <= self.oracle_reg <= self.upper
 
     def to_json_dict(self):
         return {
@@ -189,17 +188,10 @@ def path_bounds(
             )
     per_edge = []
     for e in stats.totally_interior:
-        vi, vj = e
-        ki, kj = stats.per_vertex[vi].k, stats.per_vertex[vj].k
-        low = (r + 1) // (ki - 1) + (r + 1) // (kj - 1) + r - 1
-        up = stats.alpha(vi) + stats.alpha(vj) + r
-        per_edge.append((e, low, up))
+        si, sj = (stats.per_vertex[v] for v in e)
+        low = (r + 1) // (si.k - 1) + (r + 1) // (sj.k - 1) + r - 1
+        per_edge.append((e, low, si.alpha + sj.alpha + r))
     lower = max((lo for _, lo, _ in per_edge), default=None)
     upper = max((up for _, _, up in per_edge), default=None)
-    oracle_reg = None
-    within = None
-    if run_oracle:
-        oracle_reg = h0_regularity_oracle(c, r, h0)
-        if oracle_reg is not None and lower is not None:
-            within = lower <= oracle_reg <= upper
-    return PathBounds(r, tuple(per_edge), lower, upper, run_oracle, oracle_reg, within)
+    oracle_reg = h0_regularity_oracle(c, r, h0) if run_oracle else None
+    return PathBounds(r, tuple(per_edge), lower, upper, run_oracle, oracle_reg)

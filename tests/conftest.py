@@ -73,3 +73,12 @@ def euler_hilbert_check(ideal, table, d):
         for b in table.multidegrees(i):
             total += sign * count_degree(d - b.degree)
     return total == hilbert_function(ideal, d)
+
+
+def morgan_scott(inner):
+    """The Morgan-Scott complex: the outer triangle (0,0), (3,0), (0,3)
+    around the inner triangle `inner` = (p3, p4, p5), split into seven
+    counterclockwise triangles (Morgan-Scott 1975)."""
+    verts = [(0, 0), (3, 0), (0, 3), *inner]
+    tris = [(0, 1, 3), (1, 4, 3), (1, 2, 4), (2, 5, 4), (2, 0, 5), (0, 3, 5), (3, 4, 5)]
+    return SimplicialComplex(verts, tris)

@@ -9,6 +9,7 @@ from hypothesis import strategies as hs
 from splinereg import chains
 from splinereg._echelon import SparseIntEchelon
 from splinereg.chains import (
+    H0Table,
     _linear_poly,
     _poly_mul,
     _poly_pow,
@@ -32,6 +33,8 @@ from splinereg.geometry import (
 from splinereg.monomials import count_degree, hilbert_function, monomial_index, monomials_of_degree
 from splinereg.ratlinalg import RatMatrix, rank
 from splinereg.staircase import _power_echelons, build_q
+
+from conftest import morgan_scott
 
 
 # -- naive boundary matrix in the global monomial basis, used to certify the
@@ -186,7 +189,7 @@ def per_degree_spline_dim_oracle(c, r, d):
     for j, e in enumerate(c.interior_edges):
         t1, t2 = c.edge_triangles[e]
         rows = [{t1 * n_s + m: 1, t2 * n_s + m: -1} for m in range(n_s)]
-        power = _poly_pow(_linear_poly(c.edge_form(e).vector()), r + 1)
+        power = _poly_pow(_linear_poly(c.forms[e].vector()), r + 1)
         j_base = g_base + j * n_g
         for (a, b, cz), v in power.items():
             for gm, (ex, ey) in enumerate(g_monos):
@@ -481,3 +484,24 @@ def test_spline_formula_equals_oracle_on_random_fans(lefts, mids, r, top):
 )
 def test_walks_equal_per_degree_kernels_on_random_fans(lefts, mids, r):
     _assert_walks_equal_per_degree_kernels(one_edge_fan(lefts, mids), r)
+
+
+_MS_INNER = ((1, Fraction(1, 4)), (1, Fraction(7, 4)))
+
+
+@pytest.mark.parametrize("r, dims", [(1, (7, 6)), (2, (16, 15)), (3, (32, 31))])
+def test_morgan_scott_pins_the_edge_orientation(r, dims):
+    # Morgan-Scott (1975): at the special inner position dim C^r_{2r} gains
+    # one spline over the generic one.  The inner triangle's three totally
+    # interior edges form a cycle, and H0_{2r} = 1 there only with the
+    # boundary map's signs right: +1 at each edge's higher-index vertex and
+    # -1 at the other (with +1 at both ends H0_{2r} reads 0)
+    special = morgan_scott(_MS_INNER + ((Fraction(1, 2), Fraction(5, 4)),))
+    generic = morgan_scott(_MS_INNER + ((Fraction(1, 2), Fraction(6, 5)),))
+    top = 2 * r + 1
+    for c, h0, dim in ((special, 1, dims[0]), (generic, 0, dims[1])):
+        table = H0Table(c, r)
+        assert table.upto(top)[2 * r] == h0
+        oracle = spline_dim_oracles(c, r, top)
+        assert oracle == spline_dim_formulas(c, r, top, table)
+        assert oracle[2 * r] == dim

@@ -327,6 +327,29 @@ def test_analyze_reads_interior_stats_once(tmp_path, capsys, monkeypatch, comple
     assert calls == [int(argv[1])]
 
 
+def test_analyze_derives_each_line_and_slope_once(tmp_path, capsys, monkeypatch):
+    # the complex derives each interior edge's line and slope when it is
+    # built, and every route of the run reads those: ce1 has 12 interior edges
+    path = tmp_path / "ce1.json"
+    path.write_text(ce1_complex().to_json())
+    calls = Counter()
+    through, slope_key = geometry.LinearForm.through, geometry.slope_key
+
+    def counted_through(p, q):
+        calls["through"] += 1
+        return through(p, q)
+
+    def counted_slope_key(p, q):
+        calls["slope_key"] += 1
+        return slope_key(p, q)
+
+    monkeypatch.setattr(geometry.LinearForm, "through", counted_through)
+    monkeypatch.setattr(geometry, "slope_key", counted_slope_key)
+    code, _, _ = run(capsys, "analyze", str(path), "--r", "2", "--d", "6", "--oracle")
+    assert code == 0
+    assert calls == {"through": 12, "slope_key": 12}
+
+
 def test_analyze_runs_the_spline_oracle_once(tmp_path, capsys, monkeypatch):
     # one elimination ranks every degree up to --d
     calls = []

@@ -11,9 +11,9 @@ from hypothesis import strategies as hs
 
 import splinereg
 from splinereg.errors import (
-    AlphaUndefined,
     DegenerateTriangle,
     ExtraInteriorVertex,
+    HypothesisViolated,
     NonzeroGenus,
     NotConnected,
     NotOneEdge,
@@ -31,10 +31,14 @@ from splinereg.geometry import (
     one_edge_fan,
     parse_complex,
     single_triangle,
+    slope_key,
     square_with_diagonals,
     star_complex,
     two_triangles,
 )
+from splinereg.regularity import path_bounds
+
+from conftest import morgan_scott, wheel_in_wheel
 
 
 def test_parse_two_triangles():
@@ -230,7 +234,7 @@ def test_interior_stats_one_edge(complex_one33):
     assert len(st.totally_interior) == 1
     v1 = st.per_vertex[0]
     assert (v1.f1_00, v1.k_00, v1.k_0b, v1.k) == (1, 1, 2, 3)
-    assert st.alpha(0) == (2 + 1) // 2
+    assert v1.alpha == (2 + 1) // 2
     assert st.interior_blocks == 1
 
 
@@ -239,7 +243,7 @@ def test_interior_stats_ce1(complex_ce1):
     v1, v0, v2 = st.per_vertex[0], st.per_vertex[1], st.per_vertex[2]
     assert v1.f1_00 == 1 and v2.f1_00 == 1 and v0.f1_00 == 2
     assert v1.f1_0b == 4 and v1.k_0b == 2 and v1.k == 3
-    assert st.alpha(0) == st.alpha(2) == (3 + 1) // 2
+    assert v1.alpha == v2.alpha == (3 + 1) // 2
     assert len(st.totally_interior) == 2
 
 
@@ -255,10 +259,13 @@ def test_square_with_diagonals_k2():
 
 
 def test_alpha_undefined(complex_wheel):
+    # alpha(v) = (r+1) // k_0b needs a partially interior edge at v; the
+    # path bounds, its only reader, refuse such a vertex before reading it
     st = interior_stats(complex_wheel, 1)
     assert st.per_vertex[0].f1_0b == 0
-    with pytest.raises(AlphaUndefined):
-        st.alpha(0)
+    assert st.per_vertex[0].alpha is None
+    with pytest.raises(HypothesisViolated):
+        path_bounds(complex_wheel, 1, stats=st)
 
 
 def test_slope_clash_detected():
@@ -310,22 +317,17 @@ def test_normalize_reads_built_counts_on_random_fans(lefts, mids, zero_on):
 
 
 def test_slope_recount_survives_python_O():
-    # an edge_form that gives every edge its own line no longer merges the
+    # stored lines that each get their own constant term no longer merge the
     # opposite rays U and D at v1, so the recount finds 4 lines where k = 3
     script = """
 from splinereg import geometry
 from splinereg.errors import RouteDisagreement
 
 assert not __debug__
-edge_form = geometry.SimplicialComplex.edge_form
-
-def broken(self, e):
-    form = edge_form(self, e)
-    return geometry.LinearForm(form.a, form.b, form.c + e[1])
-
-geometry.SimplicialComplex.edge_form = broken
+c = geometry.one_edge_complex(3, 3)
+c.forms = {e: form._replace(c=form.c + e[1]) for e, form in c.forms.items()}
 try:
-    geometry.normalize_one_edge(geometry.one_edge_complex(3, 3), 2)
+    geometry.normalize_one_edge(c, 2)
 except RouteDisagreement as exc:
     print("raised:", exc)
 """
@@ -359,6 +361,48 @@ def test_normalize_rejects_extra_interior_vertex(complex_one33):
     assert len(c.interior_vertices) == 3
     with pytest.raises(ExtraInteriorVertex):
         normalize_one_edge(c, 2)
+
+
+def _bundled_complexes():
+    """Every complex `scripts/make_complexes.py` writes, the wheel in a
+    wheel and the Morgan-Scott complex."""
+    yield from (single_triangle(), two_triangles(), star_complex(), square_with_diagonals())
+    yield ce1_complex()
+    yield from (one_edge_complex(a, b) for a in range(3, 9) for b in range(a, 9))
+    yield wheel_in_wheel()
+    yield morgan_scott(((1, Fraction(1, 4)), (1, Fraction(7, 4)), (Fraction(1, 2), Fraction(6, 5))))
+
+
+def _assert_facts_match_a_fresh_derivation(c):
+    # each fact the complex stores against its definition, derived here
+    # from the vertices and the full edge list
+    interior = set(c.interior_vertices)
+    pairs = {e: (c.vertices[e[0]], c.vertices[e[1]]) for e in c.interior_edges}
+    assert c.forms == {e: LinearForm.through(p, q) for e, (p, q) in pairs.items()}
+    assert c.slopes == {e: slope_key(p, q) for e, (p, q) in pairs.items()}
+    assert c.edges_at == {v: tuple(e for e in c.edges if v in e) for v in c.interior_vertices}
+    assert list(c.edges_at) == list(c.interior_vertices)
+    assert c.totally_interior == tuple(e for e in c.edges if set(e) <= interior)
+
+
+def test_stored_facts_match_a_fresh_derivation():
+    for c in _bundled_complexes():
+        _assert_facts_match_a_fresh_derivation(c)
+        st = interior_stats(c, 1)
+        assert st.totally_interior == c.totally_interior
+        interior = set(c.interior_vertices)
+        assert st.partially_interior == tuple(e for e in c.edges if len(set(e) & interior) == 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    lefts=hs.lists(_ORDINATE, min_size=1, max_size=6, unique=True),
+    mids=hs.lists(_MID | hs.just(Fraction(0)), max_size=6, unique=True),
+)
+def test_stored_facts_match_a_fresh_derivation_on_random_fans(lefts, mids):
+    c = one_edge_fan(lefts, mids)
+    _assert_facts_match_a_fresh_derivation(c)
+    assert c.totally_interior == ((0, 1),)
 
 
 def test_builders_are_valid():

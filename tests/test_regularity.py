@@ -142,6 +142,15 @@ def test_path_bounds_ce1(complex_ce1):
     assert pb.oracle_within
 
 
+def test_oracle_within_is_derived(complex_ce1):
+    # read off the stored bounds and oracle value, so a report can never
+    # carry a verdict that disagrees with its own numbers
+    pb = path_bounds(complex_ce1, 3)
+    assert pb.oracle_within is None
+    assert pb._replace(oracle_reg=pb.upper).oracle_within is True
+    assert pb._replace(oracle_reg=pb.upper + 1).oracle_within is False
+
+
 def test_path_bounds_hypothesis_violated(complex_wheel):
     with pytest.raises(HypothesisViolated):
         path_bounds(complex_wheel, 2)

@@ -69,6 +69,15 @@ def test_dense_echelon_is_test_reference_only():
     assert naming == {"_echelon.py"}  # the checker does see the definition
 
 
+def test_only_geometry_derives_lines_and_slopes():
+    # a complex derives each interior edge's line and slope once, when it
+    # is built, and every other module reads the stored `forms` and `slopes`
+    naming = {
+        path.name for path in PACKAGE.glob("*.py") if _names_in(path) & {"through", "slope_key"}
+    }
+    assert naming == {"geometry.py"}  # the checker does see the definitions
+
+
 def test_socle_route_does_not_import_the_closed_form():
     # the socle degree of S/In Q is the independent witness for the
     # bottom-face closed form, so the monomial layer must not reach it
