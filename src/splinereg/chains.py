@@ -31,13 +31,7 @@ from typing import NamedTuple
 
 from ._echelon import SparseIntEchelon
 from .errors import CapExceeded
-from .geometry import (
-    InteriorData,
-    LinearForm,
-    SimplicialComplex,
-    _canonical_int_vector,
-    interior_stats,
-)
+from .geometry import LinearForm, SimplicialComplex, _canonical_int_vector, interior_stats
 from .monomials import count_degree, monomial_index
 from .staircase import _power_echelons
 
@@ -283,18 +277,11 @@ def spline_dim_formula(c: SimplicialComplex, r: int, d: int) -> int:
 
 
 def spline_dim_formulas(
-    c: SimplicialComplex,
-    r: int,
-    top: int,
-    h0: H0Table | None = None,
-    stats: InteriorData | None = None,
+    c: SimplicialComplex, r: int, top: int, h0: H0Table | None = None
 ) -> list[int]:
     """`spline_dim_formula` for d = 0..top, from one set of interior
-    statistics and one H0 table (the run's `stats` and `H0Table` when
-    passed)."""
-    if stats is None:
-        stats = interior_stats(c, r)
-    local = [schumaker_local(st.k, r) for st in stats.per_vertex.values()]
+    statistics and one H0 table (the run's `H0Table` when passed)."""
+    local = [schumaker_local(st.k, r) for st in interior_stats(c, r).per_vertex.values()]
     h0 = (h0 or H0Table(c, r)).upto(top)
     dims = []
     for d in range(top + 1):

@@ -153,21 +153,21 @@ def cmd_analyze(args) -> dict:
         "interior_data": stats.to_json_dict(),
     }
     if len(stats.totally_interior) == 1 and len(c.interior_vertices) == 2:
-        report = regularity_from_complex(c, args.r, h0, stats)
+        report = regularity_from_complex(c, args.r, h0)
         payload["regularity"] = report.to_json_dict()
         if args.emit_graph and not report.vanishes:
             payload["buchberger_graph"] = _graph_dict(buchberger_graph(report.in_q))
     elif args.emit_graph:
         raise SplineRegError("--emit-graph needs one totally interior edge and two interior vertices")
     elif stats.totally_interior:
-        pb = path_bounds(c, args.r, run_oracle=args.oracle, h0=h0, stats=stats)
+        pb = path_bounds(c, args.r, run_oracle=args.oracle, h0=h0)
         payload["path_bounds"] = pb.to_json_dict()
     else:
         payload["note"] = "no totally interior edges: H0 vanishes"
     if args.d is not None:
         dims = []
         oracle = spline_dim_oracles(c, args.r, args.d) if args.oracle else None
-        for d, formula in enumerate(spline_dim_formulas(c, args.r, args.d, h0, stats)):
+        for d, formula in enumerate(spline_dim_formulas(c, args.r, args.d, h0)):
             entry = {"d": d, "dim_formula": formula}
             if oracle is not None:
                 entry["dim_oracle"] = oracle[d]

@@ -306,16 +306,12 @@ class OneEdgeNormalization(NamedTuple):
     b: int
 
 
-def normalize_one_edge(
-    c: SimplicialComplex, r: int, stats: InteriorData | None = None
-) -> OneEdgeNormalization:
+def normalize_one_edge(c: SimplicialComplex, r: int) -> OneEdgeNormalization:
     """Identify a complex with exactly one totally interior edge and no other
     interior vertex, ordering the edge's endpoints so that v1 has the smaller
-    slope count.  Each count is read off `interior_stats(c, r)` (the run's
-    `stats` when passed) and recounted as the number of distinct edge lines
-    through the vertex."""
-    if stats is None:
-        stats = interior_stats(c, r)
+    slope count.  Each count is read off `interior_stats(c, r)` and
+    recounted as the number of distinct edge lines through the vertex."""
+    stats = interior_stats(c, r)
     if len(stats.totally_interior) != 1:
         raise NotOneEdge(
             f"complex has {len(stats.totally_interior)} totally interior edges, need exactly 1"

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 from .chains import H0Table, h0_regularity_oracle
 from .errors import HypothesisViolated, RouteDisagreement
-from .geometry import InteriorData, SimplicialComplex, interior_stats, normalize_one_edge
+from .geometry import SimplicialComplex, interior_stats, normalize_one_edge
 from .monomials import Monomial, MonomialIdeal
 from .staircase import ClosedFormTable, build_q
 from .syzygies import class_routes
@@ -119,16 +119,13 @@ def regularity_one_edge(
 
 
 def regularity_from_complex(
-    c: SimplicialComplex,
-    r: int,
-    h0: H0Table | None = None,
-    stats: InteriorData | None = None,
+    c: SimplicialComplex, r: int, h0: H0Table | None = None
 ) -> RegularityReport:
-    """Exact regularity of a one-edge complex: identify the edge (from the
-    run's interior `stats` when passed), run the closed-form pipeline on
-    (a, b) = (k(v1), k(v2)), then confirm with the chain-complex oracle (on
-    the run's `H0Table` when passed); the three routes must agree."""
-    norm = normalize_one_edge(c, r, stats)
+    """Exact regularity of a one-edge complex: identify the edge, run the
+    closed-form pipeline on (a, b) = (k(v1), k(v2)), then confirm with the
+    chain-complex oracle (on the run's `H0Table` when passed); the three
+    routes must agree."""
+    norm = normalize_one_edge(c, r)
     rep = regularity_one_edge(norm.a, norm.b, r)
     oracle = h0_regularity_oracle(c, r, h0)
     if oracle != rep.exact:
@@ -173,14 +170,11 @@ def path_bounds(
     r: int,
     run_oracle: bool = False,
     h0: H0Table | None = None,
-    stats: InteriorData | None = None,
 ) -> PathBounds:
     """Regularity bounds maximized over the totally interior edges; needs
     every interior vertex to carry at least one partially interior edge.
-    The bounds read the run's interior `stats` and the oracle runs on the
-    run's `H0Table` when they are passed."""
-    if stats is None:
-        stats = interior_stats(c, r)
+    The oracle runs on the run's `H0Table` when it is passed."""
+    stats = interior_stats(c, r)
     for v, st in sorted(stats.per_vertex.items()):
         if st.f1_0b == 0:
             raise HypothesisViolated(

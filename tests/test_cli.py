@@ -210,6 +210,16 @@ def test_printed_graph_and_syzygies_pass_the_class_checks(capsys, monkeypatch, a
     assert err == "error: SocleMismatch: bottom-face route gives 7, socle route 8\n"
 
 
+def test_chain_oracle_disagreement_prints_both_values(tmp_path, capsys, monkeypatch):
+    # a one-edge analyze stops when the chain-complex oracle and the closed
+    # form disagree, and its one error line names both values
+    real = regularity.h0_regularity_oracle
+    monkeypatch.setattr(regularity, "h0_regularity_oracle", lambda c, r, h0=None: real(c, r, h0) + 1)
+    code, out, err = run(capsys, "analyze", _one34_file(tmp_path), "--r", "4")
+    assert (code, out) == (1, "")
+    assert err == "error: RouteDisagreement: chain-complex oracle found 8, closed form 7\n"
+
+
 def test_betti_command(capsys):
     code, out, _ = run(capsys, "betti", "--a", "3", "--b", "4", "--r", "8")
     assert code == 0
@@ -296,35 +306,6 @@ def test_analyze_builds_no_ideal_complex_it_does_not_need(tmp_path, capsys, monk
     code, _, _ = run(capsys, "analyze", str(path), "--r", "2")
     assert code == 0
     assert builds == []
-
-
-@pytest.mark.parametrize(
-    "complex_, argv",
-    [
-        (lambda: one_edge_complex(3, 4), ("--r", "3", "--oracle")),
-        (ce1_complex, ("--r", "2", "--oracle")),
-        (ce1_complex, ("--r", "2", "--d", "6", "--oracle")),
-    ],
-    ids=["one34", "ce1", "ce1-d"],
-)
-def test_analyze_reads_interior_stats_once(tmp_path, capsys, monkeypatch, complex_, argv):
-    # the payload's interior data, the one-edge normalization or the path
-    # bounds, and the spline-dimension formulas all read one InteriorData;
-    # the name is rebound in every module that imported it
-    calls = []
-    original = geometry.interior_stats
-
-    def counted(c, r):
-        calls.append(r)
-        return original(c, r)
-
-    for mod in (geometry, chains, regularity, cli):
-        monkeypatch.setattr(mod, "interior_stats", counted)
-    path = tmp_path / "complex.json"
-    path.write_text(complex_().to_json())
-    code, _, _ = run(capsys, "analyze", str(path), *argv)
-    assert code == 0
-    assert calls == [int(argv[1])]
 
 
 def test_analyze_derives_each_line_and_slope_once(tmp_path, capsys, monkeypatch):
@@ -522,6 +503,29 @@ def test_benchmark_pinned_digests(tmp_path, capsys, monkeypatch):
         code, out, _ = run(capsys, *argv)
         assert code == 0, argv
         assert hashlib.sha256(out.encode()).hexdigest() == expected[workloads.argv_key(argv)], argv
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_benchmark_jobs_pass_their_own_checks(tmp_path, capsys, monkeypatch, seed):
+    # every job of the benchmark's three workloads, run in process, passes
+    # the check the benchmark's worker applies to it: the seeded one-edge
+    # analyze jobs' routes and pinned regularities, the ce1 flags, and each
+    # staircase oracle's ideal against its closed form; the benchmark's
+    # files are only read
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    worker = importlib.import_module("worker")
+    monkeypatch.chdir(tmp_path)
+    kinds = Counter()
+    for workload in workloads.WORKLOADS:
+        for spec in workloads.build(workload, seed, tmp_path):
+            kinds[spec["kind"]] += 1
+            if spec["kind"] == "oracle":
+                assert worker._run_oracle(spec)() == worker._closed_form(spec), spec
+            else:
+                code, out, _ = run(capsys, *spec["argv"])
+                assert worker.check_cli(code, out.encode(), spec["check"]) is None, spec["argv"]
+    assert kinds == {"cli": 14, "oracle": 6}
 
 
 def _one34_file(tmp_path):

@@ -265,7 +265,7 @@ def test_alpha_undefined(complex_wheel):
     assert st.per_vertex[0].f1_0b == 0
     assert st.per_vertex[0].alpha is None
     with pytest.raises(HypothesisViolated):
-        path_bounds(complex_wheel, 1, stats=st)
+        path_bounds(complex_wheel, 1)
 
 
 def test_slope_clash_detected():

@@ -78,6 +78,27 @@ def test_only_geometry_derives_lines_and_slopes():
     assert naming == {"geometry.py"}  # the checker does see the definitions
 
 
+def _parameters(path):
+    """(function, parameter) for every parameter of every function, method
+    and lambda a Python file defines."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            a = node.args
+            args = [*a.posonlyargs, *a.args, *a.kwonlyargs, *filter(None, (a.vararg, a.kwarg))]
+            yield from ((getattr(node, "name", "<lambda>"), arg.arg) for arg in args)
+
+
+def test_no_function_takes_interior_statistics():
+    # each function that reads the interior statistics derives them with
+    # `interior_stats(c, r)`, which reads the lines and slopes the complex
+    # stores, so none takes them as an argument
+    params = {
+        (path.name, fn, arg) for path in sorted(PACKAGE.glob("*.py")) for fn, arg in _parameters(path)
+    }
+    assert ("regularity.py", "path_bounds", "h0") in params  # the walk does see parameters
+    assert not {p for p in params if p[2] == "stats"}
+
+
 def test_socle_route_does_not_import_the_closed_form():
     # the socle degree of S/In Q is the independent witness for the
     # bottom-face closed form, so the monomial layer must not reach it
