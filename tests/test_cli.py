@@ -5,6 +5,7 @@ import importlib
 import io
 import json
 import re
+import sys
 import time
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
@@ -306,6 +307,36 @@ def test_analyze_builds_no_ideal_complex_it_does_not_need(tmp_path, capsys, monk
     code, _, _ = run(capsys, "analyze", str(path), "--r", "2")
     assert code == 0
     assert builds == []
+
+
+@pytest.mark.parametrize(
+    "complex_, argv, readers",
+    [
+        (lambda: one_edge_complex(3, 4), ("--r", "3", "--oracle"), {"cmd_analyze", "normalize_one_edge"}),
+        (ce1_complex, ("--r", "2", "--oracle"), {"cmd_analyze", "path_bounds"}),
+        (ce1_complex, ("--r", "2", "--d", "6", "--oracle"), {"cmd_analyze", "path_bounds", "spline_dim_formulas"}),
+    ],
+    ids=["one34", "ce1", "ce1-d"],
+)
+def test_analyze_reads_interior_stats_once(tmp_path, capsys, monkeypatch, complex_, argv, readers):
+    # each function of the run that reads the interior statistics derives
+    # them once, at the run's r: the payload's interior data, the one-edge
+    # normalization or the path bounds, and the spline-dimension formulas;
+    # the name is rebound in every module that imported it
+    calls = Counter()
+    original = geometry.interior_stats
+
+    def counted(c, r):
+        calls[sys._getframe(1).f_code.co_name, r] += 1
+        return original(c, r)
+
+    for mod in (geometry, chains, regularity, cli):
+        monkeypatch.setattr(mod, "interior_stats", counted)
+    path = tmp_path / "complex.json"
+    path.write_text(complex_().to_json())
+    code, _, _ = run(capsys, "analyze", str(path), *argv)
+    assert code == 0
+    assert calls == {(reader, int(argv[1])): 1 for reader in readers}
 
 
 def test_analyze_derives_each_line_and_slope_once(tmp_path, capsys, monkeypatch):
