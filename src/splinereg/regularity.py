@@ -8,8 +8,9 @@ a concrete complex it is additionally checked against the chain-complex
 rank oracle, and any disagreement is a hard error.
 
 A sweep over many (a, b, r) cells shares one `staircase.ClosedFormTable`:
-the route checks depend on a cell only through (r, lambda', eta'), so they
-run once per such class, while each cell's sandwich is checked on its own.
+the route checks depend on a cell only through (lambda', eta'), and on r
+only through the shift r+1 both routes add, so they run once per such
+class, while each cell's sandwich is checked on its own.
 """
 from __future__ import annotations
 
@@ -85,9 +86,10 @@ def regularity_one_edge(
     checked whenever the module is nonzero.
 
     A sweep passes one `ClosedFormTable`.  The route checks of
-    `syzygies.class_routes` read only `QData.key` = (r, lambda', eta'), so
-    they run once per key and the stored values serve every cell with it;
-    the sandwich depends on (a, b) and is checked for each cell."""
+    `syzygies.class_routes` read only `QData.key` = (lambda', eta'), so
+    they run once per key; the table stores both routes less r+1, and each
+    cell adds its own r+1 back.  The sandwich depends on (a, b, r) and is
+    checked for each cell."""
     if r < 0:
         raise ValueError("r must be >= 0")
     if table is None:
@@ -103,8 +105,9 @@ def regularity_one_edge(
     else:
         routes = table.routes.get(q.key)
         if routes is None:
-            routes = table.routes[q.key] = class_routes(q)[:3]  # (reg, socle, face)
-        reg, socle, face = routes
+            reg, socle, face = class_routes(q)[:3]
+            routes = table.routes[q.key] = (reg - (r + 1), socle - (r + 1), face)
+        reg, socle, face = routes[0] + r + 1, routes[1] + r + 1, routes[2]
         if not lower <= reg <= upper:
             raise RouteDisagreement(f"sandwich violated: {lower} <= {reg} <= {upper}")
     return RegularityReport(

@@ -17,7 +17,7 @@ Q1 + Q2 Artinian, so that degree exists, and no closed form is consulted.
 
 A run over many cells passes one `ClosedFormTable` to `build_q`: the colon
 staircase depends only on (r, s), and In Q with its pruning check only on
-(r, lambda', eta'), so each is built and checked once per distinct input.
+(lambda', eta'), so each is built and checked once per distinct input.
 
 Slope conventions: a form is first_var + c * z; the x-side of a
 configuration carries a-1 distinct slopes, the y-side b-1.
@@ -94,10 +94,11 @@ class QData(NamedTuple):
         return self.in_q.is_trivial
 
     @property
-    def key(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-        """(r, lambda', eta'): In Q, l0, i0 = len(lambda') - 1, j0 and every
-        check downstream of the colon staircases are functions of it."""
-        return (self.r, self.colon1.lam_prime, self.colon2.lam_prime)
+    def key(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(lambda', eta'): In Q, l0, i0 = len(lambda') - 1, j0 and every
+        check downstream of the colon staircases are functions of it; r
+        enters only as the shift r+1 that both regularity routes add."""
+        return (self.colon1.lam_prime, self.colon2.lam_prime)
 
 
 class ClosedFormTable:
@@ -106,13 +107,18 @@ class ClosedFormTable:
 
     `colons` holds the colon staircase of each (r, s) and `ideals` its
     ideal on each axis.  `unions` holds (l0, In Q) of each `QData.key`
-    (r, lambda', eta'), and `routes` the (reg, socle, face) that
-    `syzygies.class_routes` checked for that key.
+    (lambda', eta'), and `routes` the r-free (reg - (r+1), socle - (r+1),
+    face) that `syzygies.class_routes` checked for that key; the reader
+    adds its own cell's r+1 back.
     This is exact: after the two colon staircases, In Q, its pruning check
-    and the route checks read only r, lambda', eta', i0, j0, l0 and In Q,
-    all functions of the key, so a cell reading an entry gets what it would
-    compute afresh.  Only results whose checks passed are stored, so a key
-    whose check raises raises again for every cell that meets it.  A call
+    (`_pruned_union`), `bottom_face`, `syz2_closed_form`, the Buchberger
+    graph, `syz3_closed_form` and the bottom-face comparison read only
+    lambda', eta', i0, j0, l0 and In Q, all functions of the key, and
+    `regularity_from_bottom_face` adds the same r+1 to both of its routes,
+    so whether they agree does not depend on r.  A cell reading an entry
+    therefore gets what it would compute afresh.  Only results whose checks
+    passed are stored, so a key whose check raises raises again for every
+    cell that meets it, naming that cell's own shifted values.  A call
     without a table makes a fresh one, so a single cell runs every check."""
 
     def __init__(self):
@@ -167,7 +173,7 @@ def build_q(a: int, b: int, r: int, table: ClosedFormTable | None = None) -> QDa
     """Colon staircases at both vertices and their minimalized sum In Q,
     with the x-generators below l0 pruned away by z^{eta'_0}.  A run over
     many cells passes one `ClosedFormTable`, so each colon staircase is
-    built once per (r, s) and In Q once per (r, lambda', eta')."""
+    built once per (r, s) and In Q once per (lambda', eta')."""
     if a < 3 or b < 3:
         raise InvalidSlopeCount(f"need a, b >= 3, got ({a}, {b})")
     if r < 0:
@@ -178,7 +184,7 @@ def build_q(a: int, b: int, r: int, table: ClosedFormTable | None = None) -> QDa
         a, b = b, a
     colon1 = table.colon(r, a - 1)
     colon2 = table.colon(r, b - 1)
-    key = (r, colon1.lam_prime, colon2.lam_prime)
+    key = (colon1.lam_prime, colon2.lam_prime)
     union = table.unions.get(key)
     if union is None:
         in_q = ideal_sum(table.colon_ideal(colon1, "x"), table.colon_ideal(colon2, "y"))

@@ -390,13 +390,13 @@ def test_full_capped_sweep_budget(capsys):
     data = json.loads(out)
     assert code == 0
     assert len(data["rows"]) == 2520 and data["violations"] == []
-    assert elapsed < 1.0, f"full capped sweep took {elapsed:.2f}s"
+    assert elapsed < 0.75, f"full capped sweep took {elapsed:.2f}s"
 
 
 def test_capped_sweep_runs_each_check_once_per_class(capsys, monkeypatch):
     # the sweep's one ClosedFormTable builds each colon staircase once per
-    # (r, s) and runs the route checks once per (r, lambda', eta') class:
-    # 336 pairs (r, s) and 602 classes for 1,610 nontrivial cells
+    # (r, s) and runs the route checks once per (lambda', eta') class:
+    # 336 pairs (r, s) and 374 classes for 1,610 nontrivial cells
     import splinereg.staircase as st
     import splinereg.syzygies as syz
 
@@ -412,18 +412,28 @@ def test_capped_sweep_runs_each_check_once_per_class(capsys, monkeypatch):
     rows = json.loads(out)["rows"]
     assert sum(row["exact"] is not None for row in rows) == 1610
     assert calls == {
-        "buchberger_graph": 602, "regularity_from_bottom_face": 602, "staircase_closed_form": 336,
+        "buchberger_graph": 374, "regularity_from_bottom_face": 374, "staircase_closed_form": 336,
     }
 
 
 @pytest.mark.parametrize(
-    "ab, rs, classes",
-    [((3, 4), (1, 4), 10), ((7, 10), (8, 8), 1)],
-    ids=["distinct-classes", "one-class"],
+    "ab, rs, counts, pinned",
+    [
+        ((3, 4), (1, 4), (7, 10), ()),
+        ((7, 10), (8, 8), (1, 10), ()),
+        ((3, 6), (1, 8), (33, 60), (
+            "(3,3,1): SocleMismatch: bottom-face route gives 2, socle route 3",
+            "(6,6,7): SocleMismatch: bottom-face route gives 8, socle route 9",
+        )),
+    ],
+    ids=["distinct-classes", "one-class", "one-class-across-r"],
 )
-def test_sweep_lists_every_cell_of_a_failing_class(capsys, monkeypatch, ab, rs, classes):
+def test_sweep_lists_every_cell_of_a_failing_class(
+    capsys, monkeypatch, ab, rs, counts, pinned
+):
     # only checked results are stored, so a class whose socle route fails
-    # is recomputed and reported for each of its cells
+    # is recomputed and reported for each of its cells, each line naming
+    # that cell's own values shifted by its own r+1
     import splinereg.syzygies as syz
 
     table = ClosedFormTable()
@@ -434,7 +444,7 @@ def test_sweep_lists_every_cell_of_a_failing_class(capsys, monkeypatch, ab, rs, 
         for r in range(rs[0], rs[1] + 1)
     ]
     nontrivial = [c for c in cells if not build_q(*c, table).is_trivial]
-    assert len({build_q(*c, table).key for c in nontrivial}) == classes
+    assert (len({build_q(*c, table).key for c in nontrivial}), len(nontrivial)) == counts
     real = syz.max_socle_degree
     monkeypatch.setattr(syz, "max_socle_degree", lambda ideal: real(ideal) + 1)
     a_span, r_span = f"{ab[0]}..{ab[1]}", f"{rs[0]}..{rs[1]}"
@@ -445,6 +455,8 @@ def test_sweep_lists_every_cell_of_a_failing_class(capsys, monkeypatch, ab, rs, 
     assert len(data["violations"]) == len(nontrivial)
     for (a, b, r), line in zip(nontrivial, data["violations"]):
         assert line.startswith(f"({a},{b},{r}): SocleMismatch: bottom-face route gives ")
+    for line in pinned:
+        assert line in data["violations"]
 
 
 @pytest.mark.parametrize(

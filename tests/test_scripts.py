@@ -14,6 +14,7 @@ import splinereg
 from splinereg import syzygies
 from splinereg.geometry import parse_complex
 from splinereg.regularity import regularity_one_edge
+from splinereg.staircase import ClosedFormTable, build_q
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -68,6 +69,31 @@ def test_grid_sweep_lists_failing_cells_without_a_traceback(monkeypatch, capsys)
     listed = [(a, b, r, "SocleMismatch") for a, b, r in nontrivial]
     assert out.rstrip().endswith(f"violations: {listed}")
     assert "Traceback" not in err
+
+
+def test_grid_sweep_rechecks_betti_once_per_class(monkeypatch, capsys):
+    # the Betti recheck reads only In Q and the class's syzygies, so it runs
+    # once per (lambda', eta') class and every cell of the class prints it
+    table = ClosedFormTable()
+    qs = [build_q(a, b, r, table) for a in (3, 4, 5) for b in range(a, 6) for r in range(1, 7)]
+    classes = {q.key for q in qs if not q.is_trivial}
+    assert (sum(not q.is_trivial for q in qs), len(classes)) == (28, 17)
+    checked = []
+
+    def failing(betti_table, syz2, syz3):
+        checked.append(betti_table)
+        return False
+
+    monkeypatch.setattr(syzygies, "syzygies_match_betti", failing)
+    argv = ["run_grid_sweep.py", "--a-max", "5", "--b-max", "5", "--r-max", "6"]
+    monkeypatch.setattr(sys, "argv", argv)
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(ROOT / "scripts" / "run_grid_sweep.py"), run_name="__main__")
+    assert exc.value.code == 1
+    rows = capsys.readouterr().out.splitlines()[1:37]
+    assert len(checked) == len(classes)
+    assert sum(row.endswith(" FAIL") for row in rows) == 28
+    assert all(row.endswith((" FAIL", " zero")) for row in rows)
 
 
 def test_worked_example_walks_h0_once(monkeypatch, capsys):

@@ -166,6 +166,12 @@ def test_build_q_swaps():
     assert q.in_q == build_q(3, 5, 4).in_q
 
 
+def test_build_q_key_is_free_of_r():
+    # one class across three r: the key holds only the two colon staircases
+    assert build_q(3, 3, 1).key == build_q(4, 4, 2).key == build_q(6, 6, 7).key
+    assert build_q(3, 3, 1).key == ((1, 0), (1, 0))
+
+
 def test_build_q_rejects_small():
     with pytest.raises(InvalidSlopeCount):
         build_q(2, 3, 1)
