@@ -47,7 +47,9 @@ class Monomial(_MonomialFields):
         return self.ex + self.ey + self.ez
 
     def divides(self, other: "Monomial") -> bool:
-        return self.ex <= other.ex and self.ey <= other.ey and self.ez <= other.ez
+        # index reads: on a tuple subclass they beat both NamedTuple field
+        # reads and unpacking; `MonomialIdeal.contains` reads the same way
+        return self[0] <= other[0] and self[1] <= other[1] and self[2] <= other[2]
 
     def render(self) -> str:
         parts = []
@@ -90,8 +92,15 @@ class MonomialIdeal(_MonomialIdealFields):
     def _make(cls, iterable):
         return cls(*iterable)
 
-    def contains(self, m: Monomial) -> bool:
-        return any(g.divides(m) for g in self.gens)
+    def contains(self, m) -> bool:
+        """Whether a generator divides m, given as any exponent triple (a
+        Monomial, tuple or list): the divisibility scan of `Monomial.divides`
+        over the generators, with no Monomial built for m."""
+        ex, ey, ez = m
+        for g in self.gens:
+            if g[0] <= ex and g[1] <= ey and g[2] <= ez:
+                return True
+        return False
 
     @property
     def is_trivial(self) -> bool:

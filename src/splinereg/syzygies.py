@@ -30,7 +30,6 @@ from .monomials import (
     Monomial,
     MonomialIdeal,
     max_socle_degree,
-    mono_lcm,
 )
 from .staircase import QData
 
@@ -204,18 +203,20 @@ class BettiTable(NamedTuple):
 
 
 def _lcm_closure(gens):
-    """Every lcm of a nonempty set of generators.  In three variables such
-    an lcm is the lcm of at most three of them, one reaching the maximum of
-    each exponent, so the generators, pairs and triples give the whole set."""
-    out = set(gens)
-    out.update(mono_lcm(a, b) for a, b in itertools.combinations(gens, 2))
-    out.update(mono_lcm(mono_lcm(a, b), c) for a, b, c in itertools.combinations(gens, 3))
+    """Every lcm of a nonempty set of generators, as plain exponent tuples.
+    In three variables such an lcm is the lcm of at most three of them, one
+    reaching the maximum of each exponent, so the generators, pairs and
+    triples give the whole set."""
+    out = set(map(tuple, gens))
+    out.update(tuple(map(max, a, b)) for a, b in itertools.combinations(gens, 2))
+    out.update(tuple(map(max, a, b, c)) for a, b, c in itertools.combinations(gens, 3))
     return out
 
 
-def _koszul_homology(ideal: MonomialIdeal, b: Monomial):
+def _koszul_homology(ideal: MonomialIdeal, b):
     """Reduced homology ranks (dim -1, 0, 1) of the upper-Koszul complex
-    K^b = { tau subset of {x,y,z} : b / prod(tau) lies in the ideal }.
+    K^b = { tau subset of {x,y,z} : b / prod(tau) lies in the ideal },
+    for b any exponent triple.
 
     K^b is closed under subsets, so it is a subcomplex of the triangle: an
     edge brings both its vertices and the 2-face all three edges.  With nv
@@ -228,7 +229,7 @@ def _koszul_homology(ideal: MonomialIdeal, b: Monomial):
             e[v] -= 1
             if e[v] < 0:
                 return False
-        return ideal.contains(Monomial(*e))
+        return ideal.contains(e)
 
     nv = sum(member((v,)) for v in range(3))
     ne = sum(member(t) for t in itertools.combinations(range(3), 2))
@@ -239,15 +240,16 @@ def _koszul_homology(ideal: MonomialIdeal, b: Monomial):
 def betti_oracle(ideal: MonomialIdeal) -> BettiTable:
     """Multigraded Betti numbers over the lcm closure of the generators,
     each from the reduced homology of the upper-Koszul complex, read off
-    its face counts."""
+    its face counts.  Lattice points stay plain exponent tuples; only a
+    multidegree the table keeps becomes a Monomial."""
     entries = []
     for b in sorted(_lcm_closure(ideal.gens), reverse=True):
         if not ideal.contains(b):
             continue
-        hm1, h0, h1 = _koszul_homology(ideal, b)
-        for i, h in ((0, hm1), (1, h0), (2, h1)):
-            if h:
-                entries.append((i, b, h))
+        homology = _koszul_homology(ideal, b)
+        if any(homology):
+            m = Monomial(*b)
+            entries.extend((i, m, h) for i, h in enumerate(homology) if h)
     return BettiTable(tuple(entries))
 
 

@@ -18,7 +18,7 @@ from splinereg.monomials import (
     mono_lcm,
     monomials_of_degree,
 )
-from splinereg.staircase import build_q, staircase_closed_form
+from splinereg.staircase import ClosedFormTable, build_q, staircase_closed_form
 
 X = Monomial(1, 0, 0)
 Y = Monomial(0, 1, 0)
@@ -186,6 +186,36 @@ def test_not_artinian_matches_per_axis_definition(ms, pows):
         assert not artinian
     else:
         assert artinian
+
+
+def assert_contains_takes_any_triple(ideal, top):
+    # contains reads a Monomial, a tuple and a list alike, each the literal
+    # divisibility scan, for every monomial with exponents up to top
+    for exps in itertools.product(range(top + 1), repeat=3):
+        m = Monomial(*exps)
+        want = any(g.divides(m) for g in ideal.gens)
+        assert ideal.contains(m) is want, (ideal.render(), exps)
+        assert ideal.contains(exps) is want, (ideal.render(), exps)
+        assert ideal.contains(list(exps)) is want, (ideal.render(), exps)
+
+
+def test_contains_takes_any_triple_on_capped_grid():
+    table = ClosedFormTable()
+    ideals = {
+        build_q(a, b, r, table).in_q
+        for a in range(3, 17) for b in range(a, 17) for r in range(1, 25)
+    }
+    ideals = [i for i in ideals if not i.is_trivial]
+    assert len(ideals) == 252
+    for ideal in ideals:
+        assert_contains_takes_any_triple(ideal, max(max(g) for g in ideal.gens) + 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mono_lists)
+def test_contains_takes_any_triple_on_antichains(ms):
+    # exponents of `mono` stop at 5, so 6 is one past every generator's
+    assert_contains_takes_any_triple(minimalize(ms), 6)
 
 
 @settings(max_examples=40, deadline=None)

@@ -214,6 +214,26 @@ def test_buchberger_graph_does_not_reach_the_closed_form():
     assert not names & forbidden
 
 
+def test_betti_oracle_does_not_reach_the_closed_form():
+    # the Betti oracle is the independent witness for the second and third
+    # syzygies, so it reads only In Q's generators: neither it nor a
+    # syzygies helper it calls may name a closed form, the graph, the class
+    # routes or the socle route's staircase heights
+    names = _names_reached("syzygies.py", ["betti_oracle", "_lcm_closure", "_koszul_homology"])
+    assert "contains" in names  # the walk does see calls
+    forbidden = {
+        "syz2_closed_form",
+        "syz3_closed_form",
+        "bottom_face",
+        "buchberger_graph",
+        "class_routes",
+        "QData",
+        "regularity_from_bottom_face",
+        "max_socle_degree",
+    }
+    assert not names & forbidden
+
+
 def test_only_class_routes_assembles_the_syzygy_closed_forms():
     # `syzygies.class_routes` builds a class's graph and both syzygy closed
     # forms and checks them as it builds them, so no other module or script
