@@ -7,7 +7,7 @@ from .chains import (
     h0_hilbert_oracle,
     h0_regularity_oracle,
     ideal_complex,
-    schumaker_local,
+    local_hilbert,
     spline_dim_formula,
     spline_dim_formulas,
     spline_dim_oracle,

@@ -229,7 +229,9 @@ def h0_regularity_oracle(c: SimplicialComplex, r: int, h0: H0Table | None = None
     d >= r+1, and H0_d = 0 forces every later degree to vanish: the answer
     is the degree just before the first zero degree d >= r+1, and None when
     that degree is r+1 itself.  Pass the run's `H0Table` to reuse its
-    ranked degrees."""
+    ranked degrees.  On a triangulated disk the formula less its H0 term
+    is Schumaker's lower bound for d >= r, exact for d >= 3r+2 (Hong 1991;
+    Ibrahim-Schumaker 1991), so H0_d = 0 there and 4r+2 is a margin."""
     top = 4 * r + 2
     table = (h0 or H0Table(c, r)).upto(top)
     if table[top]:
@@ -241,31 +243,12 @@ def h0_regularity_oracle(c: SimplicialComplex, r: int, h0: H0Table | None = None
 # spline dimensions
 
 
-class LocalResolution(NamedTuple):
-    """Free resolution data of a vertex star with k distinct slopes."""
-
-    k: int
-    r: int
-    alpha_star: int
-    a1: int
-    a2: int
-
-    def hilbert(self, d: int) -> int:
-        return (
-            count_degree(d)
-            - self.k * count_degree(d - self.r - 1)
-            + self.a1 * count_degree(d - self.r - 1 - self.alpha_star)
-            + self.a2 * count_degree(d - self.r - 2 - self.alpha_star)
-        )
-
-
-def schumaker_local(k: int, r: int) -> LocalResolution:
-    if k < 2:
-        raise ValueError("a vertex star needs at least two distinct slopes")
-    alpha_star = (r + 1) // (k - 1)
-    a1 = (k - 1) * alpha_star + k - r - 2
-    a2 = r + 1 - (k - 1) * alpha_star
-    return LocalResolution(k, r, alpha_star, a1, a2)
+def local_hilbert(k: int, r: int, d: int) -> int:
+    """dim (S/J(v))_d at a vertex with k distinct slopes: J(v) is generated
+    by forms in (u, w) alone, so this sums dim (S'/J')_e over e <= d, which
+    is e + 1 for e <= r and then max(0, e + 1 - k (e - r)), as the k powers
+    times S'_{e-r-1} stay independent until they fill S'_e."""
+    return count_degree(min(d, r)) + sum(max(0, r + j + 1 - j * k) for j in range(1, d - r + 1))
 
 
 def spline_dim_formula(c: SimplicialComplex, r: int, d: int) -> int:
@@ -281,13 +264,13 @@ def spline_dim_formulas(
 ) -> list[int]:
     """`spline_dim_formula` for d = 0..top, from one set of interior
     statistics and one H0 table (the run's `H0Table` when passed)."""
-    local = [schumaker_local(st.k, r) for st in interior_stats(c, r).per_vertex.values()]
+    ks = [st.k for st in interior_stats(c, r).per_vertex.values()]
     h0 = (h0 or H0Table(c, r)).upto(top)
     dims = []
     for d in range(top + 1):
         total = len(c.triangles) * count_degree(d)
         total -= len(c.interior_edges) * (count_degree(d) - count_degree(d - r - 1))
-        total += sum(lr.hilbert(d) for lr in local)
+        total += sum(local_hilbert(k, r, d) for k in ks)
         dims.append(total + h0[d])
     return dims
 

@@ -240,12 +240,12 @@ def _koszul_homology(ideal: MonomialIdeal, b):
 def betti_oracle(ideal: MonomialIdeal) -> BettiTable:
     """Multigraded Betti numbers over the lcm closure of the generators,
     each from the reduced homology of the upper-Koszul complex, read off
-    its face counts.  Lattice points stay plain exponent tuples; only a
+    its face counts.  Every lcm of generators is a multiple of one, so it
+    lies in the ideal and the empty face is in K^b, as the face counts
+    assume.  Lattice points stay plain exponent tuples; only a
     multidegree the table keeps becomes a Monomial."""
     entries = []
     for b in sorted(_lcm_closure(ideal.gens), reverse=True):
-        if not ideal.contains(b):
-            continue
         homology = _koszul_homology(ideal, b)
         if any(homology):
             m = Monomial(*b)

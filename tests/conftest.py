@@ -9,6 +9,7 @@ from splinereg.geometry import (
     two_triangles,
 )
 from splinereg.monomials import Monomial, count_degree, hilbert_function, minimalize
+from splinereg.staircase import ClosedFormTable, build_q
 
 
 def wheel_in_wheel():
@@ -60,6 +61,16 @@ def complex_star():
 # use for them
 
 
+def capped_grid_in_q():
+    """In Q of every cell of the capped sweep (a <= b in 3..16, r in
+    1..24), as a set: 253 ideals, the unit ideal among them."""
+    table = ClosedFormTable()
+    return {
+        build_q(a, b, r, table).in_q
+        for a in range(3, 17) for b in range(a, 17) for r in range(1, 25)
+    }
+
+
 def colon_by_monomial(ideal, m):
     """The monomial colon ideal : m, generated by each g / gcd(g, m)."""
     return minimalize(Monomial(*(max(e - f, 0) for e, f in zip(g, m))) for g in ideal.gens)
@@ -73,6 +84,30 @@ def euler_hilbert_check(ideal, table, d):
         for b in table.multidegrees(i):
             total += sign * count_degree(d - b.degree)
     return total == hilbert_function(ideal, d)
+
+
+def poly_mul(p, q):
+    """The product of two polynomials held as {exponent triple: coefficient},
+    term by term."""
+    out = {}
+    for m1, v1 in p.items():
+        for m2, v2 in q.items():
+            m = tuple(a + b for a, b in zip(m1, m2))
+            out[m] = out.get(m, 0) + v1 * v2
+    return {m: v for m, v in out.items() if v}
+
+
+def poly_pow(p, n):
+    """p to the n-th power, one factor at a time."""
+    out = {(0, 0, 0): 1}
+    for _ in range(n):
+        out = poly_mul(out, p)
+    return out
+
+
+def linear_poly(a, b, c):
+    """a x + b y + c z."""
+    return {m: v for m, v in zip(((1, 0, 0), (0, 1, 0), (0, 0, 1)), (a, b, c)) if v}
 
 
 def morgan_scott(inner):

@@ -10,14 +10,11 @@ from splinereg import chains
 from splinereg._echelon import SparseIntEchelon
 from splinereg.chains import (
     H0Table,
-    _linear_poly,
-    _poly_mul,
-    _poly_pow,
     boundary_rank,
     h0_hilbert_oracle,
     h0_regularity_oracle,
     ideal_complex,
-    schumaker_local,
+    local_hilbert,
     spline_dim_formula,
     spline_dim_formulas,
     spline_dim_oracle,
@@ -27,14 +24,17 @@ from splinereg.errors import CapExceeded
 from splinereg.geometry import (
     SimplicialComplex,
     _canonical_int_vector,
+    ce1_complex,
+    one_edge_complex,
     one_edge_fan,
     square_with_diagonals,
+    star_complex,
 )
 from splinereg.monomials import count_degree, hilbert_function, monomial_index, monomials_of_degree
 from splinereg.ratlinalg import RatMatrix, rank
 from splinereg.staircase import _power_echelons, build_q
 
-from conftest import morgan_scott
+from conftest import linear_poly, morgan_scott, poly_mul, poly_pow
 
 
 # -- naive boundary matrix in the global monomial basis, used to certify the
@@ -42,20 +42,8 @@ from conftest import morgan_scott
 
 
 def _expand(form, power, mono):
-    poly = {(0, 0, 0): Fraction(1)}
-    lin = {
-        key: Fraction(v)
-        for key, v in zip(((1, 0, 0), (0, 1, 0), (0, 0, 1)), form.vector())
-        if v
-    }
-    for _ in range(power):
-        out = {}
-        for k1, v1 in poly.items():
-            for k2, v2 in lin.items():
-                k = tuple(a + b for a, b in zip(k1, k2))
-                out[k] = out.get(k, Fraction(0)) + v1 * v2
-        poly = out
-    return {tuple(a + b for a, b in zip(k, mono)): v for k, v in poly.items()}
+    """form^power times the monomial mono, in the global monomial basis."""
+    return poly_mul(poly_pow(linear_poly(*form.vector()), power), {tuple(mono): 1})
 
 
 def naive_boundary_rank(c, r, d):
@@ -114,8 +102,9 @@ def _assert_image_keeps_ranks(c, r, degrees):
     assert h0_regularity_oracle(image, r) == h0_regularity_oracle(c, r)
 
 
-# -- the per-degree kernels that the two walks replaced, kept verbatim as
-#    their references: each builds its echelon from nothing for one degree
+# -- the per-degree kernels that the two walks replaced, kept as their
+#    references: each builds its echelon from nothing for one degree, and
+#    expands its polynomials with the tests' own product, not the walks'
 
 
 def per_degree_boundary_rank(c, r, d, data=None):
@@ -142,17 +131,17 @@ def per_degree_boundary_rank(c, r, d, data=None):
             (hx, hy), (fx, fy) = data.origins[group.home], data.origins[group.far]
             # (a u + b w)^{r+1} is the same in both frames; u_home and w_home
             # are u_far and w_far shifted by integer multiples of t
-            p_alpha = _poly_pow(_linear_poly((a, b, 0)), r + 1)
-            u_home = _linear_poly((1, 0, fx - hx))
-            w_home = _linear_poly((0, 1, fy - hy))
+            p_alpha = poly_pow(linear_poly(a, b, 0), r + 1)
+            u_home = linear_poly(1, 0, fx - hx)
+            w_home = linear_poly(0, 1, fy - hy)
             fbase = vpos[group.far] * n
         for alpha in range(big + 1):
             if p_alpha is not None and alpha > 0:
-                p_alpha = _poly_mul(p_alpha, u_home)
+                p_alpha = poly_mul(p_alpha, u_home)
             q_ab = p_alpha
             for beta in range(big - alpha + 1):
                 if q_ab is not None and beta > 0:
-                    q_ab = _poly_mul(q_ab, w_home)
+                    q_ab = poly_mul(q_ab, w_home)
                 col = {
                     hbase + monomial_index(m + beta, big - alpha - beta): hsign * home_base[m]
                     for m in range(r + 2)
@@ -189,7 +178,7 @@ def per_degree_spline_dim_oracle(c, r, d):
     for j, e in enumerate(c.interior_edges):
         t1, t2 = c.edge_triangles[e]
         rows = [{t1 * n_s + m: 1, t2 * n_s + m: -1} for m in range(n_s)]
-        power = _poly_pow(_linear_poly(c.forms[e].vector()), r + 1)
+        power = poly_pow(linear_poly(*c.forms[e].vector()), r + 1)
         j_base = g_base + j * n_g
         for (a, b, cz), v in power.items():
             for gm, (ex, ey) in enumerate(g_monos):
@@ -362,18 +351,50 @@ def test_h0_table_ranks_each_degree_once(monkeypatch, complex_ce1):
     assert ranked == [3, 4, 5, 6]
 
 
+def schumaker_constants(k, r):
+    """Schumaker's (1979) local-resolution constants (alpha*, a1, a2) of a
+    vertex with k >= 2 distinct slopes: S/J(v) is resolved by k shifts of
+    r+1 and a1, a2 shifts of r+1+alpha*, r+2+alpha*."""
+    alpha_star = (r + 1) // (k - 1)
+    return alpha_star, (k - 1) * alpha_star + k - r - 2, r + 1 - (k - 1) * alpha_star
+
+
+def schumaker_hilbert(k, r, d):
+    """dim (S/J(v))_d read off that resolution, the reference for
+    `local_hilbert`."""
+    alpha_star, a1, a2 = schumaker_constants(k, r)
+    return (
+        count_degree(d)
+        - k * count_degree(d - r - 1)
+        + a1 * count_degree(d - r - 1 - alpha_star)
+        + a2 * count_degree(d - r - 2 - alpha_star)
+    )
+
+
 def test_schumaker_values():
-    lr = schumaker_local(2, 1)
-    assert (lr.alpha_star, lr.a1, lr.a2) == (2, 1, 0)
-    lr = schumaker_local(3, 8)
-    assert (lr.alpha_star, lr.a1, lr.a2) == (4, 1, 1)
+    assert schumaker_constants(2, 1) == (2, 1, 0)
+    assert schumaker_constants(3, 8) == (4, 1, 1)
 
 
 @pytest.mark.parametrize("k", range(2, 7))
 @pytest.mark.parametrize("r", range(0, 9))
 def test_schumaker_identity(k, r):
-    lr = schumaker_local(k, r)
-    assert lr.a1 + lr.a2 == k - 1
+    _alpha_star, a1, a2 = schumaker_constants(k, r)
+    assert a1 + a2 == k - 1
+
+
+def test_local_hilbert_equals_schumaker_resolution():
+    cells = [(k, r, d) for k in range(2, 20) for r in range(30) for d in range(4 * r + 6)]
+    assert len(cells) == 34560
+    assert [local_hilbert(*cell) for cell in cells] == [schumaker_hilbert(*cell) for cell in cells]
+
+
+def test_local_hilbert_without_two_slopes():
+    # no slope leaves S itself; one slope leaves S/<l^{r+1}>
+    for r in range(5):
+        for d in range(4 * r + 6):
+            assert local_hilbert(0, r, d) == count_degree(d)
+            assert local_hilbert(1, r, d) == count_degree(d) - count_degree(d - r - 1)
 
 
 def walk_ranks(pairs, r, top):
@@ -386,11 +407,11 @@ def walk_ranks(pairs, r, top):
 @pytest.mark.parametrize("k", range(2, 7))
 @pytest.mark.parametrize("r", range(0, 9))
 def test_schumaker_matches_rank_oracle(k, r):
+    # Schumaker's vertex term, `local_hilbert`, against the walk of J'
     pairs = tuple((1, c) for c in range(k))
-    lr = schumaker_local(k, r)
     ranks = walk_ranks(pairs, r, 4 * r)
     for d in range(0, 4 * r + 1):
-        assert count_degree(d) - sum(ranks[: d + 1]) == lr.hilbert(d)
+        assert count_degree(d) - sum(ranks[: d + 1]) == local_hilbert(k, r, d)
 
 
 def fraction_two_var_dim(pairs, r, e):
@@ -489,7 +510,7 @@ def test_walks_equal_per_degree_kernels_on_random_fans(lefts, mids, r):
 _MS_INNER = ((1, Fraction(1, 4)), (1, Fraction(7, 4)))
 
 
-@pytest.mark.parametrize("r, dims", [(1, (7, 6)), (2, (16, 15)), (3, (32, 31))])
+@pytest.mark.parametrize("r, dims", [(1, (7, 6)), (2, (16, 15)), (3, (32, 31)), (4, (52, 51))])
 def test_morgan_scott_pins_the_edge_orientation(r, dims):
     # Morgan-Scott (1975): at the special inner position dim C^r_{2r} gains
     # one spline over the generic one.  The inner triangle's three totally
@@ -505,3 +526,42 @@ def test_morgan_scott_pins_the_edge_orientation(r, dims):
         oracle = spline_dim_oracles(c, r, top)
         assert oracle == spline_dim_formulas(c, r, top, table)
         assert oracle[2 * r] == dim
+
+
+def schumaker_lower_bound(c, r, d):
+    """Schumaker's (1979) lower bound on dim C^r_d of a triangulated disk,
+    written out from the complex's counts and each interior vertex's
+    number k_v of distinct edge slopes."""
+    n_e, n_v = len(c.interior_edges), len(c.interior_vertices)
+    total = comb(d + 2, 2) + n_e * comb(d - r + 1, 2) - n_v * (comb(d + 2, 2) - comb(r + 2, 2))
+    for v in c.interior_vertices:
+        k = len({c.slopes[e] for e in c.edges_at[v]})
+        total += sum(max(0, r + j + 1 - j * k) for j in range(1, d - r + 1))
+    return total
+
+
+def test_formula_local_part_is_schumakers_lower_bound():
+    # F5: for d >= r the formula less its H0 term is Schumaker's lower bound
+    # on every triangulated disk (T - E_I + V_I = 1)
+    p3, p4 = _MS_INNER
+    complexes = [
+        ce1_complex(),
+        one_edge_complex(3, 4),
+        one_edge_complex(8, 8),
+        star_complex(),
+        square_with_diagonals(),
+        morgan_scott((p3, p4, (Fraction(1, 2), Fraction(5, 4)))),
+        morgan_scott((p3, p4, (Fraction(1, 2), Fraction(6, 5)))),
+    ]
+    checks = 0
+    for c in complexes:
+        assert len(c.triangles) - len(c.interior_edges) + len(c.interior_vertices) == 1
+        for r in range(5):
+            top = 4 * r + 3
+            table = H0Table(c, r)
+            dims = spline_dim_formulas(c, r, top, table)
+            h0 = table.upto(top)
+            for d in range(r, top + 1):
+                assert dims[d] - h0[d] == schumaker_lower_bound(c, r, d), (c.vertices, r, d)
+                checks += 1
+    assert checks == 350

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import colon_by_monomial
+from conftest import capped_grid_in_q, colon_by_monomial
 
 from splinereg.errors import NotArtinian, TrivialIdeal
 from splinereg.monomials import (
@@ -18,7 +18,7 @@ from splinereg.monomials import (
     mono_lcm,
     monomials_of_degree,
 )
-from splinereg.staircase import ClosedFormTable, build_q, staircase_closed_form
+from splinereg.staircase import build_q, staircase_closed_form
 
 X = Monomial(1, 0, 0)
 Y = Monomial(0, 1, 0)
@@ -200,11 +200,7 @@ def assert_contains_takes_any_triple(ideal, top):
 
 
 def test_contains_takes_any_triple_on_capped_grid():
-    table = ClosedFormTable()
-    ideals = {
-        build_q(a, b, r, table).in_q
-        for a in range(3, 17) for b in range(a, 17) for r in range(1, 25)
-    }
+    ideals = capped_grid_in_q()
     ideals = [i for i in ideals if not i.is_trivial]
     assert len(ideals) == 252
     for ideal in ideals:

@@ -154,7 +154,7 @@ def test_spline_dim_oracle_does_not_reach_the_formula():
         "boundary_rank",
         "ideal_complex",
         "_boundary_walk",
-        "schumaker_local",
+        "local_hilbert",
         "interior_stats",
         "spline_dim_formulas",
     }
@@ -169,6 +169,24 @@ def test_spline_dim_oracle_does_not_reach_the_formula():
     allowed = kernels | {"SparseIntEchelon", "_poly_pow", "_linear_poly", "count_degree", "SimplicialComplex"}
     shared = names & chain & module
     assert shared <= allowed, shared - allowed
+
+
+def test_local_hilbert_ranks_nothing():
+    # the vertex term is a count in closed form, checked against the walk
+    # of J' and the chain oracle's H0, so it must not reach either
+    names = _names_reached("chains.py", ["local_hilbert"])
+    assert "count_degree" in names  # sees calls
+    assert not names & {"SparseIntEchelon", "_power_echelons", "H0Table", "_h0_walk"}
+
+
+def test_test_references_do_not_import_the_walks_kernels():
+    # the per-degree references for the chain and spline walks expand their
+    # polynomials with conftest's own product, so a wrong production
+    # kernel cannot agree with itself
+    kernels = {"_poly_mul", "_poly_pow", "_linear_poly"}
+    assert "poly_mul" in _names_in(ROOT / "tests" / "conftest.py")  # sees definitions
+    naming = {path.name for path in (ROOT / "tests").glob("*.py") if _names_in(path) & kernels}
+    assert not naming, naming
 
 
 def test_power_walk_does_not_reach_the_closed_form():

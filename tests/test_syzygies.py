@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import euler_hilbert_check
+from conftest import capped_grid_in_q, euler_hilbert_check
 
 from splinereg import syzygies
 from splinereg.errors import (
@@ -18,7 +18,7 @@ from splinereg.errors import (
 )
 from splinereg.monomials import Monomial, hilbert_function, max_socle_degree, minimalize, mono_lcm
 from splinereg.ratlinalg import RatMatrix, rank
-from splinereg.staircase import ClosedFormTable, build_q
+from splinereg.staircase import build_q
 from splinereg.syzygies import (
     BuchGraph,
     _edges,
@@ -186,11 +186,7 @@ def test_region_faces_reject_crossing_edges_that_are_no_ladder():
 def test_graph_matches_literal_rule_on_capped_grid():
     # every In Q of the capped sweep, the unit ideal included (In Q is all
     # the graph reads): edges and faces, indices and lcms
-    table = ClosedFormTable()
-    ideals = {
-        build_q(a, b, r, table).in_q
-        for a in range(3, 17) for b in range(a, 17) for r in range(1, 25)
-    }
+    ideals = capped_grid_in_q()
     assert len(ideals) == 253
     for ideal in ideals:
         assert buchberger_graph(ideal) == literal_graph(ideal)
@@ -348,6 +344,17 @@ def test_lcm_closure_matches_fixpoint_33_r24():
     got = _lcm_closure(gens)
     assert len(got) == 975
     assert got == fixpoint_lcm_closure(gens)
+
+
+def test_lcm_closure_lies_in_the_ideal_on_capped_grid():
+    # `betti_oracle` tests no lattice point for membership: every lcm of
+    # generators is a multiple of one, so K^b always holds the empty face
+    ideals = capped_grid_in_q()
+    ideals = [i for i in ideals if not i.is_trivial]
+    assert len(ideals) == 252
+    points = [(ideal, b) for ideal in ideals for b in _lcm_closure(ideal.gens)]
+    assert len(points) == 21748
+    assert all(ideal.contains(b) for ideal, b in points)
 
 
 def test_betti_oracle_budget_33_r24():
