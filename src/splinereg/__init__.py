@@ -9,7 +9,7 @@ from .chains import (
     ideal_complex,
     local_hilbert,
     spline_dim_formula,
-    spline_dim_formulas,
+    spline_dim_local,
     spline_dim_oracle,
     spline_dim_oracles,
 )

@@ -18,9 +18,12 @@ against dense Fraction elimination).
 Both oracles eliminate once per run, not once per degree.  Setting t = 1
 (z = 1 for the spline oracle) identifies S_d with the polynomials of
 degree <= d (Billera-Rose 1991), and under that identification each
-degree's system is a prefix of the next one's.  A run's whole H0 state is
-one generator, `_h0_walk`, which walks the boundary map and each J'(v)
-together and yields dim H0_d degree by degree.
+degree's system is a prefix of the next one's.  A polynomial is then held
+as {(eu, ew): coefficient}, with no t exponent, and u_home is u_v plus an
+integer, so each level of the boundary walk is one shift and add per
+block (`_times_linear`).  A run's whole H0 state is one generator,
+`_h0_walk`, which walks the boundary map and each J'(v) together and
+yields dim H0_d degree by degree.
 """
 from __future__ import annotations
 
@@ -87,32 +90,16 @@ def ideal_complex(c: SimplicialComplex, r: int) -> IdealComplexData:
     return IdealComplexData(r, tuple(groups), vertex_forms, origins)
 
 
-def _poly_mul(p, q):
+def _times_linear(p, a, b, c):
+    """p (a x + b y + c) for p held as {(i, j): coefficient} with the last
+    variable set to 1: each term is a shift or a scaling of p, skipped when
+    its coefficient is 0."""
     out = {}
-    for (a1, b1, c1), v1 in p.items():
-        for (a2, b2, c2), v2 in q.items():
-            key = (a1 + a2, b1 + b2, c1 + c2)
-            nv = out.get(key, 0) + v1 * v2
-            if nv:
-                out[key] = nv
-            else:
-                out.pop(key, None)
-    return out
-
-
-def _linear_poly(coeffs):
-    out = {}
-    for key, v in zip(((1, 0, 0), (0, 1, 0), (0, 0, 1)), coeffs):
-        if v:
-            out[key] = v
-    return out
-
-
-def _poly_pow(p, n):
-    out = {(0, 0, 0): 1}
-    for _ in range(n):
-        out = _poly_mul(out, p)
-    return out
+    for (di, dj), coeff in (((1, 0), a), ((0, 1), b), ((0, 0), c)):
+        if coeff:
+            for (i, j), v in p.items():
+                out[i + di, j + dj] = out.get((i + di, j + dj), 0) + coeff * v
+    return {key: v for key, v in out.items() if v}
 
 
 def _boundary_walk(c: SimplicialComplex, data: IdealComplexData) -> Iterator[int]:
@@ -123,15 +110,18 @@ def _boundary_walk(c: SimplicialComplex, data: IdealComplexData) -> Iterator[int
     the degree-d columns are the degree-(d-1) ones plus one new level: the
     multipliers u_home^alpha w_home^beta with alpha + beta = d - r - 1.  Both
     ends v of an edge run one rule: the block is (a u_v + b w_v)^{r+1} times
-    the multiplier, in v's frame u_home = u_v + (L v_x - L home_x) t (and
-    w_home likewise), so the shift is zero at home.  One echelon takes the
-    levels in turn; u_v^eu w_v^ew at v's position p is keyed
-    `monomial_index(eu, ew) * n + p`: total degree first, no bound on d."""
+    the multiplier, in v's frame u_home = u_v + dx and w_home = w_v + dy with
+    (dx, dy) = (L v_x - L home_x, L v_y - L home_y), so the shift is zero at
+    home.  One echelon takes the levels in turn; u_v^eu w_v^ew at v's
+    position p is keyed `monomial_index(eu, ew) * n + p`: total degree
+    first, no bound on d."""
     vpos = {v: i for i, v in enumerate(c.interior_vertices)}
     n = len(vpos)
-    groups = []  # per group, per end: position, u_home, w_home, blocks of the level by alpha
+    groups = []  # per group, per end: position, dx, dy, blocks of the level by alpha
     for group in data.groups:
-        power = _poly_pow(_linear_poly((group.form.a, group.form.b, 0)), data.r + 1)
+        power = {(0, 0): 1}
+        for _ in range(data.r + 1):
+            power = _times_linear(power, group.form.a, group.form.b, 0)
         hx, hy = data.origins[group.home]
         ends = []
         for v in (group.home, group.far):
@@ -141,23 +131,23 @@ def _boundary_walk(c: SimplicialComplex, data: IdealComplexData) -> Iterator[int
             # the edge is oriented by ascending vertex index; its differential
             # is (+1) at the head block and (-1) at the tail block
             sign = 1 if v == max(group.edge) else -1
-            u_home, w_home = _linear_poly((1, 0, vx - hx)), _linear_poly((0, 1, vy - hy))
-            ends.append((vpos[v], u_home, w_home, [{m: sign * x for m, x in power.items()}]))
+            ends.append((vpos[v], vx - hx, vy - hy, [{m: sign * x for m, x in power.items()}]))
         groups.append(ends)
     ech = SparseIntEchelon()
     for k in count():
         for ends in groups:
-            for _pos, u_home, w_home, blocks in ends:
+            for _pos, dx, dy, blocks in ends:
                 if k:
                     # level k by alpha = 0..k: each block of level k-1 times
-                    # w_home, and the last one (alpha = k-1) also times u_home
-                    blocks[:] = [_poly_mul(q, w_home) for q in blocks] + [_poly_mul(blocks[-1], u_home)]
+                    # w_v + dy, and the last one (alpha = k-1) also times u_v + dx
+                    last = _times_linear(blocks[-1], 1, 0, dx)
+                    blocks[:] = [_times_linear(q, 0, 1, dy) for q in blocks] + [last]
             for alpha in range(k + 1):
                 ech.insert(
                     {
                         monomial_index(eu, ew) * n + pos: x
-                        for pos, _u, _w, blocks in ends
-                        for (eu, ew, _et), x in blocks[alpha].items()
+                        for pos, _dx, _dy, blocks in ends
+                        for (eu, ew), x in blocks[alpha].items()
                     }
                 )
         yield ech.rank
@@ -254,24 +244,20 @@ def local_hilbert(k: int, r: int, d: int) -> int:
 def spline_dim_formula(c: SimplicialComplex, r: int, d: int) -> int:
     """Dimension of the degree-d smooth spline space from local data plus
     the homology correction term."""
-    if d < 0:
-        raise ValueError("degree must be nonnegative")
-    return spline_dim_formulas(c, r, d)[d]
+    return h0_hilbert_oracle(c, r, d) + spline_dim_local(c, r, d)[d]
 
 
-def spline_dim_formulas(
-    c: SimplicialComplex, r: int, top: int, h0: H0Table | None = None
-) -> list[int]:
-    """`spline_dim_formula` for d = 0..top, from one set of interior
-    statistics and one H0 table (the run's `H0Table` when passed)."""
+def spline_dim_local(c: SimplicialComplex, r: int, top: int) -> list[int]:
+    """The local part of `spline_dim_formula` for d = 0..top: the triangle,
+    edge and vertex terms, from one set of interior statistics.  It reads no
+    H0: a caller adds the run's `H0Table`.  On a triangulated disk it is
+    Schumaker's lower bound for d >= r."""
     ks = [st.k for st in interior_stats(c, r).per_vertex.values()]
-    h0 = (h0 or H0Table(c, r)).upto(top)
     dims = []
     for d in range(top + 1):
         total = len(c.triangles) * count_degree(d)
         total -= len(c.interior_edges) * (count_degree(d) - count_degree(d - r - 1))
-        total += sum(local_hilbert(k, r, d) for k in ks)
-        dims.append(total + h0[d])
+        dims.append(total + sum(local_hilbert(k, r, d) for k in ks))
     return dims
 
 
@@ -315,9 +301,11 @@ def spline_dim_oracles(c: SimplicialComplex, r: int, top: int) -> list[int]:
             base = level * blocks * width
             for b in range(level + 1):
                 rows[level - b, b] = {base + t1 * width + b: 1, base + t2 * width + b: -1}
-        power = _poly_pow(_linear_poly(c.forms[e].vector()), r + 1)
+        power = {(0, 0): 1}
+        for _ in range(r + 1):
+            power = _times_linear(power, *c.forms[e].vector())
         g_block = n_t + j
-        for (a, b, _c), v in power.items():
+        for (a, b), v in power.items():
             for g_level in range(top - r):
                 base = ((g_level + r + 1) * blocks + g_block) * width
                 for ey in range(g_level + 1):

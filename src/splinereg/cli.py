@@ -13,7 +13,7 @@ import json
 import re
 import sys
 
-from .chains import H0Table, spline_dim_formulas, spline_dim_oracles
+from .chains import H0Table, spline_dim_local, spline_dim_oracles
 from .errors import (
     BadRange, FlagAboveCap, NegativeFlag, NotAnInteger, ParseError, SplineRegError, UsageError,
 )
@@ -132,10 +132,11 @@ def _graph_dict(graph):
 
 
 def cmd_regularity(args) -> dict:
-    report = regularity_one_edge(args.a, args.b, args.r)
+    table = ClosedFormTable()  # one In Q for the route and the Betti check
+    report = regularity_one_edge(args.a, args.b, args.r, table)
     payload = report.to_json_dict()
     if args.oracle and not report.vanishes:
-        routes = class_routes(build_q(args.a, args.b, args.r))
+        routes = class_routes(build_q(args.a, args.b, args.r, table))
         payload["betti_confirms_syzygies"] = syzygies_match_betti(
             betti_oracle(report.in_q), routes.syz2, routes.syz3
         )
@@ -167,8 +168,9 @@ def cmd_analyze(args) -> dict:
     if args.d is not None:
         dims = []
         oracle = spline_dim_oracles(c, args.r, args.d) if args.oracle else None
-        for d, formula in enumerate(spline_dim_formulas(c, args.r, args.d, h0)):
-            entry = {"d": d, "dim_formula": formula}
+        local, h0_dims = spline_dim_local(c, args.r, args.d), h0.upto(args.d)
+        for d in range(args.d + 1):
+            entry = {"d": d, "dim_formula": local[d] + h0_dims[d]}
             if oracle is not None:
                 entry["dim_oracle"] = oracle[d]
                 entry["agree"] = entry["dim_formula"] == entry["dim_oracle"]

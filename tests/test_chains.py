@@ -16,7 +16,7 @@ from splinereg.chains import (
     ideal_complex,
     local_hilbert,
     spline_dim_formula,
-    spline_dim_formulas,
+    spline_dim_local,
     spline_dim_oracle,
     spline_dim_oracles,
 )
@@ -189,6 +189,13 @@ def per_degree_spline_dim_oracle(c, r, d):
     return n_unknowns - ech.rank
 
 
+def formula_dims(c, r, top, table=None):
+    """The spline dimension formula for d = 0..top: its local part plus the
+    H0 table (the run's when passed)."""
+    h0 = (table or H0Table(c, r)).upto(top)
+    return [local + h for local, h in zip(spline_dim_local(c, r, top), h0)]
+
+
 # (complex, r) pairs whose every degree up to 4r+2 the walks must reproduce
 _REFERENCE_CASES = (
     [("one33", r) for r in range(5)]
@@ -221,6 +228,49 @@ def _assert_walks_equal_per_degree_kernels(c, r):
 @pytest.mark.parametrize("name,r", _REFERENCE_CASES, ids=[f"{n}-r{r}" for n, r in _REFERENCE_CASES])
 def test_walks_equal_per_degree_kernels(request, name, r):
     _assert_walks_equal_per_degree_kernels(_reference_complex(request, name), r)
+
+
+def test_boundary_walk_inserts_the_boundary_columns(monkeypatch, complex_ce1, complex_one34):
+    # ranks alone cannot see a walk that writes every block in the mirrored
+    # frame (u and w swapped throughout), since that only permutes rows, so
+    # the inserted columns are compared in order with the boundary columns
+    # expanded by the tests' own product: level k, group by group, alpha =
+    # 0..k, each end v holding its sign times (a u_v + b w_v)^{r+1}
+    # (u_v + dx)^alpha (w_v + dy)^{k-alpha} at t = 1, (dx, dy) being v's
+    # integer shift from the home frame
+    inserted = []
+
+    class Recording(SparseIntEchelon):
+        def insert(self, vec):
+            inserted.append({k: v for k, v in vec.items() if v})
+            return super().insert(vec)
+
+    monkeypatch.setattr(chains, "SparseIntEchelon", Recording)
+    r, d = 2, 6
+    for c in (complex_ce1, _rational_image(complex_one34)):
+        inserted.clear()
+        boundary_rank(c, r, d)
+        data = ideal_complex(c, r)
+        vpos = {v: i for i, v in enumerate(c.interior_vertices)}
+        expected = []
+        for k in range(d - r):
+            for g in data.groups:
+                hx, hy = data.origins[g.home]
+                power = poly_pow(linear_poly(g.form.a, g.form.b, 0), r + 1)
+                for alpha in range(k + 1):
+                    col = {}
+                    for v in [v for v in (g.home, g.far) if v is not None]:
+                        vx, vy = data.origins[v]
+                        sign = 1 if v == max(g.edge) else -1
+                        shifts = poly_mul(
+                            poly_pow(linear_poly(1, 0, vx - hx), alpha),
+                            poly_pow(linear_poly(0, 1, vy - hy), k - alpha),
+                        )
+                        for (eu, ew, _et), x in poly_mul(power, shifts).items():
+                            col[monomial_index(eu, ew) * len(vpos) + vpos[v]] = sign * x
+                    expected.append(col)
+        assert any(data.origins[g.far] != data.origins[g.home] for g in data.groups if g.far is not None)
+        assert inserted == expected
 
 
 @pytest.mark.parametrize("r,dmax", [(1, 5), (2, 6), (3, 10)])
@@ -273,12 +323,19 @@ def test_h0_zero_below_r_plus_one(complex_one34):
         assert h0_hilbert_oracle(complex_one34, 8, d) == 0
 
 
-def test_h0_matches_shifted_hilbert_function(complex_one33, complex_one34):
-    for c, (a, b), r in [(complex_one33, (3, 3), 1), (complex_one33, (3, 3), 2),
-                         (complex_one34, (3, 4), 2)]:
-        q = build_q(a, b, r)
-        for d in range(r + 1, 4 * r + 3):
-            assert h0_hilbert_oracle(c, r, d) == hilbert_function(q.in_q, d - r - 1)
+def test_h0_matches_shifted_hilbert_function():
+    # on one edge the whole Hilbert function of H0 is that of S/In Q shifted
+    # by r+1, not only its last nonzero degree
+    checks = 0
+    for a, b in [(3, 3), (3, 4), (4, 6), (5, 5), (3, 8), (8, 8)]:
+        c = one_edge_complex(a, b)
+        for r in range(7):
+            top = 4 * r + 4
+            in_q = build_q(a, b, r).in_q
+            expected = [0] * (r + 1) + [hilbert_function(in_q, d - r - 1) for d in range(r + 1, top + 1)]
+            assert H0Table(c, r).upto(top) == expected, (a, b, r)
+            checks += len(expected)
+    assert checks == 714
 
 
 def test_h0_regularity_star_is_zero(complex_star):
@@ -332,7 +389,7 @@ def test_cap_exceeded_when_h0_never_vanishes(monkeypatch, complex_one33):
 def test_h0_table_ranks_each_degree_once(monkeypatch, complex_ce1):
     r = 2
     full = [0] * (r + 1) + [h0_hilbert_oracle(complex_ce1, r, d) for d in range(r + 1, 11)]
-    dims = spline_dim_formulas(complex_ce1, r, 10)
+    dims = [spline_dim_formula(complex_ce1, r, d) for d in range(11)]
     ranked = []
     h0_walk = chains._h0_walk
 
@@ -347,7 +404,7 @@ def test_h0_table_ranks_each_degree_once(monkeypatch, complex_ce1):
     assert table.upto(10) == full
     assert table.upto(5) == full[:6]
     assert h0_regularity_oracle(complex_ce1, r, table) == 5
-    assert spline_dim_formulas(complex_ce1, r, 10, table) == dims
+    assert formula_dims(complex_ce1, r, 10, table) == dims
     assert ranked == [3, 4, 5, 6]
 
 
@@ -494,7 +551,7 @@ _MID = hs.fractions(min_value=-2, max_value=2, max_denominator=7).filter(lambda 
 def test_spline_formula_equals_oracle_on_random_fans(lefts, mids, r, top):
     c = one_edge_fan(lefts, mids)
     oracle = [spline_dim_oracle(c, r, d) for d in range(top + 1)]
-    assert oracle == spline_dim_formulas(c, r, top)
+    assert oracle == formula_dims(c, r, top)
 
 
 @settings(max_examples=40, deadline=None)
@@ -524,7 +581,7 @@ def test_morgan_scott_pins_the_edge_orientation(r, dims):
         table = H0Table(c, r)
         assert table.upto(top)[2 * r] == h0
         oracle = spline_dim_oracles(c, r, top)
-        assert oracle == spline_dim_formulas(c, r, top, table)
+        assert oracle == formula_dims(c, r, top, table)
         assert oracle[2 * r] == dim
 
 
@@ -541,7 +598,7 @@ def schumaker_lower_bound(c, r, d):
 
 
 def test_formula_local_part_is_schumakers_lower_bound():
-    # F5: for d >= r the formula less its H0 term is Schumaker's lower bound
+    # F5: for d >= r the formula's local part is Schumaker's lower bound
     # on every triangulated disk (T - E_I + V_I = 1)
     p3, p4 = _MS_INNER
     complexes = [
@@ -557,11 +614,8 @@ def test_formula_local_part_is_schumakers_lower_bound():
     for c in complexes:
         assert len(c.triangles) - len(c.interior_edges) + len(c.interior_vertices) == 1
         for r in range(5):
-            top = 4 * r + 3
-            table = H0Table(c, r)
-            dims = spline_dim_formulas(c, r, top, table)
-            h0 = table.upto(top)
-            for d in range(r, top + 1):
-                assert dims[d] - h0[d] == schumaker_lower_bound(c, r, d), (c.vertices, r, d)
+            local = spline_dim_local(c, r, 4 * r + 3)
+            for d in range(r, 4 * r + 4):
+                assert local[d] == schumaker_lower_bound(c, r, d), (c.vertices, r, d)
                 checks += 1
     assert checks == 350

@@ -57,6 +57,23 @@ def test_regularity_with_oracle(capsys):
     assert json.loads(out)["betti_confirms_syzygies"] is True
 
 
+def test_regularity_oracle_builds_q_once(capsys, monkeypatch):
+    # the route and the Betti check share one ClosedFormTable, so each
+    # colon staircase (s = 2, 3) and In Q's pruning check run once
+    import splinereg.staircase as st
+
+    calls = Counter()
+    for name in ("staircase_closed_form", "_pruned_union"):
+        def counted(*args, _real=getattr(st, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(st, name, counted)
+    code, out, _ = run(capsys, "regularity", "--a", "3", "--b", "4", "--r", "24", "--oracle")
+    assert code == 0
+    assert json.loads(out)["betti_confirms_syzygies"] is True
+    assert calls == {"staircase_closed_form": 2, "_pruned_union": 1}
+
+
 def test_deterministic_output(capsys):
     _, out1, _ = run(capsys, "regularity", "--a", "4", "--b", "5", "--r", "7")
     _, out2, _ = run(capsys, "regularity", "--a", "4", "--b", "5", "--r", "7")
@@ -314,7 +331,7 @@ def test_analyze_builds_no_ideal_complex_it_does_not_need(tmp_path, capsys, monk
     [
         (lambda: one_edge_complex(3, 4), ("--r", "3", "--oracle"), {"cmd_analyze", "normalize_one_edge"}),
         (ce1_complex, ("--r", "2", "--oracle"), {"cmd_analyze", "path_bounds"}),
-        (ce1_complex, ("--r", "2", "--d", "6", "--oracle"), {"cmd_analyze", "path_bounds", "spline_dim_formulas"}),
+        (ce1_complex, ("--r", "2", "--d", "6", "--oracle"), {"cmd_analyze", "path_bounds", "spline_dim_local"}),
     ],
     ids=["one34", "ce1", "ce1-d"],
 )

@@ -147,7 +147,7 @@ def test_spline_dim_oracle_does_not_reach_the_formula():
     # chains helper it calls may name any piece of that formula or of the
     # chain oracle's boundary walk
     names = _names_reached("chains.py", ["spline_dim_oracle", "spline_dim_oracles"])
-    assert {"SparseIntEchelon", "_poly_pow", "spline_dim_oracles"} <= names  # sees calls
+    assert {"SparseIntEchelon", "_times_linear", "spline_dim_oracles"} <= names  # sees calls
     forbidden = {
         "H0Table",
         "_h0_walk",
@@ -156,35 +156,41 @@ def test_spline_dim_oracle_does_not_reach_the_formula():
         "_boundary_walk",
         "local_hilbert",
         "interior_stats",
-        "spline_dim_formulas",
+        "spline_dim_local",
     }
     assert not names & forbidden
     # of the chains module's own and imported names, the two oracles share
-    # only the echelon, the polynomial helpers (and what those call),
+    # only the echelon, the linear-factor product (and what it calls),
     # count_degree and the input type both take
     module = _module_names("chains.py")
     chain = _names_reached("chains.py", ["H0Table", "h0_regularity_oracle", "h0_hilbert_oracle"])
     assert {"_h0_walk", "_boundary_walk", "_power_echelons"} <= chain  # sees calls
-    kernels = _names_reached("chains.py", ["_poly_pow", "_linear_poly"]) & module
-    allowed = kernels | {"SparseIntEchelon", "_poly_pow", "_linear_poly", "count_degree", "SimplicialComplex"}
+    kernels = _names_reached("chains.py", ["_times_linear"]) & module
+    allowed = kernels | {"SparseIntEchelon", "_times_linear", "count_degree", "SimplicialComplex"}
     shared = names & chain & module
     assert shared <= allowed, shared - allowed
 
 
 def test_local_hilbert_ranks_nothing():
-    # the vertex term is a count in closed form, checked against the walk
-    # of J' and the chain oracle's H0, so it must not reach either
+    # the vertex term and the formula's local part are counts in closed
+    # form, checked against the walk of J', the chain oracle's H0 and the
+    # spline oracle, so they must not reach any of them
+    ranked = {"SparseIntEchelon", "_power_echelons", "H0Table", "_h0_walk"}
     names = _names_reached("chains.py", ["local_hilbert"])
     assert "count_degree" in names  # sees calls
-    assert not names & {"SparseIntEchelon", "_power_echelons", "H0Table", "_h0_walk"}
+    assert not names & ranked
+    names = _names_reached("chains.py", ["spline_dim_local"])
+    assert {"local_hilbert", "interior_stats"} <= names  # sees calls
+    assert not names & ranked
 
 
 def test_test_references_do_not_import_the_walks_kernels():
     # the per-degree references for the chain and spline walks expand their
     # polynomials with conftest's own product, so a wrong production
     # kernel cannot agree with itself
-    kernels = {"_poly_mul", "_poly_pow", "_linear_poly"}
-    assert "poly_mul" in _names_in(ROOT / "tests" / "conftest.py")  # sees definitions
+    kernels = {"_times_linear"}
+    assert kernels <= _names_in(PACKAGE / "chains.py")  # sees definitions
+    assert "poly_mul" in _names_in(ROOT / "tests" / "conftest.py")
     naming = {path.name for path in (ROOT / "tests").glob("*.py") if _names_in(path) & kernels}
     assert not naming, naming
 
@@ -270,7 +276,7 @@ def test_chain_oracle_stays_on_integers():
     # neither it nor a chains helper it calls may need rational arithmetic
     # or a frame inverse
     names = _names_reached("chains.py", ["boundary_rank", "ideal_complex"])
-    assert {"SparseIntEchelon", "_poly_pow", "IdealComplexData"} <= names  # sees calls
+    assert {"SparseIntEchelon", "_times_linear", "IdealComplexData"} <= names  # sees calls
     assert not names & {"Fraction", "_mat_inverse", "_row_times"}
     imported = set(_imported_modules(ast.parse((PACKAGE / "chains.py").read_text(encoding="utf-8"))))
     assert "splinereg.geometry.LinearForm" in imported  # the checker does see imports
