@@ -7,8 +7,8 @@ that recomputes them from scratch by exact rank computations on
 coefficient matrices, so every formula is checked against brute force.
 The oracles share one walk of J' degree by degree (`_power_echelons`) on
 one sparse echelon.  With z = 1 a degree-d form is a polynomial in v of
-degree <= d, and each degree adds one level to the echelon: the s powers
-times the next power of v.  A pivot leads in its top term, so the initial
+degree <= d; each degree inserts v times the pivots the degree before
+stored (first the s powers).  A pivot leads in its top term, so the initial
 ideal reads its pivot rows off the leads, and the colon by z^{r+1} is
 spanned by the pivots of low enough top degree (`_colon_bases`).  One
 reader, `_initial_ideal`, takes each oracle's leads degree by degree and
@@ -234,21 +234,25 @@ def _power_echelons(r: int, pairs):
     """Yield one echelon of J'_d = <(n1*v + n2*z)^{r+1}>_d for d = r+1,
     r+2, ..., grown in place by one level per degree.
 
-    Set z = 1.  A degree-d form sum_t c_t v^{d-t} z^t becomes a polynomial
-    in v of degree <= d, one-to-one.  J'_d is spanned by the powers times
-    v^L z^{d-r-1-L} for L <= d-r-1, so under z = 1 each degree adds one
-    level: the s = len(pairs) powers times v^{d-r-1}.  The coefficient of
-    v^k is keyed -k, so each pivot leads in its top term, the lex-leading
-    monomial v^k z^{d-k}: In(J')_d's pivot rows are t = d + key."""
-    forms = [
+    Set z = 1: a degree-d form sum_t c_t v^{d-t} z^t becomes a polynomial
+    in v of degree <= d, one-to-one, and J'_d a space E_L, L = d-r-1.  J' is
+    generated in degree r+1, so J'_{d+1} = v J'_d + z J'_d: E_{L+1} = E_L +
+    v E_L.  As E_L is E_{L-1} plus the span of level L's new pivots, and
+    v E_{L-1} lies in E_L, E_{L+1} = E_L + v (level L's new pivots).  So
+    level 0 inserts the s = len(pairs) powers, level L+1 v times each pivot
+    level L stored (the newest key of ech.pivots: dicts keep order), and a
+    vector that reduces to zero is dropped for good.  The coefficient of v^k
+    is keyed -k, so v shifts every key by -1 and each pivot leads in its top
+    term, the lex-leading monomial v^k z^{d-k}: In(J')_d's pivot rows are t = d + key."""
+    fresh = [
         {m - r - 1: comb(r + 1, m) * n1 ** (r + 1 - m) * n2**m for m in range(r + 2)}
         for n1, n2 in pairs
     ]
     ech = SparseIntEchelon()
-    for level in count():
-        for form in forms:
-            ech.insert({k - level: c for k, c in form.items()})
+    while True:
+        new = [ech.pivots[next(reversed(ech.pivots))] for vec in fresh if ech.insert(vec)]
         yield ech
+        fresh = [{k - 1: c for k, c in piv.items()} for piv in new]
 
 
 def _colon_bases(r: int, pairs):

@@ -139,7 +139,7 @@ def test_criterion_04_2r_theorem(grid_reports, complex_one33, complex_one34):
 
 
 def test_criterion_05_staircase_oracle_equivalence():
-    with criterion(5, "staircase closed form = rank oracle, s=2..6, r=0..12", budget=2.0):
+    with criterion(5, "staircase closed form = rank oracle, s=2..6, r=0..12", budget=1.0):
         rng = random.Random(1783)
         for s in range(2, 7):
             for r in range(0, 13):
@@ -150,7 +150,7 @@ def test_criterion_05_staircase_oracle_equivalence():
 
 
 def test_criterion_06_colon_and_sum_identities():
-    with criterion(6, "colon and sum initial-ideal identities, s<=4, r<=8", budget=1.0):
+    with criterion(6, "colon and sum initial-ideal identities, s<=4, r<=8", budget=0.5):
         rng = random.Random(421)
         for s in range(2, 5):
             for r in range(0, 9):

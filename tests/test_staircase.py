@@ -358,17 +358,19 @@ def test_initial_ideal_oracle_matches_fraction_pivot_rows(s):
     ],
 )
 def test_power_columns_built_once_per_slope_set(monkeypatch, oracle, args, calls):
-    # J' is generated in degree r+1, so each degree the walk draws inserts
-    # its s powers times one more power of v: s inserts per level, which
-    # re-eliminating a degree from its power columns fails
-    walks = []  # the echelon each walk yielded at each level drawn, in call order
+    # one echelon per walk, and each level inserts exactly what spans the
+    # next J'_d: the s powers at level 0, then v times each pivot the level
+    # before stored.  Re-inserting the s powers times v^L fails it (the
+    # s = 3 side would insert 3 per level), and so does re-eliminating a
+    # degree from its power columns
+    walks = []  # (echelon, inserts so far, rank) after each level drawn, per walk
     real, real_insert = staircase._power_echelons, SparseIntEchelon.insert
 
     def counting(r, pairs):
         drawn = []
         walks.append(drawn)
         for ech in real(r, pairs):
-            drawn.append(ech)
+            drawn.append((ech, ech.inserts, ech.rank))
             yield ech
 
     def counting_insert(self, vec):
@@ -378,11 +380,20 @@ def test_power_columns_built_once_per_slope_set(monkeypatch, oracle, args, calls
     monkeypatch.setattr(staircase, "_power_echelons", counting)
     monkeypatch.setattr(SparseIntEchelon, "insert", counting_insert)
     oracle(*args)
-    sizes = [len(slopes) for slopes in args[1:]]
+    r, sizes = args[0], [len(slopes) for slopes in args[1:]]
     assert len(walks) == len(sizes) == calls
     for s, drawn in zip(sizes, walks):
-        assert len(drawn) > 1 and all(ech is drawn[0] for ech in drawn)  # one echelon
-        assert drawn[0].inserts == s * len(drawn)
+        echs, inserts, ranks = zip(*drawn)
+        assert len(drawn) > 1 and all(ech is echs[0] for ech in echs)  # one echelon
+        per_level = [b - a for a, b in zip((0,) + inserts, inserts)]
+        stored = [b - a for a, b in zip((0,) + ranks, ranks)]
+        assert per_level == [s] + stored[:-1]
+        # once J'_d = S_d (rank d + 1), each level stores one pivot, so from
+        # the second level on after d every level inserts one vector
+        late = [n for n, rank, d in zip(per_level[2:], ranks, count(r + 1)) if rank == d + 1]
+        assert late == [1] * len(late)
+        if s == 3:  # J'_19 = S_19, reached by storing 2 pivots
+            assert per_level == [3] * 7 + [2, 1, 1] and late == [1, 1]
 
 
 def _count_draws(monkeypatch, name):
@@ -444,6 +455,25 @@ def test_sum_oracle_stops_where_it_fills(monkeypatch, s1, s2, stop):
     assert sum_initial_oracle(24, slopes1, slopes2) == in_q
     assert fill_degree(in_q) == stop
     assert draws == [stop + 1, stop + 1]  # degrees 0..stop on each side
+
+
+@pytest.mark.parametrize("r", [48, 96])
+def test_initial_and_colon_oracles_past_the_caps(r):
+    # the CLI caps r at 24; the walk of J' checks both closed forms far past it
+    rng = random.Random(5500 + r)
+    for s in range(2, 6):
+        slopes = random_slopes(rng, s)
+        st = staircase_closed_form(r, s)
+        assert initial_ideal_oracle(r, slopes) == st.ideal("x")
+        assert colon_initial_oracle(r, slopes) == colon_staircase(st).ideal("x")
+
+
+@pytest.mark.parametrize("r", [32, 40])
+def test_sum_oracle_past_the_caps(r):
+    rng = random.Random(5600 + r)
+    for s1, s2 in [(2, 2), (2, 4), (4, 4)]:
+        slopes1, slopes2 = random_slopes(rng, s1), random_slopes(rng, s2)
+        assert sum_initial_oracle(r, slopes1, slopes2) == build_q(s1 + 1, s2 + 1, r).in_q
 
 
 @pytest.mark.parametrize(
