@@ -3,9 +3,8 @@
 every closed form against the Betti oracle.  One ClosedFormTable serves the
 whole grid: each colon staircase is built once per (r, s), and In Q with the
 route checks once per class (lambda', eta').  The Betti recheck reads only
-In Q and the syzygies that `class_routes` builds and checks, all functions
-of the class, so it too runs once per class and every cell of the class
-prints its result.
+the class record, which holds no r, so it too runs once per class and every
+cell of the class prints its result.
 A cell whose pipeline raises a SplineRegError is listed by the error's name
 and the sweep goes on.  Exits nonzero on any violation."""
 import argparse
@@ -18,25 +17,19 @@ from splinereg.staircase import ClosedFormTable, build_q
 from splinereg.syzygies import betti_oracle, class_routes, syzygies_match_betti
 
 
-def _cell(a, b, r, table, betti, skip_betti):
+def _cell(a, b, r, table, betti):
     """One grid row and the labels of the cell's failed rechecks; `betti`
     holds each class's recheck result by `QData.key`."""
     rep = regularity_one_edge(a, b, r, table)
     if rep.vanishes:
         return f"{a:>2} {b:>2} {r:>3} {'zero':>6}", []
-    failed = []
-    betti_ok = "-"
-    if not skip_betti:
-        q = build_q(a, b, r, table)
-        ok = betti.get(q.key)
-        if ok is None:
-            routes = class_routes(q)
-            ok = betti[q.key] = syzygies_match_betti(
-                betti_oracle(q.in_q), routes.syz2, routes.syz3
-            )
-        betti_ok = "ok" if ok else "FAIL"
-        if not ok:
-            failed.append("betti")
+    q = build_q(a, b, r, table)
+    ok = betti.get(q.key)
+    if ok is None:
+        routes = class_routes(q)
+        ok = betti[q.key] = syzygies_match_betti(betti_oracle(q.in_q), routes.syz2, routes.syz3)
+    betti_ok = "ok" if ok else "FAIL"
+    failed = [] if ok else ["betti"]
     if not rep.conjecture_2r:
         failed.append("2r")
     return (f"{a:>2} {b:>2} {r:>3} {rep.exact:>6} {rep.lower:>6} "
@@ -48,7 +41,6 @@ def main():
     ap.add_argument("--a-max", type=int, default=8)
     ap.add_argument("--b-max", type=int, default=8)
     ap.add_argument("--r-max", type=int, default=12)
-    ap.add_argument("--skip-betti", action="store_true", help="closed forms only")
     args = ap.parse_args()
 
     t0 = time.monotonic()
@@ -63,7 +55,7 @@ def main():
             for r in range(1, args.r_max + 1):
                 cells += 1
                 try:
-                    row, failed = _cell(a, b, r, table, betti, args.skip_betti)
+                    row, failed = _cell(a, b, r, table, betti)
                 except SplineRegError as exc:
                     failed = [type(exc).__name__]
                     row = f"{a:>2} {b:>2} {r:>3} {failed[0]}"

@@ -161,7 +161,7 @@ def cmd_analyze(args) -> dict:
     elif args.emit_graph:
         raise SplineRegError("--emit-graph needs one totally interior edge and two interior vertices")
     elif stats.totally_interior:
-        pb = path_bounds(c, args.r, run_oracle=args.oracle, h0=h0)
+        pb = path_bounds(c, args.r, h0 if args.oracle else None)
         payload["path_bounds"] = pb.to_json_dict()
     else:
         payload["note"] = "no totally interior edges: H0 vanishes"
@@ -233,14 +233,15 @@ def cmd_staircase(args) -> dict:
     if args.a is None or args.b is None:
         raise SplineRegError("staircase needs either --s or both --a and --b")
     q = build_q(args.a, args.b, args.r)
+    a, b = sorted((args.a, args.b))
     payload.update(
         {
-            "a": q.a,
-            "b": q.b,
-            "lambda": list(staircase_closed_form(args.r, q.a - 1).lam),
-            "eta": list(staircase_closed_form(args.r, q.b - 1).lam),
-            "lambda_prime": list(q.colon1.lam_prime),
-            "eta_prime": list(q.colon2.lam_prime),
+            "a": a,
+            "b": b,
+            "lambda": list(staircase_closed_form(args.r, a - 1).lam),
+            "eta": list(staircase_closed_form(args.r, b - 1).lam),
+            "lambda_prime": list(q.lam_prime),
+            "eta_prime": list(q.eta_prime),
             "i0": q.i0,
             "j0": q.j0,
             "l0": q.l0,
@@ -257,7 +258,8 @@ def cmd_staircase(args) -> dict:
 
 def cmd_betti(args) -> dict:
     q = build_q(args.a, args.b, args.r)
-    payload = {"a": q.a, "b": q.b, "r": args.r, "in_q": [g.render() for g in q.in_q.gens]}
+    a, b = sorted((args.a, args.b))
+    payload = {"a": a, "b": b, "r": args.r, "in_q": [g.render() for g in q.in_q.gens]}
     table = betti_oracle(q.in_q)
     payload["betti"] = {
         str(i): [m.render() for m in table.multidegrees(i)] for i in (0, 1, 2)

@@ -3,14 +3,13 @@ and its <= 2r property, plus the path bounds for complexes with several
 totally interior edges.
 
 Every exact answer is produced by the closed-form bottom-face route and
-cross-checked against the socle degree of In Q shifted by r+1; coming from
-a concrete complex it is additionally checked against the chain-complex
-rank oracle, and any disagreement is a hard error.
+cross-checked against the socle degree of In Q, both shifted by r+1; coming
+from a concrete complex it is additionally checked against the
+chain-complex rank oracle, and any disagreement is a hard error.
 
-A sweep over many (a, b, r) cells shares one `staircase.ClosedFormTable`:
-the route checks depend on a cell only through (lambda', eta'), and on r
-only through the shift r+1 both routes add, so they run once per such
-class, while each cell's sandwich is checked on its own.
+A sweep over many (a, b, r) cells shares one `staircase.ClosedFormTable`,
+so the route checks run once per (lambda', eta') class, whose record holds
+no r, while each cell's sandwich is checked on its own.
 """
 from __future__ import annotations
 
@@ -85,17 +84,15 @@ def regularity_one_edge(
     sandwich alpha1 + alpha2 + r - 1 <= reg <= alpha1 + alpha2 + r is
     checked whenever the module is nonzero.
 
-    A sweep passes one `ClosedFormTable`.  The route checks of
-    `syzygies.class_routes` read only `QData.key` = (lambda', eta'), so
-    they run once per key; the table stores both routes less r+1, and each
-    cell adds its own r+1 back.  The sandwich depends on (a, b, r) and is
-    checked for each cell."""
+    A sweep passes one `ClosedFormTable`, which keeps each class's checked
+    `syzygies.class_routes` values; this is the one place they are shifted
+    by the cell's r+1.  The sandwich is checked for each cell."""
     if r < 0:
         raise ValueError("r must be >= 0")
     if table is None:
         table = ClosedFormTable()
     q = build_q(a, b, r, table)
-    a, b = q.a, q.b
+    a, b = sorted((a, b))
     alpha1 = (r + 1) // (a - 1)
     alpha2 = (r + 1) // (b - 1)
     lower = alpha1 + alpha2 + r - 1
@@ -105,8 +102,7 @@ def regularity_one_edge(
     else:
         routes = table.routes.get(q.key)
         if routes is None:
-            reg, socle, face = class_routes(q)[:3]
-            routes = table.routes[q.key] = (reg - (r + 1), socle - (r + 1), face)
+            routes = table.routes[q.key] = class_routes(q)[:3]
         reg, socle, face = routes[0] + r + 1, routes[1] + r + 1, routes[2]
         if not lower <= reg <= upper:
             raise RouteDisagreement(f"sandwich violated: {lower} <= {reg} <= {upper}")
@@ -168,15 +164,11 @@ class PathBounds(NamedTuple):
         }
 
 
-def path_bounds(
-    c: SimplicialComplex,
-    r: int,
-    run_oracle: bool = False,
-    h0: H0Table | None = None,
-) -> PathBounds:
+def path_bounds(c: SimplicialComplex, r: int, h0: H0Table | None = None) -> PathBounds:
     """Regularity bounds maximized over the totally interior edges; needs
     every interior vertex to carry at least one partially interior edge.
-    The oracle runs on the run's `H0Table` when it is passed."""
+    The chain-complex oracle runs, on `h0`, iff the run's `H0Table` is
+    passed."""
     stats = interior_stats(c, r)
     for v, st in sorted(stats.per_vertex.items()):
         if st.f1_0b == 0:
@@ -190,5 +182,5 @@ def path_bounds(
         per_edge.append((e, low, si.alpha + sj.alpha + r))
     lower = max((lo for _, lo, _ in per_edge), default=None)
     upper = max((up for _, _, up in per_edge), default=None)
-    oracle_reg = h0_regularity_oracle(c, r, h0) if run_oracle else None
-    return PathBounds(r, tuple(per_edge), lower, upper, run_oracle, oracle_reg)
+    oracle_reg = None if h0 is None else h0_regularity_oracle(c, r, h0)
+    return PathBounds(r, tuple(per_edge), lower, upper, h0 is not None, oracle_reg)

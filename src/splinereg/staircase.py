@@ -15,9 +15,9 @@ reader, `_initial_ideal`, takes each oracle's leads degree by degree and
 stops at the first full degree: distinct slopes make J', its colon and
 Q1 + Q2 Artinian, so that degree exists, and no closed form is consulted.
 
-A run over many cells passes one `ClosedFormTable` to `build_q`: the colon
-staircase depends only on (r, s), and In Q with its pruning check only on
-(lambda', eta'), so each is built and checked once per distinct input.
+A run over many cells passes one `ClosedFormTable` to `build_q`: it builds
+each colon staircase once per (r, s), and In Q with its pruning check once
+per class (lambda', eta'), whose record holds no r.
 
 Slope conventions: a form is first_var + c * z; the x-side of a
 configuration carries a-1 distinct slopes, the y-side b-1.
@@ -34,6 +34,7 @@ from .errors import DuplicateSlope, InvalidSlopeCount, StaircaseInvariant
 from .monomials import (
     Monomial,
     MonomialIdeal,
+    count_degree,
     ideal_sum,
     index_exponents,
     minimalize,
@@ -69,25 +70,23 @@ class ColonStaircase(NamedTuple):
 
 
 class QData(NamedTuple):
-    """The two colon staircases (x,z)/(y,z), the pruning index l0, and the
-    minimalized union In Q.  Inputs arriving with a > b are swapped so the
-    x-side always carries the smaller slope count."""
+    """One (lambda', eta') class: the colon staircases of the smaller and
+    the larger slope count, the pruning index l0 and the minimalized union
+    In Q.  It holds no r and no (a, b), so `build_q` hands every cell of
+    the class one shared record."""
 
-    a: int
-    b: int
-    r: int
-    colon1: ColonStaircase
-    colon2: ColonStaircase
+    lam_prime: tuple[int, ...]
+    eta_prime: tuple[int, ...]
     l0: int
     in_q: MonomialIdeal
 
     @property
     def i0(self) -> int:
-        return self.colon1.i0
+        return len(self.lam_prime) - 1
 
     @property
     def j0(self) -> int:
-        return self.colon2.i0
+        return len(self.eta_prime) - 1
 
     @property
     def is_trivial(self) -> bool:
@@ -95,10 +94,8 @@ class QData(NamedTuple):
 
     @property
     def key(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """(lambda', eta'): In Q, l0, i0 = len(lambda') - 1, j0 and every
-        check downstream of the colon staircases are functions of it; r
-        enters only as the shift r+1 that both regularity routes add."""
-        return (self.colon1.lam_prime, self.colon2.lam_prime)
+        """(lambda', eta'), the class's key in a `ClosedFormTable`."""
+        return (self.lam_prime, self.eta_prime)
 
 
 class ClosedFormTable:
@@ -106,25 +103,19 @@ class ClosedFormTable:
     and checked once per distinct input.
 
     `colons` holds the colon staircase of each (r, s) and `ideals` its
-    ideal on each axis.  `unions` holds (l0, In Q) of each `QData.key`
-    (lambda', eta'), and `routes` the r-free (reg - (r+1), socle - (r+1),
-    face) that `syzygies.class_routes` checked for that key; the reader
-    adds its own cell's r+1 back.
-    This is exact: after the two colon staircases, In Q, its pruning check
-    (`_pruned_union`), `bottom_face`, `syz2_closed_form`, the Buchberger
-    graph, `syz3_closed_form` and the bottom-face comparison read only
-    lambda', eta', i0, j0, l0 and In Q, all functions of the key, and
-    `regularity_from_bottom_face` adds the same r+1 to both of its routes,
-    so whether they agree does not depend on r.  A cell reading an entry
-    therefore gets what it would compute afresh.  Only results whose checks
-    passed are stored, so a key whose check raises raises again for every
-    cell that meets it, naming that cell's own shifted values.  A call
-    without a table makes a fresh one, so a single cell runs every check."""
+    ideal on each axis.  `classes` holds the `QData` of each key (lambda',
+    eta'), and `routes` the (reg, socle, face) that
+    `syzygies.class_routes` checked for it.  A class record has no r, so
+    both are the class's own values; `regularity.regularity_one_edge`
+    shifts them by its cell's r+1.  Only results whose checks passed are
+    stored, so a class whose check raises raises again for every cell that
+    meets it.  A call without a table makes a fresh one, so a single cell
+    runs every check."""
 
     def __init__(self):
         self.colons: dict[tuple[int, int], ColonStaircase] = {}
         self.ideals: dict[tuple[int, int, str], MonomialIdeal] = {}
-        self.unions: dict[tuple, tuple[int, MonomialIdeal]] = {}
+        self.classes: dict[tuple, QData] = {}
         self.routes: dict[tuple, tuple] = {}
 
     def colon(self, r: int, s: int) -> ColonStaircase:
@@ -170,10 +161,12 @@ def colon_staircase(st: Staircase) -> ColonStaircase:
 
 
 def build_q(a: int, b: int, r: int, table: ClosedFormTable | None = None) -> QData:
-    """Colon staircases at both vertices and their minimalized sum In Q,
-    with the x-generators below l0 pruned away by z^{eta'_0}.  A run over
+    """The class record of cell (a, b, r): colon staircases at both vertices,
+    the x-side carrying min(a, b) - 1 slopes, and their minimalized sum In
+    Q, with the x-generators below l0 pruned away by z^{eta'_0}.  A run over
     many cells passes one `ClosedFormTable`, so each colon staircase is
-    built once per (r, s) and In Q once per (lambda', eta')."""
+    built once per (r, s), and every cell of a class gets the table's one
+    record."""
     if a < 3 or b < 3:
         raise InvalidSlopeCount(f"need a, b >= 3, got ({a}, {b})")
     if r < 0:
@@ -185,25 +178,23 @@ def build_q(a: int, b: int, r: int, table: ClosedFormTable | None = None) -> QDa
     colon1 = table.colon(r, a - 1)
     colon2 = table.colon(r, b - 1)
     key = (colon1.lam_prime, colon2.lam_prime)
-    union = table.unions.get(key)
-    if union is None:
+    q = table.classes.get(key)
+    if q is None:
         in_q = ideal_sum(table.colon_ideal(colon1, "x"), table.colon_ideal(colon2, "y"))
-        union = table.unions[key] = _pruned_union(colon1, colon2, in_q)
-    l0, in_q = union
-    return QData(a, b, r, colon1, colon2, l0, in_q)
+        q = table.classes[key] = QData(*key, *_pruned_union(*key, in_q))
+    return q
 
 
 def _pruned_union(
-    colon1: ColonStaircase, colon2: ColonStaircase, in_q: MonomialIdeal
+    lamp: tuple[int, ...], etap: tuple[int, ...], in_q: MonomialIdeal
 ) -> tuple[int, MonomialIdeal]:
     """(l0, In Q), raising unless the generators minimalize kept in In Q are
     the x-generators from l0 on plus every y-generator."""
     if in_q.is_trivial:
         return 0, in_q
-    eta0 = colon2.lam_prime[0]
-    l0 = next(i for i in range(colon1.i0 + 1) if colon1.lam_prime[i] < eta0)
-    expected = {_axis_monomial("x", i, colon1.lam_prime[i]) for i in range(l0, colon1.i0 + 1)}
-    expected |= {_axis_monomial("y", j, colon2.lam_prime[j]) for j in range(colon2.i0 + 1)}
+    l0 = next(i for i, lam in enumerate(lamp) if lam < etap[0])
+    expected = {_axis_monomial("x", i, lamp[i]) for i in range(l0, len(lamp))}
+    expected |= {_axis_monomial("y", j, eta) for j, eta in enumerate(etap)}
     if set(in_q.gens) != expected:
         raise StaircaseInvariant("pruned generator list disagrees with minimalize")
     return l0, in_q
@@ -348,4 +339,4 @@ def _sum_leads(colons1, colons2):
                 for f in sides[side]:
                     ech.insert({monomial_index(e - t if side else d - e, t): c for t, c in f.items()})
         leads = [Monomial(d - ey - ez, ey, ez) for ey, ez in map(index_exponents, sorted(ech.pivots))]
-        yield leads, ech.rank == (d + 2) * (d + 1) // 2
+        yield leads, ech.rank == count_degree(d)

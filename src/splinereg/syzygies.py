@@ -108,7 +108,7 @@ def syz2_closed_form(q: QData) -> tuple[Monomial, ...]:
     chain steps on each side plus the ladder of incomparable pairs."""
     if q.is_trivial:
         raise TrivialIdeal("In Q is the unit ideal")
-    lamp, etap, l0, i0, j0 = q.colon1.lam_prime, q.colon2.lam_prime, q.l0, q.i0, q.j0
+    lamp, etap, l0, i0, j0 = q.lam_prime, q.eta_prime, q.l0, q.i0, q.j0
     if l0 < 1:
         raise StaircaseInvariant(f"pruning index l0 = {l0} < 1 for a nontrivial In Q")
     out = {Monomial(i, 0, lamp[i - 1]) for i in range(l0 + 1, i0 + 1)}
@@ -140,27 +140,27 @@ def bottom_face(q: QData) -> Monomial:
     """x^{i0} y^{j0} z^{zeta0} with zeta0 = min(lambda'_{i0-1}, eta'_{j0-1})."""
     if q.is_trivial:
         raise TrivialIdeal("In Q is the unit ideal")
-    zeta0 = min(q.colon1.lam_prime[q.i0 - 1], q.colon2.lam_prime[q.j0 - 1])
+    zeta0 = min(q.lam_prime[q.i0 - 1], q.eta_prime[q.j0 - 1])
     if zeta0 not in (1, 2):
         raise StaircaseInvariant(f"zeta0 = {zeta0} outside {{1, 2}}")
     return Monomial(q.i0, q.j0, zeta0)
 
 
 def regularity_from_bottom_face(q: QData) -> tuple[int, int]:
-    """(deg(bottom face) - 3 + (r+1), socle degree of S/In Q + (r+1)): each
-    route's own value, raising SocleMismatch unless they agree."""
+    """(deg(bottom face) - 3, socle degree of S/In Q): each route's own
+    value for the class, raising SocleMismatch unless they agree."""
     if q.is_trivial:
         raise TrivialIdeal("In Q is the unit ideal; the module is zero")
-    socle = max_socle_degree(q.in_q) + (q.r + 1)  # raises NotArtinian first
-    reg = bottom_face(q).degree - 3 + (q.r + 1)
+    socle = max_socle_degree(q.in_q)  # raises NotArtinian first
+    reg = bottom_face(q).degree - 3
     if reg != socle:
         raise SocleMismatch(f"bottom-face route gives {reg}, socle route {socle}")
     return reg, socle
 
 
 class ClassRoutes(NamedTuple):
-    reg: int            # bottom-face route
-    socle: int          # socle route
+    reg: int            # bottom-face route, unshifted
+    socle: int          # socle route, unshifted
     face: Monomial      # the i0/j0/zeta0 bottom face
     graph: BuchGraph
     syz2: tuple[Monomial, ...]

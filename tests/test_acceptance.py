@@ -12,6 +12,7 @@ import pytest
 from conftest import colon_by_monomial, euler_hilbert_check
 
 from splinereg.chains import (
+    H0Table,
     h0_regularity_oracle,
     spline_dim_formula,
     spline_dim_oracle,
@@ -215,7 +216,7 @@ def test_criterion_09_dimension_formula_equivalence(
 def test_criterion_10_path_bounds_containment(complex_ce1):
     with criterion(10, "chain oracle within path bounds on the two-edge complex"):
         for r in (1, 2, 3):
-            pb = path_bounds(complex_ce1, r, run_oracle=True)
+            pb = path_bounds(complex_ce1, r, H0Table(complex_ce1, r))
             assert pb.oracle_reg is not None, f"H0 vanishes at r={r}"
             assert pb.lower <= pb.oracle_reg <= pb.upper
             assert pb.oracle_within

@@ -225,7 +225,7 @@ def test_printed_graph_and_syzygies_pass_the_class_checks(capsys, monkeypatch, a
     monkeypatch.setattr(syz, "max_socle_degree", lambda ideal: real(ideal) + 1)
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
-    assert err == "error: SocleMismatch: bottom-face route gives 7, socle route 8\n"
+    assert err == "error: SocleMismatch: bottom-face route gives 2, socle route 3\n"
 
 
 def test_chain_oracle_disagreement_prints_both_values(tmp_path, capsys, monkeypatch):
@@ -439,8 +439,8 @@ def test_capped_sweep_runs_each_check_once_per_class(capsys, monkeypatch):
         ((3, 4), (1, 4), (7, 10), ()),
         ((7, 10), (8, 8), (1, 10), ()),
         ((3, 6), (1, 8), (33, 60), (
-            "(3,3,1): SocleMismatch: bottom-face route gives 2, socle route 3",
-            "(6,6,7): SocleMismatch: bottom-face route gives 8, socle route 9",
+            "(3,3,1): SocleMismatch: bottom-face route gives 0, socle route 1",
+            "(6,6,7): SocleMismatch: bottom-face route gives 0, socle route 1",
         )),
     ],
     ids=["distinct-classes", "one-class", "one-class-across-r"],
@@ -450,7 +450,7 @@ def test_sweep_lists_every_cell_of_a_failing_class(
 ):
     # only checked results are stored, so a class whose socle route fails
     # is recomputed and reported for each of its cells, each line naming
-    # that cell's own values shifted by its own r+1
+    # the cell and the class's own unshifted values
     import splinereg.syzygies as syz
 
     table = ClosedFormTable()

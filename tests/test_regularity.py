@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import splinereg
+from splinereg.chains import H0Table
 from splinereg.errors import HypothesisViolated, InvalidSlopeCount, NotOneEdge
 from splinereg.monomials import Monomial
 from splinereg.regularity import path_bounds, regularity_from_complex, regularity_one_edge
@@ -136,7 +137,7 @@ def test_path_bounds_on_one_edge_coincide(complex_one33):
 
 
 def test_path_bounds_ce1(complex_ce1):
-    pb = path_bounds(complex_ce1, 3, run_oracle=True)
+    pb = path_bounds(complex_ce1, 3, H0Table(complex_ce1, 3))
     assert len(pb.per_edge) == 2
     assert pb.oracle_reg is not None
     assert pb.oracle_within
@@ -210,7 +211,7 @@ def test_socle_route_mismatch_names_both_values(monkeypatch):
 
     real = syz.max_socle_degree
     monkeypatch.setattr(syz, "max_socle_degree", lambda ideal: real(ideal) + 1)
-    with pytest.raises(SocleMismatch, match="bottom-face route gives 14, socle route 15"):
+    with pytest.raises(SocleMismatch, match="bottom-face route gives 5, socle route 6"):
         regularity_one_edge(3, 4, 8)
 
 

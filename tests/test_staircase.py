@@ -25,6 +25,8 @@ from splinereg.monomials import (
 )
 from splinereg.ratlinalg import RatMatrix, in_column_span, pivot_rows, rank
 from splinereg.staircase import (
+    ClosedFormTable,
+    QData,
     _colon_bases,
     _power_echelons,
     _slope_pairs,
@@ -157,13 +159,24 @@ def test_build_q_33_r2():
 def test_build_q_trivial():
     q = build_q(5, 5, 0)
     assert q.in_q.is_trivial
-    assert q.colon1.i0 == q.colon2.i0 == 0
+    assert q.i0 == q.j0 == 0
 
 
-def test_build_q_swaps():
-    q = build_q(5, 3, 4)
-    assert (q.a, q.b) == (3, 5)
-    assert q.in_q == build_q(3, 5, 4).in_q
+def test_build_q_returns_one_record_per_class():
+    # a class record holds no cell data, so one table hands every cell of
+    # the class, at any r and in either (a, b) order, the identical object
+    table = ClosedFormTable()
+    q = build_q(3, 3, 1, table)
+    assert build_q(4, 4, 2, table) is q and build_q(6, 6, 7, table) is q
+    swapped = build_q(5, 3, 4, table)
+    assert build_q(3, 5, 4, table) is swapped
+    # the x-side carries the smaller slope count
+    assert swapped.key == (table.colon(4, 2).lam_prime, table.colon(4, 4).lam_prime)
+    assert len(table.classes) == 2
+
+
+def test_qdata_holds_only_the_class():
+    assert QData._fields == ("lam_prime", "eta_prime", "l0", "in_q")
 
 
 def test_build_q_key_is_free_of_r():
@@ -191,8 +204,8 @@ def test_l0_lower_bound_remark(a, b):
 def test_structure_of_in_q_gens():
     for a, b, r in [(3, 3, 7), (3, 5, 9), (4, 6, 11), (5, 5, 8)]:
         q = build_q(a, b, r)
-        expected = {M(i, 0, q.colon1.lam_prime[i]) for i in range(q.l0, q.i0 + 1)}
-        expected |= {M(0, j, q.colon2.lam_prime[j]) for j in range(q.j0 + 1)}
+        expected = {M(i, 0, q.lam_prime[i]) for i in range(q.l0, q.i0 + 1)}
+        expected |= {M(0, j, q.eta_prime[j]) for j in range(q.j0 + 1)}
         assert set(q.in_q.gens) == expected
 
 

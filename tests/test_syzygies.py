@@ -18,6 +18,7 @@ from splinereg.errors import (
 )
 from splinereg.monomials import Monomial, hilbert_function, max_socle_degree, minimalize, mono_lcm
 from splinereg.ratlinalg import RatMatrix, rank
+from splinereg.regularity import regularity_one_edge
 from splinereg.staircase import build_q
 from splinereg.syzygies import (
     BuchGraph,
@@ -275,9 +276,10 @@ def test_euler_hilbert_consistency():
 
 
 def test_regularity_from_bottom_face_values():
-    assert regularity_from_bottom_face(build_q(3, 4, 8)) == (14, 14)
-    assert regularity_from_bottom_face(build_q(3, 3, 2)) == (4, 4)
-    assert regularity_from_bottom_face(build_q(3, 3, 3)) == (6, 6)
+    # the class's own values: a cell adds its r+1 in `regularity_one_edge`
+    assert regularity_from_bottom_face(build_q(3, 4, 8)) == (5, 5)
+    assert regularity_from_bottom_face(build_q(3, 3, 2)) == (1, 1)
+    assert regularity_from_bottom_face(build_q(3, 3, 3)) == (2, 2)
 
 
 def test_bottom_face_witness():
@@ -311,10 +313,11 @@ def test_socle_shift_identity_on_sample():
     for a, b, r in [(3, 3, 5), (3, 6, 9), (4, 7, 12), (6, 6, 10)]:
         q = build_q(a, b, r)
         reg, socle = regularity_from_bottom_face(q)
-        assert reg == socle == max_socle_degree(q.in_q) + r + 1
+        assert reg == socle == max_socle_degree(q.in_q)
+        assert regularity_one_edge(a, b, r).exact == reg + r + 1
         # the socle degree really is the top nonzero degree
-        assert hilbert_function(q.in_q, reg - r - 1) != 0
-        assert hilbert_function(q.in_q, reg - r) == 0
+        assert hilbert_function(q.in_q, reg) != 0
+        assert hilbert_function(q.in_q, reg + 1) == 0
 
 
 def fixpoint_lcm_closure(gens):
