@@ -12,6 +12,7 @@ import argparse
 import json
 import re
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .chains import H0Table, spline_dim_local, spline_dim_oracles
 from .errors import (
@@ -93,9 +94,54 @@ def _read_complex(path):
 
 def _emit(args, payload) -> None:
     if args.format == "json":
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        print(_dumps(payload))
     else:
         _print_table(payload)
+
+
+_CONTAINERS = (dict, list, tuple)
+
+
+def _dumps(payload) -> str:
+    """`json.dumps(payload, sort_keys=True, indent=2)`, the same string.
+    With an indent the stdlib encodes item by item in Python; here Python
+    recurses only through containers that hold containers.  A container of
+    scalars is one call of the C encoder (CPython's, whenever no indent is
+    given), whose item separator already breaks to the items' indent, so
+    only its brackets move onto their own lines.  Keys are str: a container
+    of containers quotes them with json's own `encode_basestring_ascii`,
+    which takes nothing else."""
+    encoders = []  # depth -> `encode` of a container of scalars at that depth
+
+    def flat(depth):
+        while len(encoders) <= depth:
+            pad = "\n" + "  " * len(encoders)
+            # a container of scalars cannot be circular
+            encoder = json.JSONEncoder(check_circular=False, sort_keys=True, separators=("," + pad, ": "))
+            encoders.append(encoder.encode)
+        return encoders[depth]
+
+    def write(value, depth):
+        if not isinstance(value, _CONTAINERS):
+            return flat(depth)(value)
+        is_dict = isinstance(value, dict)
+        inner, outer = "\n" + "  " * (depth + 1), "\n" + "  " * depth
+        for v in value.values() if is_dict else value:
+            if isinstance(v, _CONTAINERS):
+                break
+        else:
+            text = flat(depth + 1)(value)
+            return text[0] + inner + text[1:-1] + outer + text[-1] if value else text
+        if is_dict:
+            items = [
+                f"{encode_basestring_ascii(k)}: {write(v, depth + 1)}" for k, v in sorted(value.items())
+            ]
+        else:
+            items = [write(v, depth + 1) for v in value]
+        opening, closing = "{}" if is_dict else "[]"
+        return opening + inner + ("," + inner).join(items) + outer + closing
+
+    return write(payload, 0)
 
 
 def _print_table(payload, indent=0):
@@ -132,11 +178,18 @@ def _graph_dict(graph):
 
 
 def cmd_regularity(args) -> dict:
-    table = ClosedFormTable()  # one In Q for the route and the Betti check
+    # one In Q and one class_routes record for the route and the Betti
+    # check: the route reads the record's (reg, socle, face) off the table
+    table = ClosedFormTable()
+    routes = None
+    if args.oracle:
+        q = build_q(args.a, args.b, args.r, table)
+        if not q.is_trivial:
+            routes = class_routes(q)
+            table.routes[q.key] = routes[:3]
     report = regularity_one_edge(args.a, args.b, args.r, table)
     payload = report.to_json_dict()
-    if args.oracle and not report.vanishes:
-        routes = class_routes(build_q(args.a, args.b, args.r, table))
+    if routes is not None:
         payload["betti_confirms_syzygies"] = syzygies_match_betti(
             betti_oracle(report.in_q), routes.syz2, routes.syz3
         )
@@ -191,6 +244,7 @@ def cmd_sweep(args) -> dict:
             for r in range(r_lo, r_hi + 1):
                 try:
                     rep = regularity_one_edge(a, b, r, table)
+                    holds, agree = rep.conjecture_2r, rep.routes_agree
                     rows.append(
                         {
                             "a": a,
@@ -200,11 +254,11 @@ def cmd_sweep(args) -> dict:
                             "lower": rep.lower,
                             "upper": rep.upper,
                             "zeta0": rep.zeta0,
-                            "conjecture_2r": rep.conjecture_2r,
-                            "routes_agree": rep.routes_agree,
+                            "conjecture_2r": holds,
+                            "routes_agree": agree,
                         }
                     )
-                    if not rep.conjecture_2r or not rep.routes_agree:
+                    if not holds or not agree:
                         violations.append(f"({a},{b},{r})")
                 except SplineRegError as exc:
                     violations.append(f"({a},{b},{r}): {type(exc).__name__}: {exc}")

@@ -116,11 +116,18 @@ class MonomialIdeal(_MonomialIdealFields):
 def minimalize(monomials) -> MonomialIdeal:
     """Divisibility antichain of the given monomials; generated ideal
     unchanged.  A proper divisor has lower degree, so a scan by ascending
-    degree keeps exactly the minimal generators."""
+    degree keeps exactly the minimal generators.  The scan compares the kept
+    ones as plain exponent triples and returns the given monomials."""
     keep: list[Monomial] = []
+    triples: list[tuple[int, int, int]] = []  # keep's exponents, in step
     for m in sorted(set(monomials), key=sum):
-        if not any(k.divides(m) for k in keep):
+        ex, ey, ez = m
+        for kx, ky, kz in triples:
+            if kx <= ex and ky <= ey and kz <= ez:
+                break
+        else:
             keep.append(m)
+            triples.append((ex, ey, ez))
     keep.sort(reverse=True)
     # an antichain in strict lex-descending order by construction, so the
     # checks of MonomialIdeal.__new__ are skipped
@@ -194,14 +201,20 @@ def max_socle_degree(i: MonomialIdeal) -> int:
     px, py, pz = _pure_powers(i)
     if None in (px, py, pz):
         raise NotArtinian(f"no pure power of every variable in {i.render()}")
-    z_at = {(g.ex, g.ey): g.ez for g in i.gens if g.ex < px and g.ey < py}
+    z_at = {(ex, ey): ez for ex, ey, ez in map(tuple, i.gens) if ex < px and ey < py}
     top = 0
     heights = [pz] * py  # h(a-1, b) for every b; pz bounds them all
     for a in range(px):
         h = pz  # h(a, b-1)
         for b in range(py):
-            h = min(h, heights[b], z_at.get((a, b), pz))
+            # h = min(h, heights[b], z_at.get((a, b), pz)), compared inline:
+            # calls of min and max cost more than the rest of the cell
+            if heights[b] < h:
+                h = heights[b]
+            z = z_at.get((a, b), pz)
+            if z < h:
+                h = z
             heights[b] = h
-            if h:
-                top = max(top, a + b + h - 1)
+            if h and a + b + h - 1 > top:
+                top = a + b + h - 1
     return top

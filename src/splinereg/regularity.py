@@ -92,7 +92,8 @@ def regularity_one_edge(
     if table is None:
         table = ClosedFormTable()
     q = build_q(a, b, r, table)
-    a, b = sorted((a, b))
+    if a > b:
+        a, b = b, a
     alpha1 = (r + 1) // (a - 1)
     alpha2 = (r + 1) // (b - 1)
     lower = alpha1 + alpha2 + r - 1
@@ -107,13 +108,7 @@ def regularity_one_edge(
         if not lower <= reg <= upper:
             raise RouteDisagreement(f"sandwich violated: {lower} <= {reg} <= {upper}")
     return RegularityReport(
-        a, b, r,
-        exact=reg,
-        lower=lower,
-        upper=upper,
-        bottom_face=face,
-        in_q=q.in_q,
-        routes={"bottom_face": reg, "socle_shift": socle},
+        a, b, r, reg, lower, upper, face, q.in_q, {"bottom_face": reg, "socle_shift": socle}
     )
 
 

@@ -193,8 +193,9 @@ def _pruned_union(
     if in_q.is_trivial:
         return 0, in_q
     l0 = next(i for i, lam in enumerate(lamp) if lam < etap[0])
-    expected = {_axis_monomial("x", i, lamp[i]) for i in range(l0, len(lamp))}
-    expected |= {_axis_monomial("y", j, eta) for j, eta in enumerate(etap)}
+    # plain exponent triples, which hash and compare as the Monomials do
+    expected = {(i, 0, lamp[i]) for i in range(l0, len(lamp))}
+    expected |= {(0, j, eta) for j, eta in enumerate(etap)}
     if set(in_q.gens) != expected:
         raise StaircaseInvariant("pruned generator list disagrees with minimalize")
     return l0, in_q

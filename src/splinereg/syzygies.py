@@ -61,18 +61,20 @@ def _edges(gens):
     lcm no third one divides.  The lcm's x-exponent is ex_i, and the
     generators with ex <= ex_i are exactly those from the first one whose
     x-exponent equals ex_i onwards, so only that window can hold a third
-    divisor, and only y and z need comparing there."""
-    n = len(gens)
+    divisor, and only y and z need comparing there.  The scans run on plain
+    exponent triples; only an edge's lcm becomes a Monomial."""
+    triples = list(map(tuple, gens))
+    entries = [(k, y, z) for k, (_, y, z) in enumerate(triples)]
     edges = []
-    lo = 0
-    for i, (xi, yi, zi) in enumerate(gens):
-        if xi != gens[lo][0]:
+    lo, window = 0, entries
+    for i, (xi, yi, zi) in enumerate(triples):
+        if xi != triples[lo][0]:
             lo = i
-        window = list(enumerate(gens[lo:], lo))
-        for j in range(i + 1, n):
-            _, yj, zj = gens[j]
-            my, mz = max(yi, yj), max(zi, zj)
-            for k, (_, yk, zk) in window:
+            window = entries[lo:]
+        for j, yj, zj in entries[i + 1:]:
+            my = yi if yi > yj else yj
+            mz = zi if zi > zj else zj
+            for k, yk, zk in window:
                 if yk <= my and zk <= mz and k != i and k != j:
                     break
             else:
@@ -83,13 +85,16 @@ def _edges(gens):
 def _region_faces(gens, edges):
     """Faces of the two-chain layout.  In lex-descending order the x-chain
     is the prefix with ex > 0 (ex falling) and the y/z-chain the rest (ey
-    falling), so a generator's place on its chain is read off its index."""
-    if any(ex > 0 and ey > 0 for ex, ey, _ in gens):
+    falling), so a generator's place on its chain is read off its index.
+    The generators are read as plain exponent triples; only a face's lcm
+    becomes a Monomial."""
+    triples = list(map(tuple, gens))
+    if any(ex > 0 and ey > 0 for ex, ey, _ in triples):
         raise TwoChainRequired(
             "face extraction needs generators supported on an x-chain and a y/z-chain"
         )
-    n = len(gens)
-    nx = sum(1 for g in gens if g.ex > 0)
+    n = len(triples)
+    nx = sum(1 for ex, _, _ in triples if ex > 0)
     # positions counted from the low end of each chain: x-chain by rising
     # ex, y/z-chain by rising ey
     crossing = sorted((nx - 1 - i, n - 1 - j) for i, j, _ in edges if i < nx <= j)
@@ -99,28 +104,30 @@ def _region_faces(gens, edges):
     faces = []
     for (p1, q1), (p2, q2) in zip(crossing, crossing[1:]):
         region = tuple(range(nx - 1 - p2, nx - p1)) + tuple(range(n - 1 - q2, n - q1))
-        faces.append((region, Monomial(*map(max, zip(*(gens[k] for k in region))))))
+        faces.append((region, Monomial(*map(max, zip(*(triples[k] for k in region))))))
     return faces
 
 
 def syz2_closed_form(q: QData) -> tuple[Monomial, ...]:
     """Second-syzygy multidegrees of In Q from the staircase data alone:
-    chain steps on each side plus the ladder of incomparable pairs."""
+    chain steps on each side plus the ladder of incomparable pairs.  The
+    set holds plain exponent triples; only the distinct ones become
+    Monomials."""
     if q.is_trivial:
         raise TrivialIdeal("In Q is the unit ideal")
     lamp, etap, l0, i0, j0 = q.lam_prime, q.eta_prime, q.l0, q.i0, q.j0
     if l0 < 1:
         raise StaircaseInvariant(f"pruning index l0 = {l0} < 1 for a nontrivial In Q")
-    out = {Monomial(i, 0, lamp[i - 1]) for i in range(l0 + 1, i0 + 1)}
-    out.add(Monomial(l0, 0, etap[0]))
-    out |= {Monomial(0, j, etap[j - 1]) for j in range(1, j0 + 1)}
+    out = {(i, 0, lamp[i - 1]) for i in range(l0 + 1, i0 + 1)}
+    out.add((l0, 0, etap[0]))
+    out |= {(0, j, etap[j - 1]) for j in range(1, j0 + 1)}
     for i in range(l0, i0 + 1):
         for j in range(1, j0 + 1):
             if lamp[i] <= etap[j] < lamp[i - 1]:
-                out.add(Monomial(i, j, etap[j]))
+                out.add((i, j, etap[j]))
             if etap[j] <= lamp[i] < etap[j - 1]:
-                out.add(Monomial(i, j, lamp[i]))
-    return tuple(sorted(out, reverse=True))
+                out.add((i, j, lamp[i]))
+    return tuple(Monomial(*m) for m in sorted(out, reverse=True))
 
 
 def syz3_closed_form(g: BuchGraph) -> list[Monomial]:

@@ -58,20 +58,26 @@ def test_regularity_with_oracle(capsys):
 
 
 def test_regularity_oracle_builds_q_once(capsys, monkeypatch):
-    # the route and the Betti check share one ClosedFormTable, so each
-    # colon staircase (s = 2, 3) and In Q's pruning check run once
+    # the route and the Betti check share one ClosedFormTable and one
+    # class_routes record, so each colon staircase (s = 2, 3), In Q's
+    # pruning check, the class checks and the Buchberger graph run once
     import splinereg.staircase as st
+    import splinereg.syzygies as syz
 
     calls = Counter()
-    for name in ("staircase_closed_form", "_pruned_union"):
-        def counted(*args, _real=getattr(st, name), _name=name):
+    for mods, name in (((st,), "staircase_closed_form"), ((st,), "_pruned_union"),
+                       ((syz, regularity, cli), "class_routes"), ((syz,), "buchberger_graph")):
+        def counted(*args, _real=getattr(mods[0], name), _name=name):
             calls[_name] += 1
             return _real(*args)
-        monkeypatch.setattr(st, name, counted)
+        for mod in mods:
+            monkeypatch.setattr(mod, name, counted)
     code, out, _ = run(capsys, "regularity", "--a", "3", "--b", "4", "--r", "24", "--oracle")
     assert code == 0
     assert json.loads(out)["betti_confirms_syzygies"] is True
-    assert calls == {"staircase_closed_form": 2, "_pruned_union": 1}
+    assert calls == {
+        "staircase_closed_form": 2, "_pruned_union": 1, "class_routes": 1, "buchberger_graph": 1,
+    }
 
 
 def test_deterministic_output(capsys):
@@ -407,7 +413,7 @@ def test_full_capped_sweep_budget(capsys):
     data = json.loads(out)
     assert code == 0
     assert len(data["rows"]) == 2520 and data["violations"] == []
-    assert elapsed < 0.75, f"full capped sweep took {elapsed:.2f}s"
+    assert elapsed < 0.5, f"full capped sweep took {elapsed:.2f}s"
 
 
 def test_capped_sweep_runs_each_check_once_per_class(capsys, monkeypatch):
@@ -749,6 +755,101 @@ def test_table_format(capsys):
     )
     assert code == 0
     assert "exact_regularity: 4" in out
+
+
+STAIRCASE_33_R2_TABLE = """\
+schema: spline-reg/1
+command: staircase
+r: 2
+a: 3
+b: 3
+lambda:
+  5
+  3
+  1
+eta:
+  5
+  3
+  1
+lambda_prime:
+  2
+  0
+eta_prime:
+  2
+  0
+i0: 1
+j0: 1
+l0: 1
+in_q:
+  x
+  y
+  z^2
+buchberger_graph:
+  nodes:
+    x
+    y
+    z^2
+  edges:
+    pair:
+      0
+      1
+    lcm: x y
+
+    pair:
+      0
+      2
+    lcm: x z^2
+
+    pair:
+      1
+      2
+    lcm: y z^2
+
+  faces:
+    region:
+      0
+      1
+      2
+    lcm: x y z^2
+
+syz2:
+  x y
+  x z^2
+  y z^2
+syz3:
+  x y z^2
+"""
+
+
+def test_table_format_nested_text(capsys):
+    # nested dicts, lists of dicts with their blank separator lines, and
+    # lists of scalars, in the payload's own key order
+    code, out, _ = run(
+        capsys, "staircase", "--a", "3", "--b", "3", "--r", "2", "--emit-graph", "--format", "table"
+    )
+    assert (code, out) == (0, STAIRCASE_33_R2_TABLE)
+
+
+json_scalars = hs.none() | hs.booleans() | hs.integers(-10**30, 10**30) | hs.floats() | hs.text()
+json_trees = hs.recursive(
+    json_scalars,
+    lambda kids: (
+        hs.lists(kids, max_size=4)
+        | hs.lists(kids, max_size=4).map(tuple)
+        | hs.dictionaries(hs.text(), kids, max_size=4)
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(json_trees)
+@example({"a}": [1, (2, "x,\ny")], "é\"\\": {}, "": [[], {}, ()], ",": [{"k": None, "}": "]"}]})
+@example([[{"é": [True, False, -10**30]}], (" ", {"b": {"c": []}})])
+def test_dumps_is_json_dumps_with_indent_2(value):
+    # the writer behind `--format json` gives the bytes of the stdlib's
+    # pure-Python indented encoder on any tree of str-keyed JSON values
+    assert cli._dumps(value) == json.dumps(value, sort_keys=True, indent=2)
 
 
 @pytest.mark.parametrize(

@@ -271,6 +271,30 @@ def test_only_class_routes_assembles_the_syzygy_closed_forms():
     assert naming == {"syzygies.py"}
 
 
+def _indented_json_writes(tree):
+    """Line numbers of the stdlib JSON encoder calls that pass an `indent`:
+    `json.dumps`, `json.dump` or a `JSONEncoder` built with one."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and any(k.arg == "indent" for k in node.keywords):
+            name = getattr(node.func, "attr", None) or getattr(node.func, "id", None)
+            if name in {"dumps", "dump", "JSONEncoder"}:
+                yield node.lineno
+
+
+def test_cli_emit_is_the_only_json_writer():
+    # output is formatted one way: `cli._emit` prints JSON through
+    # `cli._dumps`, which gives the indented encoder's bytes without
+    # running it, and no module indents JSON any other way
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        assert list(_indented_json_writes(tree)) == [], path.name
+    found = _indented_json_writes(ast.parse("x = json.dumps(v, sort_keys=True, indent=2)"))
+    assert list(found) == [1]  # the checker does see such a call
+    cli_tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    emit = next(n for n in ast.walk(cli_tree) if isinstance(n, ast.FunctionDef) and n.name == "_emit")
+    assert "_dumps" in {getattr(n, "id", None) for n in ast.walk(emit)}
+
+
 def test_chain_oracle_stays_on_integers():
     # the boundary map is built in translated integer vertex frames, so
     # neither it nor a chains helper it calls may need rational arithmetic
