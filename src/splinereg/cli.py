@@ -5,14 +5,20 @@ default output (stable key order, so identical configs give byte-identical
 bytes); --format table is for humans.  Each `cmd_*` returns its command's
 fields, and `main` puts `schema` and `command` in front of them.  Exit code
 0 iff no error was raised and no check failed.
+
+The command line is read from one table, `_COMMANDS`, by `_parse_args`
+(no argparse: building its parsers cost more than most commands' work).
+Flags are `--name value` or `--name=value` and are never abbreviated;
+what the table does not allow is a `UsageError`.
 """
 from __future__ import annotations
 
-import argparse
 import json
 import re
 import sys
 from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
+from typing import NamedTuple
 
 from .chains import H0Table, spline_dim_local, spline_dim_oracles
 from .errors import (
@@ -21,7 +27,7 @@ from .errors import (
 from .geometry import parse_complex, interior_stats
 from .regularity import path_bounds, regularity_from_complex, regularity_one_edge
 from .staircase import ClosedFormTable, build_q, colon_staircase, staircase_closed_form
-from .syzygies import betti_oracle, buchberger_graph, class_routes, syzygies_match_betti
+from .syzygies import betti_oracle, class_routes, syzygies_match_betti
 
 SCHEMA = "spline-reg/1"
 _INT_RE = re.compile(r"-?[0-9]+")  # ASCII only, used with fullmatch, like the coordinates
@@ -177,16 +183,23 @@ def _graph_dict(graph):
     }
 
 
+def _class_record(a, b, r, table):
+    """The whole `class_routes` record of cell (a, b, r), or None when its In
+    Q is trivial.  Its (reg, socle, face) goes into `table`, so the route
+    that reads the table runs no second `class_routes`, and one Buchberger
+    graph serves the command."""
+    q = build_q(a, b, r, table)
+    if q.is_trivial:
+        return None
+    routes = class_routes(q)
+    table.routes[q.key] = routes[:3]
+    return routes
+
+
 def cmd_regularity(args) -> dict:
-    # one In Q and one class_routes record for the route and the Betti
-    # check: the route reads the record's (reg, socle, face) off the table
+    # one In Q and one class_routes record for the route and the Betti check
     table = ClosedFormTable()
-    routes = None
-    if args.oracle:
-        q = build_q(args.a, args.b, args.r, table)
-        if not q.is_trivial:
-            routes = class_routes(q)
-            table.routes[q.key] = routes[:3]
+    routes = _class_record(args.a, args.b, args.r, table) if args.oracle else None
     report = regularity_one_edge(args.a, args.b, args.r, table)
     payload = report.to_json_dict()
     if routes is not None:
@@ -207,10 +220,15 @@ def cmd_analyze(args) -> dict:
         "interior_data": stats.to_json_dict(),
     }
     if len(stats.totally_interior) == 1 and len(c.interior_vertices) == 2:
-        report = regularity_from_complex(c, args.r, h0)
+        table = ClosedFormTable()
+        routes = None
+        if args.emit_graph:  # the edge's two slope counts, as the route reads them
+            a, b = (stats.per_vertex[v].k for v in stats.totally_interior[0])
+            routes = _class_record(a, b, args.r, table)
+        report = regularity_from_complex(c, args.r, h0, table)
         payload["regularity"] = report.to_json_dict()
-        if args.emit_graph and not report.vanishes:
-            payload["buchberger_graph"] = _graph_dict(buchberger_graph(report.in_q))
+        if routes is not None:
+            payload["buchberger_graph"] = _graph_dict(routes.graph)
     elif args.emit_graph:
         raise SplineRegError("--emit-graph needs one totally interior edge and two interior vertices")
     elif stats.totally_interior:
@@ -326,58 +344,137 @@ def cmd_betti(args) -> dict:
     return payload
 
 
-class _Parser(argparse.ArgumentParser):
-    """Raises `UsageError` where argparse would exit 2; subcommands inherit it."""
+class _Command(NamedTuple):
+    help: str
+    positional: str | None  # the one positional argument, if any
+    flags: dict             # value flag -> required, in usage order
+    switches: tuple
 
-    def error(self, message):
-        raise UsageError(f"{self.prog}: {message}")
+
+# the command line: command `x` runs `cmd_x`, and every command also takes
+# the flags of _COMMON; no flag may be abbreviated
+_COMMANDS = {
+    "regularity": _Command(
+        "exact regularity from (a, b, r)", None, {"a": True, "b": True, "r": True}, ("oracle",)
+    ),
+    "analyze": _Command(
+        "analyze a complex file", "path", {"r": True, "d": False}, ("oracle", "emit-graph")
+    ),
+    "sweep": _Command(
+        "sweep a grid of (a, b, r), each a range lo..hi or one value", None,
+        {"a": True, "b": True, "r": True}, (),
+    ),
+    "staircase": _Command(
+        "staircases, colon staircases, In Q", None,
+        {"r": True, "s": False, "a": False, "b": False}, ("emit-graph",),
+    ),
+    "betti": _Command(
+        "Betti table of In Q vs closed-form syzygies", None, {"a": True, "b": True, "r": True}, ()
+    ),
+}
+_COMMON = _Command("", None, {"format": False}, ("unsafe-no-cap",))
+_FORMATS = ("json", "table")  # --format's choices, the first its default
+_FLAG_HELP = {"d": "also print spline dimensions up to d", "unsafe-no-cap": "lift the r/a/b/s/d caps"}
+_PROG = "spline-reg"
+_HELP = ("-h", "--help")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = _Parser(
-        prog="spline-reg",
-        description="Exact regularity of the spline homology module of planar complexes",
-    )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "table"), default="json")
-    common.add_argument("--unsafe-no-cap", action="store_true", help="lift the r/a/b/s/d caps")
-    sub = p.add_subparsers(dest="command", required=True)
+def _is_flag(token: str) -> bool:
+    """A dash and then anything but a digit: such a token is never taken
+    as a value, so `--a --b 4` lacks a's value while `--a -1..3` has one."""
+    return len(token) > 1 and token[0] == "-" and not token[1].isdecimal()
 
-    reg = sub.add_parser("regularity", help="exact regularity from (a, b, r)", parents=[common])
-    reg.add_argument("--a", required=True)
-    reg.add_argument("--b", required=True)
-    reg.add_argument("--r", required=True)
-    reg.add_argument("--oracle", action="store_true")
-    reg.set_defaults(func=cmd_regularity)
 
-    an = sub.add_parser("analyze", help="analyze a complex file", parents=[common])
-    an.add_argument("path")
-    an.add_argument("--r", required=True)
-    an.add_argument("--d", default=None, help="also print spline dimensions up to d")
-    an.add_argument("--oracle", action="store_true")
-    an.add_argument("--emit-graph", action="store_true")
-    an.set_defaults(func=cmd_analyze)
+def _usage(command: str | None) -> str:
+    """The help text of `spline-reg` or of one command, built from the table."""
+    if command is None:
+        lines = [
+            f"usage: {_PROG} [-h] {{{','.join(_COMMANDS)}}} ...",
+            "",
+            "Exact regularity of the spline homology module of planar complexes",
+            "",
+            "commands:",
+        ]
+        lines += [f"  {name:<12}{spec.help}" for name, spec in _COMMANDS.items()]
+        return "\n".join(lines)
+    spec = _COMMANDS[command]
+    words, shown = ["[-h]"], {}  # shown: flag -> how the usage writes it
+    for part in (_COMMON, spec):
+        words += [part.positional] if part.positional else []
+        for name, required in part.flags.items():
+            metavar = "{" + ",".join(_FORMATS) + "}" if name == "format" else name.upper()
+            word = shown[name] = f"--{name} {metavar}"
+            words.append(word if required else f"[{word}]")
+        for name in part.switches:
+            shown[name] = f"--{name}"
+            words.append(f"[--{name}]")
+    lines = [f"usage: {_PROG} {command} {' '.join(words)}", "", spec.help, ""]
+    lines += [f"  {shown[name]:<18}{text}" for name, text in _FLAG_HELP.items() if name in shown]
+    return "\n".join(lines)
 
-    sw = sub.add_parser("sweep", help="sweep a grid of (a, b, r)", parents=[common])
-    sw.add_argument("--a", required=True, help="range, e.g. 3..8")
-    sw.add_argument("--b", required=True)
-    sw.add_argument("--r", required=True)
-    sw.set_defaults(func=cmd_sweep)
 
-    st = sub.add_parser("staircase", help="staircases, colon staircases, In Q", parents=[common])
-    st.add_argument("--r", required=True)
-    st.add_argument("--s", default=None)
-    st.add_argument("--a", default=None)
-    st.add_argument("--b", default=None)
-    st.add_argument("--emit-graph", action="store_true")
-    st.set_defaults(func=cmd_staircase)
-
-    be = sub.add_parser("betti", help="Betti table of In Q vs closed-form syzygies", parents=[common])
-    be.add_argument("--a", required=True)
-    be.add_argument("--b", required=True)
-    be.add_argument("--r", required=True)
-    be.set_defaults(func=cmd_betti)
-    return p
+def _parse_args(argv) -> SimpleNamespace:
+    """The command named by argv's first token, with one attribute per flag
+    of the command (a value flag's text or None, a switch's bool, `--format`
+    json by default) and its positional.  A value flag reads `--name value`
+    or `--name=value`, the last one given winning.  `-h`/`--help` prints the
+    usage and exits 0; anything else the table does not allow is a
+    UsageError, a missing flag before an unknown one."""
+    if not argv:
+        raise UsageError(f"{_PROG}: the following arguments are required: command")
+    command, tokens = argv[0], argv[1:]
+    if command in _HELP:
+        print(_usage(None))
+        raise SystemExit(0)
+    spec = _COMMANDS.get(command)
+    if spec is None:
+        choices = ", ".join(map(repr, _COMMANDS))
+        raise UsageError(f"{_PROG}: argument command: invalid choice: {command!r} (choose from {choices})")
+    prog = f"{_PROG} {command}"
+    flags = {**_COMMON.flags, **spec.flags}
+    switches = _COMMON.switches + spec.switches
+    values, unknown = {}, []
+    i = 0
+    while i < len(tokens):
+        token = tokens[i]
+        i += 1
+        if not _is_flag(token):
+            if spec.positional is None or spec.positional in values:
+                unknown.append(token)
+            else:
+                values[spec.positional] = token
+            continue
+        if token in _HELP:
+            print(_usage(command))
+            raise SystemExit(0)
+        option, given, value = token.partition("=")
+        name = option[2:] if option[:2] == "--" else None
+        if name in flags:
+            if not given:
+                if i == len(tokens) or _is_flag(tokens[i]):
+                    raise UsageError(f"{prog}: argument {option}: expected one argument")
+                value = tokens[i]
+                i += 1
+            if name == "format" and value not in _FORMATS:
+                raise UsageError(
+                    f"{prog}: argument {option}: invalid choice: {value!r} "
+                    f"(choose from {', '.join(map(repr, _FORMATS))})"
+                )
+            values[name] = value
+        elif name in switches:
+            if given:
+                raise UsageError(f"{prog}: argument {option}: ignored explicit argument {value!r}")
+            values[name] = True
+        else:
+            unknown.append(token)
+    missing = [spec.positional] if spec.positional and spec.positional not in values else []
+    missing += [f"--{name}" for name, required in spec.flags.items() if required and name not in values]
+    if missing:
+        raise UsageError(f"{prog}: the following arguments are required: {', '.join(missing)}")
+    if unknown:
+        raise UsageError(f"{_PROG}: unrecognized arguments: {' '.join(unknown)}")
+    fields = {**dict.fromkeys(flags), "format": _FORMATS[0], **dict.fromkeys(switches, False), **values}
+    return SimpleNamespace(command=command, **{k.replace("-", "_"): v for k, v in fields.items()})
 
 
 def _check_fields(payload) -> list:
@@ -393,20 +490,13 @@ def _check_fields(payload) -> list:
 
 
 def main(argv=None) -> int:
-    # argparse takes a value such as -1..3 for an option and exits 2, so a
-    # dash-and-digit token is joined to the integer flag before it, as
-    # --a=-1..3 would be, and reaches the typed checks
-    joined = []
-    for tok in sys.argv[1:] if argv is None else argv:
-        flag = joined[-1] if joined else ""
-        if flag[:2] == "--" and flag[2:] in _FLAGS and re.match("-[0-9]", tok):
-            joined[-1] += "=" + tok
-        else:
-            joined.append(tok)
     try:
-        args = build_parser().parse_args(joined)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
         _read_flags(args)
-        payload = {"schema": SCHEMA, "command": args.command, **args.func(args)}
+        # looked up by name when it runs, so a wrapper set on the module
+        # attribute (perfbench's tracer) is the function called
+        run = globals()[f"cmd_{args.command}"]
+        payload = {"schema": SCHEMA, "command": args.command, **run(args)}
     except (SplineRegError, ValueError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -113,14 +113,15 @@ def regularity_one_edge(
 
 
 def regularity_from_complex(
-    c: SimplicialComplex, r: int, h0: H0Table | None = None
+    c: SimplicialComplex, r: int, h0: H0Table | None = None, table: ClosedFormTable | None = None
 ) -> RegularityReport:
     """Exact regularity of a one-edge complex: identify the edge, run the
-    closed-form pipeline on (a, b) = (k(v1), k(v2)), then confirm with the
-    chain-complex oracle (on the run's `H0Table` when passed); the three
-    routes must agree."""
+    closed-form pipeline on (a, b) = (k(v1), k(v2)) (with the run's
+    `ClosedFormTable` when passed), then confirm with the chain-complex
+    oracle (on the run's `H0Table` when passed); the three routes must
+    agree."""
     norm = normalize_one_edge(c, r)
-    rep = regularity_one_edge(norm.a, norm.b, r)
+    rep = regularity_one_edge(norm.a, norm.b, r, table)
     oracle = h0_regularity_oracle(c, r, h0)
     if oracle != rep.exact:
         raise RouteDisagreement(

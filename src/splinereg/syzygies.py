@@ -181,7 +181,9 @@ def class_routes(q: QData) -> ClassRoutes:
     is the i0/j0/zeta0 face; `syz2_closed_form` runs its own staircase
     checks."""
     reg, socle = regularity_from_bottom_face(q)  # raises unless the routes agree
-    face = bottom_face(q)
+    # the face whose degree that route read: zeta0 = reg + 3 - i0 - j0, its
+    # check already passed there, so the face is built once
+    face = Monomial(q.i0, q.j0, reg + 3 - q.i0 - q.j0)
     graph = buchberger_graph(q.in_q)
     syz2 = syz2_closed_form(q)
     syz3 = syz3_closed_form(graph)

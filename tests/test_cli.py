@@ -1,4 +1,3 @@
-import argparse
 import builtins
 import hashlib
 import importlib
@@ -205,9 +204,9 @@ def test_flag_errors_are_typed(capsys, argv, message):
     ids=["r", "d", "a", "b", "s", "arabic-indic", "underscore", "space", "plus"],
 )
 def test_integer_flags_are_typed(capsys, argv, message):
-    # each integer flag is read as text, so a bad value is a typed error
-    # with exit code 1 rather than argparse's usage error with exit code 2;
-    # analyze reports it before it opens the (missing) file
+    # each integer flag is read as text, so a bad value is its own typed
+    # error rather than a usage error; analyze reports it before it opens
+    # the (missing) file
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert out == ""
@@ -419,13 +418,14 @@ def test_full_capped_sweep_budget(capsys):
 def test_capped_sweep_runs_each_check_once_per_class(capsys, monkeypatch):
     # the sweep's one ClosedFormTable builds each colon staircase once per
     # (r, s) and runs the route checks once per (lambda', eta') class:
-    # 336 pairs (r, s) and 374 classes for 1,610 nontrivial cells
+    # 336 pairs (r, s) and 374 classes for 1,610 nontrivial cells; each
+    # class builds its bottom face once
     import splinereg.staircase as st
     import splinereg.syzygies as syz
 
     calls = Counter()
     for mod, name in ((syz, "buchberger_graph"), (syz, "regularity_from_bottom_face"),
-                      (st, "staircase_closed_form")):
+                      (syz, "bottom_face"), (st, "staircase_closed_form")):
         def counted(*args, _real=getattr(mod, name), _name=name):
             calls[_name] += 1
             return _real(*args)
@@ -435,7 +435,8 @@ def test_capped_sweep_runs_each_check_once_per_class(capsys, monkeypatch):
     rows = json.loads(out)["rows"]
     assert sum(row["exact"] is not None for row in rows) == 1610
     assert calls == {
-        "buchberger_graph": 374, "regularity_from_bottom_face": 374, "staircase_closed_form": 336,
+        "buchberger_graph": 374, "regularity_from_bottom_face": 374, "bottom_face": 374,
+        "staircase_closed_form": 336,
     }
 
 
@@ -631,6 +632,25 @@ def test_analyze_emit_graph_matches_staircase(tmp_path, capsys):
     assert [face["lcm"] for face in graph["faces"]] == ["x^2 y z^2"]
 
 
+def test_analyze_emit_graph_builds_the_graph_once(tmp_path, capsys, monkeypatch):
+    # the printed graph and the route share one ClosedFormTable and one
+    # class_routes record, as regularity --oracle does; the graph is counted
+    # under any name the CLI might call it by
+    import splinereg.syzygies as syz
+
+    calls = Counter()
+    for mods, name in (((syz, regularity, cli), "class_routes"), ((syz, cli), "buchberger_graph")):
+        def counted(*args, _real=getattr(mods[0], name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        for mod in mods:
+            monkeypatch.setattr(mod, name, counted, raising=False)
+    code, out, _ = run(capsys, "analyze", _one34_file(tmp_path), "--r", "4", "--emit-graph")
+    assert code == 0
+    assert [face["lcm"] for face in json.loads(out)["buchberger_graph"]["faces"]] == ["x^2 y z^2"]
+    assert calls == {"class_routes": 1, "buchberger_graph": 1}
+
+
 def test_analyze_emit_graph_prints_none_for_a_vanishing_module(tmp_path, capsys):
     # as staircase --emit-graph on a trivial In Q, a one-edge complex whose
     # module vanishes prints no graph and no error
@@ -665,17 +685,11 @@ def test_flags_a_command_would_ignore_are_errors(tmp_path, capsys, argv, message
 
 
 def test_every_integer_option_is_in_the_flag_table():
-    # _read_flags reads and caps exactly the flags the table names
-    subparsers = next(
-        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
-    )
-    declared = {
-        action.dest
-        for parser in subparsers.choices.values()
-        for action in parser._actions
-        if type(action) is argparse._StoreAction and action.option_strings and not action.choices
-    }
+    # _read_flags reads and caps exactly the flags the command table names;
+    # the one value flag every command shares is --format, a choice
+    declared = {name for spec in cli._COMMANDS.values() for name in spec.flags}
     assert declared == set(cli._FLAGS)
+    assert set(cli._COMMON.flags) == {"format"}
 
 
 @pytest.mark.parametrize(
@@ -927,7 +941,7 @@ def _command(*parts):
 _R = _pool(["1", "2", "3"], 24)  # the Arabic-Indic three is r = 3 too
 _AB = _pool(["3", "4"], 16)
 _FORMAT = _flag("format", hs.sampled_from(["json", "table", "xml"]), optional=True)
-# argv that argparse itself rejects: a missing required flag, an unknown
+# argv the command table rejects: a missing required flag, an unknown
 # flag or subcommand, and no subcommand at all
 _USAGE = [
     ["regularity", "--a", "3", "--b", "4"],
@@ -976,6 +990,8 @@ def _is_typed_error(name):
 @example(argv=["sweep", "--a", "3", "--b", "4", "--r", "2", "--oracle"])
 @example(argv=["bogus"])
 @example(argv=["betti", "--a", "3", "--b", "4", "--r", "2", "--format", "xml"])
+@example(argv=["regularity", "--a", "3", "--b", "4", "--r", "2", "--ora"])
+@example(argv=["analyze", "ce1.json", "--r", "2", "--e"])
 def test_main_exits_0_or_1_with_one_typed_error_line(complex_files, argv):
     argv = [complex_files.get(tok, tok) for tok in argv]
     out, err = io.StringIO(), io.StringIO()
@@ -1007,8 +1023,8 @@ def test_main_exits_0_or_1_with_one_typed_error_line(complex_files, argv):
     ids=["missing", "unknown-flag", "unknown-command", "choice"],
 )
 def test_usage_errors_are_typed(capsys, argv, message):
-    # what argparse rejects is a UsageError with exit code 1 and one line,
-    # not a usage block with exit code 2
+    # what the command line cannot read is a UsageError with exit code 1
+    # and one line, not a usage block with exit code 2
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (1, "", f"error: UsageError: {message}\n")
 
@@ -1021,3 +1037,55 @@ def test_help_still_exits_0(capsys, argv, prog):
         main(argv)
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith(f"usage: {prog} [-h]")
+
+
+_REG = ("regularity", "--a", "3", "--b", "4", "--r", "8")
+_UNRECOGNIZED = "UsageError: spline-reg: unrecognized arguments: "
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (("regularity", "--a=3", "--b", "4", "--r=8"), _REG),
+        (("regularity", "--a", "3", "--b", "4", "--r", "9", "--r", "8"), _REG),
+        # a dash and a digit is a value, given either way
+        (("sweep", "--a", "-1..3", "--b", "3", "--r", "2"), "NegativeFlag: a/b = -1 is negative"),
+        (("sweep", "--a=-1..3", "--b", "3", "--r", "2"), "NegativeFlag: a/b = -1 is negative"),
+        (("regularity", "--a", "--b", "4", "--r", "8"),
+         "UsageError: spline-reg regularity: argument --a: expected one argument"),
+        (("regularity", "--b", "4", "--r", "8", "--a"),
+         "UsageError: spline-reg regularity: argument --a: expected one argument"),
+        (_REG + ("--oracle=1",),
+         "UsageError: spline-reg regularity: argument --oracle: ignored explicit argument '1'"),
+        ((), "UsageError: spline-reg: the following arguments are required: command"),
+        (("analyze",), "UsageError: spline-reg analyze: the following arguments are required: path, --r"),
+        (("regularity", "--a", "3", "--bogus"),
+         "UsageError: spline-reg regularity: the following arguments are required: --b, --r"),
+        (_REG + ("--",), _UNRECOGNIZED + "--"),
+        (("analyze", "a.json", "b.json", "--r", "2"), _UNRECOGNIZED + "b.json"),
+        # no flag may be abbreviated
+        (_REG + ("--ora",), _UNRECOGNIZED + "--ora"),
+        (("analyze", "a.json", "--r", "2", "--e"), _UNRECOGNIZED + "--e"),
+        (_REG + ("--for", "table"), _UNRECOGNIZED + "--for table"),
+        (_REG + ("-h",), None),
+    ],
+    ids=[
+        "equals", "last-wins", "dash-value", "dash-value-equals", "no-value", "no-value-at-end",
+        "switch-value", "no-command", "required-in-order", "required-first", "double-dash",
+        "second-path", "abbrev-oracle", "abbrev-emit-graph", "abbrev-format", "help-after-flags",
+    ],
+)
+def test_command_line_reader_rules(capsys, argv, expected):
+    # expected: the error line argv gives, the argv it reads the same as,
+    # or None for the command's usage and exit code 0
+    if expected is None:
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: spline-reg {argv[0]} [-h]")
+    elif isinstance(expected, str):
+        assert run(capsys, *argv) == (1, "", f"error: {expected}\n")
+    else:
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == run(capsys, *expected)
+        assert code == 0 and out

@@ -368,6 +368,17 @@ def test_no_module_imports_dataclasses():
     assert "typing.NamedTuple" in seen  # the checker does see imports
 
 
+def test_no_module_imports_argparse():
+    # the command line is read from `cli._COMMANDS`; building argparse's
+    # parsers cost each CLI process more than most of its commands' work
+    seen = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        names = set(_imported_modules(ast.parse(path.read_text(encoding="utf-8"))))
+        seen |= names
+        assert not {n for n in names if n.split(".")[0] == "argparse"}, path.name
+    assert "types.SimpleNamespace" in seen  # the checker does see imports
+
+
 def _run_python(*argv):
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     out = subprocess.run(
@@ -379,14 +390,18 @@ def _run_python(*argv):
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
     # compared with the same interpreter before the import, so modules that
-    # `site` loads at start do not count
+    # `site` loads at start do not count; one command run loads no argument
+    # parser either, nor the gettext and locale that argparse pulls in
     script = """
-import sys
+import contextlib, io, sys
 before = set(sys.modules)
 import splinereg.cli
-print(sorted({"dataclasses", "inspect", "splinereg.cli"} & (set(sys.modules) - before)))
+with contextlib.redirect_stdout(io.StringIO()):
+    code = splinereg.cli.main(["regularity", "--a", "3", "--b", "4", "--r", "8"])
+loaded = set(sys.modules) - before
+print(code, sorted({"dataclasses", "inspect", "argparse", "gettext", "locale", "splinereg.cli"} & loaded))
 """
-    assert _run_python("-c", script).strip() == "['splinereg.cli']"
+    assert _run_python("-c", script).strip() == "0 ['splinereg.cli']"
 
 
 # every check a record runs when it is built, as (expression, exact message);
