@@ -15,7 +15,6 @@ triangles.  The Betti oracle double-checks both.
 """
 from __future__ import annotations
 
-import itertools
 from typing import NamedTuple
 
 from .errors import (
@@ -215,35 +214,54 @@ def _lcm_closure(gens):
     """Every lcm of a nonempty set of generators, as plain exponent tuples.
     In three variables such an lcm is the lcm of at most three of them, one
     reaching the maximum of each exponent, so the generators, pairs and
-    triples give the whole set."""
-    out = set(map(tuple, gens))
-    out.update(tuple(map(max, a, b)) for a, b in itertools.combinations(gens, 2))
-    out.update(tuple(map(max, a, b, c)) for a, b, c in itertools.combinations(gens, 3))
+    triples give the whole set.  Each pair's lcm is computed once and
+    reused for every later third generator."""
+    triples = list(map(tuple, gens))
+    out = set(triples)
+    for i, (xa, ya, za) in enumerate(triples):
+        for j in range(i + 1, len(triples)):
+            xb, yb, zb = triples[j]
+            x = xa if xa > xb else xb
+            y = ya if ya > yb else yb
+            z = za if za > zb else zb
+            out.add((x, y, z))
+            for xc, yc, zc in triples[j + 1:]:
+                out.add((x if x > xc else xc, y if y > yc else yc, z if z > zc else zc))
     return out
 
 
 def _koszul_homology(ideal: MonomialIdeal, b):
     """Reduced homology ranks (dim -1, 0, 1) of the upper-Koszul complex
     K^b = { tau subset of {x,y,z} : b / prod(tau) lies in the ideal },
-    for b any exponent triple.
+    for b an exponent triple in the ideal, so that the empty face is in
+    K^b.  (Outside the ideal K^b is the void complex, whose reduced
+    homology is zero; the face counts below would read (1, 0, 0) there.)
 
     K^b is closed under subsets, so it is a subcomplex of the triangle: an
     edge brings both its vertices and the 2-face all three edges.  With nv
     vertices and ne edges the boundary ranks are [nv > 0], min(ne, 2) (up
-    to two edges form a forest, three a cycle) and [face present]."""
+    to two edges form a forest, three a cycle) and [face present].
 
-    def member(drop):
-        e = list(b)
-        for v in drop:
-            e[v] -= 1
-            if e[v] < 0:
-                return False
-        return ideal.contains(e)
-
-    nv = sum(member((v,)) for v in range(3))
-    ne = sum(member(t) for t in itertools.combinations(range(3), 2))
-    r0, r1, r2 = int(nv > 0), min(ne, 2), int(member((0, 1, 2)))
-    return (1 - r0, nv - r0 - r1, ne - r1 - r2)
+    An ideal is closed under multiplication, so a drop in the ideal puts
+    every smaller drop there too.  The triple drop b - (1,1,1) is tested
+    first: in the ideal, K^b is the full triangle and the homology is
+    zero after one scan.  Otherwise the three pair drops are tested, and a
+    single drop only when neither pair drop containing it was in: at most
+    seven scans, with the 2-face absent, so its boundary rank is 0."""
+    x, y, z = b
+    contains = ideal.contains
+    if x and y and z and contains((x - 1, y - 1, z - 1)):
+        return (0, 0, 0)
+    xy = bool(x and y) and contains((x - 1, y - 1, z))
+    xz = bool(x and z) and contains((x - 1, y, z - 1))
+    yz = bool(y and z) and contains((x, y - 1, z - 1))
+    vx = xy or xz or (bool(x) and contains((x - 1, y, z)))
+    vy = xy or yz or (bool(y) and contains((x, y - 1, z)))
+    vz = xz or yz or (bool(z) and contains((x, y, z - 1)))
+    nv = vx + vy + vz
+    ne = xy + xz + yz
+    r0, r1 = int(nv > 0), min(ne, 2)
+    return (1 - r0, nv - r0 - r1, ne - r1)
 
 
 def betti_oracle(ideal: MonomialIdeal) -> BettiTable:
@@ -251,14 +269,17 @@ def betti_oracle(ideal: MonomialIdeal) -> BettiTable:
     each from the reduced homology of the upper-Koszul complex, read off
     its face counts.  Every lcm of generators is a multiple of one, so it
     lies in the ideal and the empty face is in K^b, as the face counts
-    assume.  Lattice points stay plain exponent tuples; only a
-    multidegree the table keeps becomes a Monomial."""
-    entries = []
-    for b in sorted(_lcm_closure(ideal.gens), reverse=True):
+    assume.  Lattice points stay plain exponent tuples; only the points
+    the table keeps are sorted, lex-descending, and become Monomials."""
+    kept = []
+    for b in _lcm_closure(ideal.gens):
         homology = _koszul_homology(ideal, b)
         if any(homology):
-            m = Monomial(*b)
-            entries.extend((i, m, h) for i, h in enumerate(homology) if h)
+            kept.append((b, homology))
+    entries = []
+    for b, homology in sorted(kept, reverse=True):
+        m = Monomial(*b)
+        entries.extend((i, m, h) for i, h in enumerate(homology) if h)
     return BettiTable(tuple(entries))
 
 

@@ -174,7 +174,7 @@ def test_criterion_06_colon_and_sum_identities():
 
 
 def test_criterion_07_syzygy_betti_agreement(grid_reports):
-    with criterion(7, "syz2/syz3 = Betti oracle; Euler/Hilbert; planarity", budget=10.0):
+    with criterion(7, "syz2/syz3 = Betti oracle; Euler/Hilbert; planarity", budget=1.0):
         for (a, b, r), rep in grid_reports.items():
             if rep.vanishes:
                 continue

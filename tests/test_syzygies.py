@@ -16,7 +16,14 @@ from splinereg.errors import (
     TrivialIdeal,
     TwoChainRequired,
 )
-from splinereg.monomials import Monomial, hilbert_function, max_socle_degree, minimalize, mono_lcm
+from splinereg.monomials import (
+    Monomial,
+    MonomialIdeal,
+    hilbert_function,
+    max_socle_degree,
+    minimalize,
+    mono_lcm,
+)
 from splinereg.ratlinalg import RatMatrix, rank
 from splinereg.regularity import regularity_one_edge
 from splinereg.staircase import build_q
@@ -366,7 +373,7 @@ def test_betti_oracle_budget_33_r24():
     t = betti_oracle(q.in_q)
     elapsed = time.perf_counter() - start
     assert t.multidegrees(1) == syz2_closed_form(q)
-    assert elapsed < 0.25, f"betti_oracle at (3,3,24) took {elapsed:.2f}s"
+    assert elapsed < 0.05, f"betti_oracle at (3,3,24) took {elapsed:.3f}s"
 
 
 def test_betti_oracle_keeps_monomial_multidegrees_33_r24():
@@ -425,3 +432,39 @@ def test_koszul_homology_matches_fraction_ranks(a, b):
             m = Monomial(*exps)
             assert _koszul_homology(q.in_q, m) == fraction_koszul_homology(q.in_q, m)
             assert _koszul_homology(q.in_q, exps) == _koszul_homology(q.in_q, m)
+
+
+def test_betti_oracle_scans_once_per_full_triangle_33_r24(monkeypatch):
+    # a lattice point whose triple drop b - (1,1,1) lies in the ideal has
+    # the full triangle as K^b and is settled by that one scan; any other
+    # point takes at most seven (the triple, three pairs, three singles)
+    ideal = build_q(3, 3, 24).in_q
+    points = _lcm_closure(ideal.gens)
+    full = sum(1 for x, y, z in points if x and y and z and ideal.contains((x - 1, y - 1, z - 1)))
+    assert (len(points), full) == (975, 748)
+    calls = []
+    scan = MonomialIdeal.contains
+
+    def counting(self, m):
+        calls.append(m)
+        return scan(self, m)
+
+    monkeypatch.setattr(MonomialIdeal, "contains", counting)
+    betti_oracle(ideal)
+    assert len(calls) <= full + 7 * (len(points) - full) == 2337
+
+
+def reference_betti_entries(ideal):
+    """The Betti table from the fixpoint lcm closure and the rational rank
+    homology, lattice points lex-descending."""
+    entries = []
+    for b in sorted(fixpoint_lcm_closure(ideal.gens), reverse=True):
+        homology = fraction_koszul_homology(ideal, b)
+        entries.extend((i, b, h) for i, h in enumerate(homology) if h)
+    return tuple(entries)
+
+
+@pytest.mark.parametrize("a,b,r", [(3, 3, 12), (3, 4, 24), (5, 7, 20), (3, 3, 0)])
+def test_betti_oracle_matches_reference_table(a, b, r):
+    ideal = build_q(a, b, r).in_q
+    assert betti_oracle(ideal).entries == reference_betti_entries(ideal)
