@@ -2,7 +2,9 @@
 
 Every production elimination runs on `SparseIntEchelon`: the boundary and
 spline-dimension walks in `chains`, and the walk of J' and the sum oracle
-in `staircase`.  `DenseIntEchelon` runs no production route; it stays as
+in `staircase`; the boundary walk also reduces each column by the stored
+pivots of a walk of P'(v), in one pass (`chains._reduce`).
+`DenseIntEchelon` runs no production route; it stays as
 the tests' from-scratch reference and as a name the benchmark traces.
 
 All reduction is cross-multiplication (a*vec - b*pivot) with the

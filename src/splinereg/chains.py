@@ -23,13 +23,16 @@ as {(eu, ew): coefficient}, with no t exponent, and u_home is u_v plus an
 integer, so each level of the boundary walk is one shift and add per
 block (`_times_linear`).  A run's whole H0 state is one generator,
 `_h0_walk`, which walks the boundary map and each J'(v) together and
-yields dim H0_d degree by degree.
+yields dim H0_d degree by degree.  The rank is taken in each vertex's
+local quotient: only the totally interior columns reach the echelon, as
+normal forms modulo the partially interior powers at their ends, never
+modulo a colon ideal of the closed form.
 """
 from __future__ import annotations
 
 from collections.abc import Iterator
 from itertools import count, islice
-from math import lcm
+from math import gcd, lcm
 from typing import NamedTuple
 
 from ._echelon import SparseIntEchelon
@@ -44,50 +47,43 @@ from .staircase import _power_echelons
 
 
 class EdgeGroup(NamedTuple):
-    """One column group of the boundary map: an edge form with exponent r+1
-    times all degree-(d-r-1) multipliers.  Partially interior edges at the
-    same vertex with the same slope give identical columns, so one group
-    (named by the least such edge) stands for them all."""
+    """One column group of the boundary map: a totally interior edge's form
+    with exponent r+1 times all degree-(d-r-1) multipliers."""
 
     edge: tuple[int, int]
     form: LinearForm
-    home: int                 # interior endpoint whose frame hosts the multipliers
-    far: int | None           # second interior endpoint for totally interior edges
+    home: int  # endpoint whose frame hosts the multipliers
+    far: int
 
 
 class IdealComplexData(NamedTuple):
-    """The boundary map's column groups and the vertex forms and frames of
-    one (complex, r)."""
+    """The totally interior column groups, and the vertex forms and frames
+    of one (complex, r)."""
 
     r: int
     groups: tuple[EdgeGroup, ...]
     vertex_forms: dict[int, tuple[LinearForm, ...]]  # one form per slope at the vertex
+    partial_forms: dict[int, tuple[LinearForm, ...]]  # likewise, partially interior edges only
     origins: dict[int, tuple[int, int]]  # (L p_x, L p_y): the frame's integer translation
 
 
 def ideal_complex(c: SimplicialComplex, r: int) -> IdealComplexData:
     vpos = {v: i for i, v in enumerate(c.interior_vertices)}
-    groups: list[EdgeGroup] = []
-    for e in c.totally_interior:
-        home, far = sorted(e, key=vpos.get)
-        groups.append(EdgeGroup(e, c.forms[e], home, far))
-    partial: dict[tuple[int, tuple[int, int]], tuple[int, int]] = {}  # least edge per key
-    vertex_forms = {}
+    groups = tuple(EdgeGroup(e, c.forms[e], *sorted(e, key=vpos.get)) for e in c.totally_interior)
+    vertex_forms, partial_forms = {}, {}
     for v, edges in c.edges_at.items():
-        seen = {}  # one form per slope, from the least edge with it
+        seen, partial = {}, {}  # one form per slope, from the least edge with it
         for e in edges:
             seen.setdefault(c.slopes[e], c.forms[e])
             if e not in c.totally_interior:
-                partial.setdefault((v, c.slopes[e]), e)
-        vertex_forms[v] = tuple(seen.values())
-    for (v, _slope), e in sorted(partial.items()):
-        groups.append(EdgeGroup(e, c.forms[e], v, None))
+                partial.setdefault(c.slopes[e], c.forms[e])
+        vertex_forms[v], partial_forms[v] = tuple(seen.values()), tuple(partial.values())
     scale = 1
     for v in c.interior_vertices:
         for coord in c.vertices[v]:
             scale = lcm(scale, coord.denominator)
     origins = {v: (int(scale * c.vertices[v][0]), int(scale * c.vertices[v][1])) for v in vpos}
-    return IdealComplexData(r, tuple(groups), vertex_forms, origins)
+    return IdealComplexData(r, groups, vertex_forms, partial_forms, origins)
 
 
 def _times_linear(p, a, b, c):
@@ -102,39 +98,84 @@ def _times_linear(p, a, b, c):
     return {key: v for key, v in out.items() if v}
 
 
+def _reduce(vec, pivots):
+    """Reduce vec in place by the (lead, pivot) pairs of an echelon listed
+    by ascending lead, until no lead is left in it; return the integer vec
+    was scaled by.  A pivot's other keys exceed its lead, so one pass
+    suffices."""
+    scale = 1
+    for lead, piv in pivots:
+        b = vec.get(lead)
+        if b:
+            a = piv[lead]
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            if a < 0:
+                a, b = -a, -b
+            if a != 1:
+                scale *= a
+                for k, v in vec.items():
+                    vec[k] = a * v
+            for k, w in piv.items():
+                nv = vec.get(k, 0) - b * w
+                if nv:
+                    vec[k] = nv
+                else:
+                    del vec[k]
+    return scale
+
+
 def _boundary_walk(c: SimplicialComplex, data: IdealComplexData) -> Iterator[int]:
     """The rank of the degree-d boundary map for d = r+1, r+2, ..., each
     column scaled by L^{r+1} in the translated integer vertex frames.
 
-    With t = 1 a degree-d column is its (u, w) polynomial of degree <= d, so
-    the degree-d columns are the degree-(d-1) ones plus one new level: the
-    multipliers u_home^alpha w_home^beta with alpha + beta = d - r - 1.  Both
-    ends v of an edge run one rule: the block is (a u_v + b w_v)^{r+1} times
-    the multiplier, in v's frame u_home = u_v + dx and w_home = w_v + dy with
-    (dx, dy) = (L v_x - L home_x, L v_y - L home_y), so the shift is zero at
-    home.  One echelon takes the levels in turn; u_v^eu w_v^ew at v's
-    position p is keyed `monomial_index(eu, ew) * n + p`: total degree
+    The partially interior columns at v are v's partially interior powers
+    times every multiplier in v's own frame, so they span P(v)_d, P(v) the
+    ideal of those powers.  The powers lie in (u_v, w_v), so P(v)_d is the
+    sum of the slices t^{d-e} P'(v)_e, e <= d, read off the walk of P'(v)
+    (keyed -k for u^k w^{e-k}).  The rank is sum_v dim P(v)_d plus that of
+    the totally interior columns modulo the P(v).  Each of those enters the
+    echelon as its normal form: every (vertex, e) part reduced modulo
+    P'(v)_e, or dropped once P'(v)_e = S'_e, then scaled to the lcm of the
+    parts' scales.
+
+    With t = 1 a degree-d column is its (u, w) polynomial of degree <= d,
+    so the degree-d columns are the degree-(d-1) ones plus one new level:
+    the multipliers u_home^alpha w_home^beta with alpha + beta = d - r - 1.
+    Both ends v of an edge run one rule: the block is (a u_v + b w_v)^{r+1}
+    times the multiplier, in v's frame u_home = u_v + dx and w_home = w_v +
+    dy with (dx, dy) = (L v_x - L home_x, L v_y - L home_y), so the shift is
+    zero at home.  One echelon takes the levels in turn; u_v^eu w_v^ew at
+    v's position p is keyed `monomial_index(eu, ew) * n + p`: total degree
     first, no bound on d."""
     vpos = {v: i for i, v in enumerate(c.interior_vertices)}
-    n = len(vpos)
+    n, r = len(vpos), data.r
     groups = []  # per group, per end: position, dx, dy, blocks of the level by alpha
     for group in data.groups:
         power = {(0, 0): 1}
-        for _ in range(data.r + 1):
+        for _ in range(r + 1):
             power = _times_linear(power, group.form.a, group.form.b, 0)
         hx, hy = data.origins[group.home]
         ends = []
         for v in (group.home, group.far):
-            if v is None:
-                continue
             vx, vy = data.origins[v]
             # the edge is oriented by ascending vertex index; its differential
             # is (+1) at the head block and (-1) at the tail block
             sign = 1 if v == max(group.edge) else -1
             ends.append((vpos[v], vx - hx, vy - hy, [{m: sign * x for m, x in power.items()}]))
         groups.append(ends)
+    walks = [
+        _power_echelons(r, [_canonical_int_vector((f.a, f.b)) for f in data.partial_forms[v]])
+        for v in vpos
+    ]
+    slices = [[] for _ in vpos]  # per position, e > r: P'(v)_e's pivots by lead, None if full
     ech = SparseIntEchelon()
+    partial = 0  # sum_v dim P(v)_d
     for k in count():
+        for pos, walk in enumerate(walks):
+            p_ech = next(walk)
+            partial += p_ech.rank
+            slices[pos].append(None if p_ech.rank > r + 1 + k else sorted(p_ech.pivots.items()))
         for ends in groups:
             for _pos, dx, dy, blocks in ends:
                 if k:
@@ -143,14 +184,23 @@ def _boundary_walk(c: SimplicialComplex, data: IdealComplexData) -> Iterator[int
                     last = _times_linear(blocks[-1], 1, 0, dx)
                     blocks[:] = [_times_linear(q, 0, 1, dy) for q in blocks] + [last]
             for alpha in range(k + 1):
-                ech.insert(
-                    {
-                        monomial_index(eu, ew) * n + pos: x
-                        for pos, _dx, _dy, blocks in ends
-                        for (eu, ew), x in blocks[alpha].items()
-                    }
-                )
-        yield ech.rank
+                parts = {}  # (position, e) -> {-eu: coefficient}
+                for pos, _dx, _dy, blocks in ends:
+                    for (eu, ew), x in blocks[alpha].items():
+                        parts.setdefault((pos, eu + ew), {})[-eu] = x
+                scales = {}
+                for (pos, e), part in parts.items():
+                    pivots = slices[pos][e - r - 1]
+                    if pivots is not None:
+                        scales[pos, e] = _reduce(part, pivots)
+                top, col = lcm(*scales.values()), {}
+                for (pos, e), scale in scales.items():
+                    # monomial_index(eu, e - eu) is monomial_index(0, e) - eu
+                    base, m = monomial_index(0, e), top // scale
+                    for j, x in parts[pos, e].items():
+                        col[(base + j) * n + pos] = m * x
+                ech.insert(col)
+        yield partial + ech.rank
 
 
 def boundary_rank(c: SimplicialComplex, r: int, d: int) -> int:
@@ -205,6 +255,8 @@ class H0Table:
         dims = self._dims
         while len(dims) <= top and (len(dims) == self.r + 1 or dims[-1]):
             dims.append(next(self._walk))
+            if not dims[-1]:
+                self._walk = None  # no later degree is ranked: free the walk
         return dims[: top + 1] + [0] * (top + 1 - len(dims))
 
 

@@ -106,6 +106,9 @@ def _emit(args, payload) -> None:
 
 
 _CONTAINERS = (dict, list, tuple)
+# dicts per C-encoder call: one call for all of the sweep's rows doubles
+# the peak memory of `_dumps`
+_BATCH = 256
 
 
 def _dumps(payload) -> str:
@@ -114,9 +117,10 @@ def _dumps(payload) -> str:
     recurses only through containers that hold containers.  A container of
     scalars is one call of the C encoder (CPython's, whenever no indent is
     given), whose item separator already breaks to the items' indent, so
-    only its brackets move onto their own lines.  Keys are str: a container
-    of containers quotes them with json's own `encode_basestring_ascii`,
-    which takes nothing else."""
+    only its brackets move onto their own lines; so is a list of flat
+    dicts, such as the sweep's rows.  Keys are str: a container of
+    containers quotes them with json's own `encode_basestring_ascii`, which
+    takes nothing else."""
     encoders = []  # depth -> `encode` of a container of scalars at that depth
 
     def flat(depth):
@@ -132,6 +136,19 @@ def _dumps(payload) -> str:
             return flat(depth)(value)
         is_dict = isinstance(value, dict)
         inner, outer = "\n" + "  " * (depth + 1), "\n" + "  " * depth
+        if not is_dict and _flat_dicts(value):
+            # one call per batch of dicts; the list's separator is theirs,
+            # and only it is followed by "{", as a raw newline appears only
+            # in a separator, so one replace moves their brackets
+            deep = "\n" + "  " * (depth + 2)
+            old, new = "}," + deep + "{", inner + "}," + inner + "{" + deep
+            parts = ["[" + inner + "{" + deep]
+            for i in range(0, len(value), _BATCH):
+                if i:
+                    parts.append(new)
+                parts.append(flat(depth + 2)(value[i : i + _BATCH])[2:-2].replace(old, new))
+            parts.append(inner + "}" + outer + "]")
+            return "".join(parts)
         for v in value.values() if is_dict else value:
             if isinstance(v, _CONTAINERS):
                 break
@@ -148,6 +165,18 @@ def _dumps(payload) -> str:
         return opening + inner + ("," + inner).join(items) + outer + closing
 
     return write(payload, 0)
+
+
+def _flat_dicts(items) -> bool:
+    """Whether `items` holds at least one dict, and only non-empty dicts of
+    scalars."""
+    for item in items:
+        if not isinstance(item, dict) or not item:
+            return False
+        for v in item.values():
+            if isinstance(v, _CONTAINERS):
+                return False
+    return bool(items)
 
 
 def _print_table(payload, indent=0):

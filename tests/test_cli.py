@@ -860,6 +860,10 @@ json_trees = hs.recursive(
 @given(json_trees)
 @example({"a}": [1, (2, "x,\ny")], "é\"\\": {}, "": [[], {}, ()], ",": [{"k": None, "}": "]"}]})
 @example([[{"é": [True, False, -10**30]}], (" ", {"b": {"c": []}})])
+@example({"rows": [{"a": 1}, {}], "x": [{"b": 2.5, "c": None}]})
+@example(({"b": 1, "a": "x"}, {"a": -2, "é": True}, {"z": 0.1}))
+@example([{"s": "},\n    {", "t": "},\n      {\"u\": 1"}, {"s": "\n"}])
+@example({"rows": [{"i": i, "s": "},"} for i in range(2 * cli._BATCH + 1)]})
 def test_dumps_is_json_dumps_with_indent_2(value):
     # the writer behind `--format json` gives the bytes of the stdlib's
     # pure-Python indented encoder on any tree of str-keyed JSON values

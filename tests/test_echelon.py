@@ -115,14 +115,18 @@ def test_power_walk_normalises_once_per_stored_pivot(monkeypatch):
 
 
 def test_sparse_normalises_once_per_stored_pivot(monkeypatch):
-    # one echelon walks every degree of the run, so it stores exactly the
-    # rank of the last degree ranked (d = 10): 81 boundary pivots, plus
-    # dim J'(v)_10 = 11 for each of the two interior vertices, whose J'(v)
-    # fills S_10 (the 103 pivots of three walks); a per-step
-    # re-normalisation fails this, and so does an echelon per degree
+    # each echelon walks every degree of the run, so together they store
+    # exactly the ranks of the last degree ranked (d = 10).  The boundary
+    # map has rank 81 there, of which sum_v dim P(v)_10 = 69 is the
+    # partially interior powers' (k = 2 and 3 of them at the two vertices:
+    # sum over e = 6..10 of min(e+1, k(e-5)) is 5+10+15+18+21), so the
+    # main echelon stores the quotient's 12 pivots; the walks of P'(v)
+    # store dim P'(v)_10 = 10 and 11, those of J'(v) dim J'(v)_10 = 11 each,
+    # as J'(v) fills S_10: 12 + 21 + 22 = 55 pivots of five walks.  A
+    # per-step re-normalisation fails this, and so does an echelon per degree
     counts = _count_normalisations(monkeypatch)
     assert h0_regularity_oracle(one_edge_complex(3, 4), 5) == 9
-    assert counts == [103, 103]
+    assert counts == [55, 55]
 
 
 class _OutOfPlaceEchelon(SparseIntEchelon):
