@@ -78,11 +78,13 @@ def ideal_complex(c: SimplicialComplex, r: int) -> IdealComplexData:
             if e not in c.totally_interior:
                 partial.setdefault(c.slopes[e], c.forms[e])
         vertex_forms[v], partial_forms[v] = tuple(seen.values()), tuple(partial.values())
-    scale = 1
-    for v in c.interior_vertices:
-        for coord in c.vertices[v]:
-            scale = lcm(scale, coord.denominator)
-    origins = {v: (int(scale * c.vertices[v][0]), int(scale * c.vertices[v][1])) for v in vpos}
+    # the frame's own scale: the lcm over the interior vertices only, not
+    # the complex's, which would scale every shift by the boundary's
+    # denominators too
+    scale = lcm(*(x.denominator for v in vpos for x in c.vertices[v]))
+    origins = {
+        v: tuple(x.numerator * (scale // x.denominator) for x in c.vertices[v]) for v in vpos
+    }
     return IdealComplexData(r, groups, vertex_forms, partial_forms, origins)
 
 
@@ -147,7 +149,30 @@ def _boundary_walk(c: SimplicialComplex, data: IdealComplexData) -> Iterator[int
     dy with (dx, dy) = (L v_x - L home_x, L v_y - L home_y), so the shift is
     zero at home.  One echelon takes the levels in turn; u_v^eu w_v^ew at
     v's position p is keyed `monomial_index(eu, ew) * n + p`: total degree
-    first, no bound on d."""
+    first, no bound on d.
+
+    A column that reduces to zero kills its multiples, which are skipped
+    unranked (the syzygy criterion of Faugere's F5, ISSAC 2002).  The
+    column (g, alpha, beta) of group g, multiplier u_home^alpha
+    w_home^beta, is inserted in the order (level alpha + beta, group,
+    alpha).  Multiplying by u_home or by w_home, the home frame's forms of
+    g, is a module map on the sum of the vertex blocks; it preserves the
+    sum of the P(v), an ideal at each block, so it acts on the quotient.
+    It maps the column (g', alpha', beta') to (g', alpha'+1, beta') or
+    (g', alpha', beta'+1) plus an integer times the column itself, since
+    the home forms of g and of g' differ by integer multiples of t = 1.
+    Each of those comes before (g, alpha+1, beta), resp. (g, alpha,
+    beta+1), whenever (g', alpha', beta') comes before (g, alpha, beta):
+    the level rises by one on both sides, within a level the group and
+    then alpha decide, and alpha rises by one on both sides or on neither.
+    So if (g, alpha, beta) lies in the span of the columns before it
+    modulo the P(v), so does every (g, alpha0, beta0) with alpha0 >= alpha
+    and beta0 >= beta, and skipping it leaves every rank unchanged.  The
+    skipped columns' blocks are still built, so each level's blocks stay a
+    list by alpha; they feed only skipped columns of the next level.  Each
+    group keeps its own list of dead (alpha, beta): the argument
+    multiplies by the forms of g's home, so it says nothing about another
+    group's columns."""
     vpos = {v: i for i, v in enumerate(c.interior_vertices)}
     n, r = len(vpos), data.r
     groups = []  # per group, per end: position, dx, dy, blocks of the level by alpha
@@ -163,7 +188,7 @@ def _boundary_walk(c: SimplicialComplex, data: IdealComplexData) -> Iterator[int
             # is (+1) at the head block and (-1) at the tail block
             sign = 1 if v == max(group.edge) else -1
             ends.append((vpos[v], vx - hx, vy - hy, [{m: sign * x for m, x in power.items()}]))
-        groups.append(ends)
+        groups.append((ends, []))  # the group's ends and its dead (alpha, beta)
     walks = [
         _power_echelons(r, [_canonical_int_vector((f.a, f.b)) for f in data.partial_forms[v]])
         for v in vpos
@@ -176,7 +201,7 @@ def _boundary_walk(c: SimplicialComplex, data: IdealComplexData) -> Iterator[int
             p_ech = next(walk)
             partial += p_ech.rank
             slices[pos].append(None if p_ech.rank > r + 1 + k else sorted(p_ech.pivots.items()))
-        for ends in groups:
+        for ends, dead in groups:
             for _pos, dx, dy, blocks in ends:
                 if k:
                     # level k by alpha = 0..k: each block of level k-1 times
@@ -184,6 +209,8 @@ def _boundary_walk(c: SimplicialComplex, data: IdealComplexData) -> Iterator[int
                     last = _times_linear(blocks[-1], 1, 0, dx)
                     blocks[:] = [_times_linear(q, 0, 1, dy) for q in blocks] + [last]
             for alpha in range(k + 1):
+                if any(a0 <= alpha and b0 <= k - alpha for a0, b0 in dead):
+                    continue
                 parts = {}  # (position, e) -> {-eu: coefficient}
                 for pos, _dx, _dy, blocks in ends:
                     for (eu, ew), x in blocks[alpha].items():
@@ -199,7 +226,8 @@ def _boundary_walk(c: SimplicialComplex, data: IdealComplexData) -> Iterator[int
                     base, m = monomial_index(0, e), top // scale
                     for j, x in parts[pos, e].items():
                         col[(base + j) * n + pos] = m * x
-                ech.insert(col)
+                if not ech.insert(col):
+                    dead.append((alpha, k - alpha))
         yield partial + ech.rank
 
 

@@ -77,6 +77,11 @@ class NonzeroGenus(SplineRegError):
     """V - E + F != 1 over all simplices."""
 
 
+class NotEmbedded(SplineRegError):
+    """Two triangles of the complex overlap in the plane: the two at an
+    interior edge lie on one side of its line."""
+
+
 class SlopeClashAssumption(SplineRegError):
     """A partially interior edge shares a slope with a totally interior edge
     at the same vertex, which the whole pipeline assumes never happens."""

@@ -6,6 +6,12 @@ configuration with one totally interior edge [v1 v2] and its slope counts
 Orientation convention: triangles are stored counterclockwise with the
 smallest vertex index first; edges are ordered by ascending vertex index.
 Slopes are compared exactly on coprime integer direction vectors.
+
+A complex is built in one integer frame: each coordinate is converted once,
+to an integer over the common denominator L of all of them, so the point p
+is held as the homogeneous integer triple (L p_x, L p_y, L).  Orientation,
+the duplicate-vertex and embedding checks, and each interior edge's line
+and slope are then integer work, with no Fraction arithmetic.
 """
 from __future__ import annotations
 
@@ -20,6 +26,7 @@ from .errors import (
     ExtraInteriorVertex,
     NonzeroGenus,
     NotConnected,
+    NotEmbedded,
     NotOneEdge,
     ParseError,
     RouteDisagreement,
@@ -27,31 +34,26 @@ from .errors import (
 )
 
 Point = tuple[Fraction, Fraction]
+FramePoint = tuple[int, int, int]  # (L p_x, L p_y, L): p in the complex's integer frame
 
-_RATIONAL_RE = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")  # ASCII only, used with fullmatch
+# ASCII only, used with fullmatch; the groups are p and q of "p/q"
+_RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([1-9][0-9]*))?")
 
 
 def _canonical_int_vector(vec):
-    """Scale a vector of ints and Fractions to coprime integers, first
-    nonzero positive."""
-    den = 1
+    """Divide a vector of ints by the gcd of its entries and make its first
+    nonzero entry positive."""
+    g = gcd(*vec)
     for v in vec:
-        den = lcm(den, v.denominator)
-    ints = [int(v * den) for v in vec]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if g > 1:
-        ints = [v // g for v in ints]
-    for v in ints:
         if v:
             if v < 0:
-                ints = [-w for w in ints]
+                g = -g
             break
-    return tuple(ints)
+    return tuple(vec) if g in (0, 1) else tuple(v // g for v in vec)
 
 
-def slope_key(p: Point, q: Point) -> tuple[int, int]:
+def slope_key(p: FramePoint, q: FramePoint) -> tuple[int, int]:
+    """The direction of the line through two points of one integer frame."""
     return _canonical_int_vector((q[0] - p[0], q[1] - p[1]))
 
 
@@ -64,12 +66,18 @@ class LinearForm(NamedTuple):
     c: int
 
     @classmethod
-    def through(cls, p: Point, q: Point) -> "LinearForm":
-        raw = (p[1] - q[1], q[0] - p[0], p[0] * q[1] - q[0] * p[1])
-        v = _canonical_int_vector(raw)
-        if v == (0, 0, 0):
+    def through(cls, p: FramePoint, q: FramePoint) -> "LinearForm":
+        """The line through two homogeneous integer points: their cross
+        product, (L(P_y - Q_y), L(Q_x - P_x), P_x Q_y - Q_x P_y) for
+        p = (P_x, P_y, L) and q = (Q_x, Q_y, L)."""
+        raw = (
+            p[1] * q[2] - p[2] * q[1],
+            p[2] * q[0] - p[0] * q[2],
+            p[0] * q[1] - p[1] * q[0],
+        )
+        if raw == (0, 0, 0):
             raise DegenerateTriangle(f"points {p} and {q} coincide")
-        return cls(*v)
+        return cls(*_canonical_int_vector(raw))
 
     def vector(self):
         return (self.a, self.b, self.c)
@@ -82,9 +90,14 @@ class SimplicialComplex:
         self.vertices: tuple[Point, ...] = tuple(
             (Fraction(x), Fraction(y)) for x, y in vertices
         )
-        if len(set(self.vertices)) != len(self.vertices):
+        scale = lcm(*(x.denominator for p in self.vertices for x in p))
+        frame = [
+            (x.numerator * (scale // x.denominator), y.numerator * (scale // y.denominator), scale)
+            for x, y in self.vertices
+        ]
+        if len(set(frame)) != len(frame):
             raise ParseError("duplicate vertex coordinates")
-        n = len(self.vertices)
+        n = len(frame)
         canon = []
         for tri in triangles:
             tri = tuple(tri)
@@ -92,8 +105,7 @@ class SimplicialComplex:
                 raise ParseError(f"triangle {tri} does not have three distinct vertices")
             if any(not (0 <= i < n) for i in tri):
                 raise ParseError(f"triangle {tri} references a missing vertex")
-            a, b, c = (self.vertices[i] for i in tri)
-            area2 = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+            area2 = _orientation(*(frame[i] for i in tri))
             if area2 == 0:
                 raise DegenerateTriangle(f"triangle {tri} is collinear")
             if area2 < 0:
@@ -134,10 +146,21 @@ class SimplicialComplex:
         boundary_vs = {i for e in self.boundary_edges for i in e}
         self.interior_vertices = tuple(i for i in range(n) if i not in boundary_vs)
 
+        # an embedded complex has its two triangles at an interior edge on
+        # either side of the edge's line; a folded one has both on one side
+        for e in self.interior_edges:
+            p, q = frame[e[0]], frame[e[1]]
+            sides = [
+                _orientation(p, q, frame[next(i for i in canon[t] if i not in e)])
+                for t in edge_tris[e]
+            ]
+            if (sides[0] > 0) == (sides[1] > 0):
+                raise NotEmbedded(f"both triangles at interior edge {e} lie on one side of it")
+
         # derived once, for every route to read: each interior edge's line
         # and slope, the edges at each interior vertex (all interior, in
         # ascending order) and the totally interior edges
-        ends = {e: (self.vertices[e[0]], self.vertices[e[1]]) for e in self.interior_edges}
+        ends = {e: (frame[e[0]], frame[e[1]]) for e in self.interior_edges}
         self.forms = {e: LinearForm.through(p, q) for e, (p, q) in ends.items()}
         self.slopes = {e: slope_key(p, q) for e, (p, q) in ends.items()}
         self.edges_at = {v: tuple(e for e in ends if v in e) for v in self.interior_vertices}
@@ -149,6 +172,12 @@ class SimplicialComplex:
             "triangles": [list(t) for t in self.triangles],
         }
         return json.dumps(data, sort_keys=True)
+
+
+def _orientation(a: FramePoint, b: FramePoint, c: FramePoint) -> int:
+    """L^2 times twice the signed area of the triangle abc: positive when
+    it is counterclockwise."""
+    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
 
 
 def _component_count(nodes, edges) -> int:
@@ -198,10 +227,11 @@ def parse_complex(text: str) -> SimplicialComplex:
             raise ParseError(f"vertex {entry!r} is not a coordinate pair")
         pair = []
         for coord in entry:
-            if not isinstance(coord, str) or not _RATIONAL_RE.fullmatch(coord):
+            m = _RATIONAL_RE.fullmatch(coord) if isinstance(coord, str) else None
+            if m is None:
                 raise ParseError(f"coordinate {coord!r} is not a 'p/q' or integer string")
             try:
-                pair.append(Fraction(coord))
+                pair.append(Fraction(int(m[1]), int(m[2] or 1)))
             except ValueError as exc:  # over the integer digit limit
                 raise ParseError(f"coordinate is not readable: {exc}") from None
         verts.append(tuple(pair))

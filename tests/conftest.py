@@ -1,3 +1,6 @@
+from fractions import Fraction
+from math import gcd, lcm
+
 import pytest
 
 from splinereg.geometry import (
@@ -117,3 +120,49 @@ def morgan_scott(inner):
     verts = [(0, 0), (3, 0), (0, 3), *inner]
     tris = [(0, 1, 3), (1, 4, 3), (1, 2, 4), (2, 5, 4), (2, 0, 5), (0, 3, 5), (3, 4, 5)]
     return SimplicialComplex(verts, tris)
+
+
+def rational_image(c):
+    """c under the affine map (x, y) -> ((x + y)/2 + 1/3, y/3 - 1/2), so its
+    interior vertices are rational and the frame scale L exceeds 1.  The
+    map keeps orientation (its determinant is 1/6), so it keeps c
+    embedded."""
+    verts = [((x + y) / 2 + Fraction(1, 3), y / 3 - Fraction(1, 2)) for x, y in c.vertices]
+    return SimplicialComplex(verts, c.triangles)
+
+
+# the Fraction references for the integer frame a complex is built in: the
+# same facts derived from the rational vertices with Fraction arithmetic
+
+
+def fraction_canonical_vector(vec):
+    """Scale a vector of ints and Fractions to coprime integers, first
+    nonzero positive."""
+    den = lcm(*(v.denominator for v in vec))
+    ints = [int(v * den) for v in vec]
+    g = 0
+    for v in ints:
+        g = gcd(g, v)
+    if g > 1:
+        ints = [v // g for v in ints]
+    for v in ints:
+        if v:
+            if v < 0:
+                ints = [-w for w in ints]
+            break
+    return tuple(ints)
+
+
+def fraction_form_through(p, q):
+    """The coefficients of the line through the rational points p != q."""
+    return fraction_canonical_vector((p[1] - q[1], q[0] - p[0], p[0] * q[1] - q[0] * p[1]))
+
+
+def fraction_slope_key(p, q):
+    """The coprime direction of the line through the rational points p, q."""
+    return fraction_canonical_vector((q[0] - p[0], q[1] - p[1]))
+
+
+def fraction_area2(a, b, c):
+    """Twice the signed area of the triangle abc of rational points."""
+    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])

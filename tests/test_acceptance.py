@@ -1,6 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line
 with its wall-clock time (run with `pytest -s tests/test_acceptance.py` to
-see the lines on success).  Stated runtime budgets are asserted.
+see the lines on success).  Stated runtime budgets are asserted: each is
+about 10x the criterion's measured time, and at least 0.05 s.
 """
 import random
 import time
@@ -70,7 +71,7 @@ def random_slopes(rng, s):
 
 
 def test_criterion_01_worked_example_fidelity():
-    with criterion(1, "worked example (3,4,8) reproduced exactly", budget=1.0):
+    with criterion(1, "worked example (3,4,8) reproduced exactly", budget=0.05):
         assert staircase_closed_form(8, 3).ideal("y").gens == (
             M(0, 9, 0), M(0, 8, 1), M(0, 7, 2), M(0, 6, 4), M(0, 5, 5),
             M(0, 4, 7), M(0, 3, 8), M(0, 2, 10), M(0, 1, 11), M(0, 0, 13),
@@ -100,7 +101,7 @@ def test_criterion_01_worked_example_fidelity():
 
 
 def test_criterion_02_33_family(complex_one33):
-    with criterion(2, "(3,3): regularity = 2r for r = 1..12 via all routes", budget=5.0):
+    with criterion(2, "(3,3): regularity = 2r for r = 1..12 via all routes", budget=0.05):
         for r in range(1, 13):
             q = build_q(3, 3, r)
             rep = regularity_one_edge(3, 3, r)
@@ -113,7 +114,7 @@ def test_criterion_02_33_family(complex_one33):
 
 
 def test_criterion_03_main_theorem_sandwich(grid_reports):
-    with criterion(3, "sandwich bounds on 3<=a<=b<=8, r=1..12", budget=120.0):
+    with criterion(3, "sandwich bounds on 3<=a<=b<=8, r=1..12", budget=0.05):
         checked = 0
         for (a, b, r), rep in grid_reports.items():
             if rep.vanishes:
@@ -140,7 +141,7 @@ def test_criterion_04_2r_theorem(grid_reports, complex_one33, complex_one34):
 
 
 def test_criterion_05_staircase_oracle_equivalence():
-    with criterion(5, "staircase closed form = rank oracle, s=2..6, r=0..12", budget=1.0):
+    with criterion(5, "staircase closed form = rank oracle, s=2..6, r=0..12", budget=0.7):
         rng = random.Random(1783)
         for s in range(2, 7):
             for r in range(0, 13):
@@ -151,7 +152,7 @@ def test_criterion_05_staircase_oracle_equivalence():
 
 
 def test_criterion_06_colon_and_sum_identities():
-    with criterion(6, "colon and sum initial-ideal identities, s<=4, r<=8", budget=0.5):
+    with criterion(6, "colon and sum initial-ideal identities, s<=4, r<=8", budget=0.3):
         rng = random.Random(421)
         for s in range(2, 5):
             for r in range(0, 9):
@@ -174,7 +175,7 @@ def test_criterion_06_colon_and_sum_identities():
 
 
 def test_criterion_07_syzygy_betti_agreement(grid_reports):
-    with criterion(7, "syz2/syz3 = Betti oracle; Euler/Hilbert; planarity", budget=1.0):
+    with criterion(7, "syz2/syz3 = Betti oracle; Euler/Hilbert; planarity", budget=0.4):
         for (a, b, r), rep in grid_reports.items():
             if rep.vanishes:
                 continue
@@ -206,7 +207,7 @@ def test_criterion_08_third_syzygy_order_property(grid_reports):
 def test_criterion_09_dimension_formula_equivalence(
     complex_triangle, complex_star, complex_one33, complex_ce1
 ):
-    with criterion(9, "spline dimension formula = brute force on 4 complexes", budget=10.0):
+    with criterion(9, "spline dimension formula = brute force on 4 complexes", budget=2.0):
         for c in (complex_triangle, complex_star, complex_one33, complex_ce1):
             for r in range(0, 4):
                 for d in range(0, 11):

@@ -363,25 +363,37 @@ def test_analyze_reads_interior_stats_once(tmp_path, capsys, monkeypatch, comple
 
 def test_analyze_derives_each_line_and_slope_once(tmp_path, capsys, monkeypatch):
     # the complex derives each interior edge's line and slope when it is
-    # built, and every route of the run reads those: ce1 has 12 interior edges
+    # built, from two points of its integer frame (homogeneous integer
+    # triples, no Fraction), and every route of the run reads those: ce1
+    # has 12 interior edges
     path = tmp_path / "ce1.json"
     path.write_text(ce1_complex().to_json())
     calls = Counter()
-    through, slope_key = geometry.LinearForm.through, geometry.slope_key
 
-    def counted_through(p, q):
-        calls["through"] += 1
-        return through(p, q)
+    def counted(name, derive):
+        def derive_once(p, q):
+            assert len(p) == len(q) == 3 and {type(x) for x in p + q} == {int}
+            calls[name] += 1
+            return derive(p, q)
+        return derive_once
 
-    def counted_slope_key(p, q):
-        calls["slope_key"] += 1
-        return slope_key(p, q)
-
-    monkeypatch.setattr(geometry.LinearForm, "through", counted_through)
-    monkeypatch.setattr(geometry, "slope_key", counted_slope_key)
+    monkeypatch.setattr(geometry.LinearForm, "through", counted("through", geometry.LinearForm.through))
+    monkeypatch.setattr(geometry, "slope_key", counted("slope_key", geometry.slope_key))
     code, _, _ = run(capsys, "analyze", str(path), "--r", "2", "--d", "6", "--oracle")
     assert code == 0
     assert calls == {"through": 12, "slope_key": 12}
+
+
+def test_folded_complex_exits_1(tmp_path, capsys):
+    # F3's folded Morgan-Scott (p5 = (-1/2, 5/4)) used to exit 0
+    path = tmp_path / "folded.json"
+    path.write_text(json.dumps({
+        "vertices": [["0", "0"], ["3", "0"], ["0", "3"], ["1", "1/4"], ["1", "7/4"], ["-1/2", "5/4"]],
+        "triangles": [[0, 1, 3], [1, 4, 3], [1, 2, 4], [2, 5, 4], [2, 0, 5], [0, 3, 5], [3, 4, 5]],
+    }))
+    code, out, err = run(capsys, "analyze", str(path), "--r", "2", "--d", "6", "--oracle")
+    assert (code, out) == (1, "")
+    assert err == "error: NotEmbedded: both triangles at interior edge (0, 5) lie on one side of it\n"
 
 
 def test_analyze_runs_the_spline_oracle_once(tmp_path, capsys, monkeypatch):

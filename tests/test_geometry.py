@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from splinereg.errors import (
     HypothesisViolated,
     NonzeroGenus,
     NotConnected,
+    NotEmbedded,
     NotOneEdge,
     ParseError,
     SlopeClashAssumption,
@@ -38,7 +40,27 @@ from splinereg.geometry import (
 )
 from splinereg.regularity import path_bounds
 
-from conftest import morgan_scott, wheel_in_wheel
+from conftest import (
+    fraction_area2,
+    fraction_form_through,
+    fraction_slope_key,
+    morgan_scott,
+    rational_image,
+    wheel_in_wheel,
+)
+
+# F3: Morgan-Scott with its inner vertex p5 reflected to (-1/2, 5/4) folds
+# the triangles at the interior edges (0, 5) and (2, 5) over their lines
+_MS_FOLDED = ((1, Fraction(1, 4)), (1, Fraction(7, 4)), (Fraction(-1, 2), Fraction(5, 4)))
+_MS_FOLDED_TRIANGLES = [(0, 1, 3), (1, 4, 3), (1, 2, 4), (2, 5, 4), (2, 0, 5), (0, 3, 5), (3, 4, 5)]
+
+
+def _folded_morgan_scott_json():
+    verts = [(0, 0), (3, 0), (0, 3), *_MS_FOLDED]
+    return json.dumps({
+        "vertices": [[str(Fraction(x)), str(Fraction(y))] for x, y in verts],
+        "triangles": [list(t) for t in _MS_FOLDED_TRIANGLES],
+    })
 
 
 def test_parse_two_triangles():
@@ -160,6 +182,7 @@ def _triangle_with(coord):
 @example(_triangle_with(_NOT_ASCII_COORDS[0]))
 @example(_triangle_with(_NOT_ASCII_COORDS[1]))
 @example(_triangle_with(_NOT_ASCII_COORDS[2]))
+@example(_folded_morgan_scott_json())
 def test_parse_complex_returns_a_complex_or_a_typed_error(text):
     try:
         c = parse_complex(text)
@@ -174,6 +197,42 @@ def test_coordinates_take_ascii_digits_only(coord):
     with pytest.raises(ParseError) as exc:
         parse_complex(_triangle_with(coord))
     assert str(exc.value) == f"coordinate {coord!r} is not a 'p/q' or integer string"
+
+
+@pytest.mark.parametrize("coord", ["1" * 5000, "-" + "7" * 4400, "1/" + "3" * 5000])
+def test_coordinates_over_the_digit_limit_keep_their_message(coord):
+    # the coordinate is read from its p and q digits, not by Fraction(str),
+    # and says what Fraction(str) would have said about it
+    with pytest.raises(ValueError) as reference:
+        Fraction(coord)
+    with pytest.raises(ParseError) as exc:
+        parse_complex(_triangle_with(coord))
+    assert str(exc.value) == f"coordinate is not readable: {reference.value}"
+
+
+def test_folded_morgan_scott_is_not_embedded():
+    # F3: every triangle is nondegenerate and the counts are those of a
+    # disk, but two triangles overlap; the file and the builder both raise
+    message = "both triangles at interior edge (0, 5) lie on one side of it"
+    with pytest.raises(NotEmbedded) as exc:
+        parse_complex(_folded_morgan_scott_json())
+    assert str(exc.value) == message
+    with pytest.raises(NotEmbedded, match=r"\(0, 5\)"):
+        morgan_scott(_MS_FOLDED)
+    # the edges a Fraction reference of the check flags: those whose two
+    # opposite vertices lie on one side of the edge's line
+    verts = [(Fraction(0), Fraction(0)), (Fraction(3), Fraction(0)), (Fraction(0), Fraction(3))]
+    verts += [(Fraction(x), Fraction(y)) for x, y in _MS_FOLDED]
+    folded = set()
+    for t in _MS_FOLDED_TRIANGLES:
+        for u in _MS_FOLDED_TRIANGLES:
+            e = tuple(sorted(set(t) & set(u)))
+            if t < u and len(e) == 2:
+                (w1,), (w2,) = set(t) - set(e), set(u) - set(e)
+                p, q = verts[e[0]], verts[e[1]]
+                if fraction_area2(p, q, verts[w1]) * fraction_area2(p, q, verts[w2]) > 0:
+                    folded.add(e)
+    assert folded == {(0, 5), (2, 5)}
 
 
 def test_degenerate_triangle():
@@ -220,13 +279,20 @@ _COORD = hs.fractions(min_value=-50, max_value=50, max_denominator=12)
 @given(p=hs.tuples(_COORD, _COORD), q=hs.tuples(_COORD, _COORD))
 def test_linear_form_vanishes_on_edge(p, q):
     # the chain oracle takes each edge's form to vanish at both of the
-    # edge's vertices without re-checking it
+    # edge's vertices without re-checking it.  The points enter as
+    # homogeneous integer triples over their common denominator, as in a
+    # complex's frame, and give the line and slope the Fraction reference
+    # derives from the rational points
+    scale = lcm(*(x.denominator for x in p + q))
+    fp, fq = ((int(x * scale), int(y * scale), scale) for x, y in (p, q))
     with pytest.raises(DegenerateTriangle):
-        LinearForm.through(p, p)
+        LinearForm.through(fp, fp)
     if p != q:
-        f = LinearForm.through(p, q)
+        f = LinearForm.through(fp, fq)
         assert f.a * p[0] + f.b * p[1] + f.c == 0
         assert f.a * q[0] + f.b * q[1] + f.c == 0
+        assert f == fraction_form_through(p, q)
+        assert slope_key(fp, fq) == fraction_slope_key(p, q)
 
 
 def test_interior_stats_one_edge(complex_one33):
@@ -375,11 +441,13 @@ def _bundled_complexes():
 
 def _assert_facts_match_a_fresh_derivation(c):
     # each fact the complex stores against its definition, derived here
-    # from the vertices and the full edge list
+    # from the rational vertices and the full edge list with Fraction
+    # arithmetic, where the complex derives it in its integer frame
     interior = set(c.interior_vertices)
     pairs = {e: (c.vertices[e[0]], c.vertices[e[1]]) for e in c.interior_edges}
-    assert c.forms == {e: LinearForm.through(p, q) for e, (p, q) in pairs.items()}
-    assert c.slopes == {e: slope_key(p, q) for e, (p, q) in pairs.items()}
+    assert c.forms == {e: fraction_form_through(p, q) for e, (p, q) in pairs.items()}
+    assert c.slopes == {e: fraction_slope_key(p, q) for e, (p, q) in pairs.items()}
+    assert all(fraction_area2(*(c.vertices[i] for i in t)) > 0 for t in c.triangles)
     assert c.edges_at == {v: tuple(e for e in c.edges if v in e) for v in c.interior_vertices}
     assert list(c.edges_at) == list(c.interior_vertices)
     assert c.totally_interior == tuple(e for e in c.edges if set(e) <= interior)
@@ -403,6 +471,47 @@ def test_stored_facts_match_a_fresh_derivation_on_random_fans(lefts, mids):
     c = one_edge_fan(lefts, mids)
     _assert_facts_match_a_fresh_derivation(c)
     assert c.totally_interior == ((0, 1),)
+
+
+def _assert_frame_matches_the_fraction_reference(c):
+    # the stored facts, on c and on a copy given every triangle clockwise,
+    # which the frame's orientation test turns back
+    _assert_facts_match_a_fresh_derivation(c)
+    flipped = SimplicialComplex(c.vertices, [(t[0], t[2], t[1]) for t in c.triangles])
+    assert flipped.triangles == c.triangles
+    # a repeated vertex is a duplicate in the frame however it is written:
+    # vertex 0 again, its coordinates' numerators and denominators tripled
+    # in the file, where the Fraction reference sees equal points
+    data = json.loads(c.to_json())
+    x, y = c.vertices[0]
+    data["vertices"].append([f"{3 * v.numerator}/{3 * v.denominator}" for v in (x, y)])
+    with pytest.raises(ParseError, match="^duplicate vertex coordinates$"):
+        parse_complex(json.dumps(data))
+    # and a point next to it is not a duplicate: it fails later, as a vertex
+    # that no triangle uses
+    scale = lcm(*(v.denominator for p in c.vertices for v in p))
+    data["vertices"][-1] = [str(x + Fraction(1, 7 * scale)), str(y)]
+    with pytest.raises(ParseError, match="not contained in any triangle"):
+        parse_complex(json.dumps(data))
+
+
+def test_integer_frame_matches_the_fraction_reference_on_rational_images():
+    for c in _bundled_complexes():
+        image = rational_image(c)
+        assert image.vertices != c.vertices
+        _assert_frame_matches_the_fraction_reference(image)
+        assert image.slopes.keys() == c.slopes.keys() and image.totally_interior == c.totally_interior
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    lefts=hs.lists(_ORDINATE, min_size=1, max_size=6, unique=True),
+    mids=hs.lists(_MID | hs.just(Fraction(0)), max_size=6, unique=True),
+    image=hs.booleans(),
+)
+def test_integer_frame_matches_the_fraction_reference_on_random_fans(lefts, mids, image):
+    c = one_edge_fan(lefts, mids)
+    _assert_frame_matches_the_fraction_reference(rational_image(c) if image else c)
 
 
 def test_builders_are_valid():
