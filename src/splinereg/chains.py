@@ -6,8 +6,9 @@ of the degree-d boundary map.  The boundary matrix is assembled in a
 translated integer frame at each interior vertex v = (p_x, p_y):
 u_v = L(x - p_x z), w_v = L(y - p_y z) and t = z, where L is the lcm of the
 denominators of the interior vertex coordinates, so L p_x and L p_y are
-integers.  A form a x + b y + c z through v equals (a u_v + b w_v)/L.  Each
-column is scaled by L^{r+1}, so at either end v of its edge the block is
+integers: the record's `origins`, read off the complex's integer frame.  A
+form a x + b y + c z through v equals (a u_v + b w_v)/L.  Each column is
+scaled by L^{r+1}, so at either end v of its edge the block is
 (a u_v + b w_v)^{r+1} times a multiplier monomial in (u_home, w_home, t),
 with u_home = u_v + (L p_v,x - L p_home,x) t and likewise for w: one integer
 rule, whose shift is zero at home.  Each vertex block is an invertible
@@ -20,13 +21,15 @@ Both oracles eliminate once per run, not once per degree.  Setting t = 1
 degree <= d (Billera-Rose 1991), and under that identification each
 degree's system is a prefix of the next one's.  A polynomial is then held
 as {(eu, ew): coefficient}, with no t exponent, and u_home is u_v plus an
-integer, so each level of the boundary walk is one shift and add per
+integer, so each level of the boundary map is one shift and add per
 block (`_times_linear`).  A run's whole H0 state is one generator,
-`_h0_walk`, which walks the boundary map and each J'(v) together and
-yields dim H0_d degree by degree.  The rank is taken in each vertex's
-local quotient: only the totally interior columns reach the echelon, as
-normal forms modulo the partially interior powers at their ends, never
-modulo a colon ideal of the closed form.
+`_walk`, which builds the run's `IdealComplexData` on its first step and
+then reads that record alone: each level advances every vertex's walks of
+J'(v) and P'(v) and the boundary echelon, and yields the boundary rank and
+dim H0_d degree by degree.  The rank is taken in each vertex's local
+quotient: only the totally interior columns reach the echelon, as normal
+forms modulo the partially interior powers at their ends, never modulo a
+colon ideal of the closed form.
 """
 from __future__ import annotations
 
@@ -58,13 +61,14 @@ class EdgeGroup(NamedTuple):
 
 class IdealComplexData(NamedTuple):
     """The totally interior column groups, and the vertex forms and frames
-    of one (complex, r)."""
+    of one (complex, r): everything the walk reads, its positions in the
+    order of `origins`."""
 
     r: int
     groups: tuple[EdgeGroup, ...]
     vertex_forms: dict[int, tuple[LinearForm, ...]]  # one form per slope at the vertex
     partial_forms: dict[int, tuple[LinearForm, ...]]  # likewise, partially interior edges only
-    origins: dict[int, tuple[int, int]]  # (L p_x, L p_y): the frame's integer translation
+    origins: dict[int, tuple[int, int]]  # (L p_x, L p_y) by interior vertex: the frame's translation
 
 
 def ideal_complex(c: SimplicialComplex, r: int) -> IdealComplexData:
@@ -78,13 +82,11 @@ def ideal_complex(c: SimplicialComplex, r: int) -> IdealComplexData:
             if e not in c.totally_interior:
                 partial.setdefault(c.slopes[e], c.forms[e])
         vertex_forms[v], partial_forms[v] = tuple(seen.values()), tuple(partial.values())
-    # the frame's own scale: the lcm over the interior vertices only, not
-    # the complex's, which would scale every shift by the boundary's
-    # denominators too
-    scale = lcm(*(x.denominator for v in vpos for x in c.vertices[v]))
-    origins = {
-        v: tuple(x.numerator * (scale // x.denominator) for x in c.vertices[v]) for v in vpos
-    }
+    # the frame's own scale, the lcm over the interior vertices only: the
+    # complex's L would scale every shift by the boundary's denominators
+    # too.  The gcd of the interior frame triples is L over that lcm
+    g = gcd(*(x for v in vpos for x in c.frame[v]))
+    origins = {v: (c.frame[v][0] // g, c.frame[v][1] // g) for v in vpos}
     return IdealComplexData(r, groups, vertex_forms, partial_forms, origins)
 
 
@@ -127,19 +129,24 @@ def _reduce(vec, pivots):
     return scale
 
 
-def _boundary_walk(c: SimplicialComplex, data: IdealComplexData) -> Iterator[int]:
-    """The rank of the degree-d boundary map for d = r+1, r+2, ..., each
-    column scaled by L^{r+1} in the translated integer vertex frames.
+def _walk(c: SimplicialComplex, r: int) -> Iterator[tuple[int, int]]:
+    """(rank of the degree-d boundary map, dim H0_d) for d = r+1, r+2, ...,
+    each column scaled by L^{r+1} in the translated integer vertex frames.
+    The first step builds `ideal_complex(c, r)`; from then on the walk reads
+    that record alone, positions in the order of its `origins`.
 
-    The partially interior columns at v are v's partially interior powers
-    times every multiplier in v's own frame, so they span P(v)_d, P(v) the
-    ideal of those powers.  The powers lie in (u_v, w_v), so P(v)_d is the
-    sum of the slices t^{d-e} P'(v)_e, e <= d, read off the walk of P'(v)
-    (keyed -k for u^k w^{e-k}).  The rank is sum_v dim P(v)_d plus that of
-    the totally interior columns modulo the P(v).  Each of those enters the
-    echelon as its normal form: every (vertex, e) part reduced modulo
-    P'(v)_e, or dropped once P'(v)_e = S'_e, then scaled to the lcm of the
-    parts' scales.
+    dim H0_d is sum_v dim J(v)_d minus the rank.  J(v)_d is the direct sum
+    of the slices t^{d-e} J'(v)_e for e <= d, so one running total of the
+    slice ranks dim J'(v)_e, read off the walk of J'(v) in v's frame (u, w),
+    is sum_v dim J(v)_d.  Likewise the partially interior columns at v are
+    v's partially interior powers times every multiplier in v's own frame,
+    so they span P(v)_d, P(v) the ideal of those powers, the sum of the
+    slices t^{d-e} P'(v)_e read off the walk of P'(v) (keyed -k for
+    u^k w^{e-k}).  The rank is sum_v dim P(v)_d plus that of the totally
+    interior columns modulo the P(v).  Each of those enters the echelon as
+    its normal form: every (vertex, e) part reduced modulo P'(v)_e, or
+    dropped once P'(v)_e = S'_e, then scaled to the lcm of the parts'
+    scales.
 
     With t = 1 a degree-d column is its (u, w) polynomial of degree <= d,
     so the degree-d columns are the degree-(d-1) ones plus one new level:
@@ -173,8 +180,9 @@ def _boundary_walk(c: SimplicialComplex, data: IdealComplexData) -> Iterator[int
     group keeps its own list of dead (alpha, beta): the argument
     multiplies by the forms of g's home, so it says nothing about another
     group's columns."""
-    vpos = {v: i for i, v in enumerate(c.interior_vertices)}
-    n, r = len(vpos), data.r
+    data = ideal_complex(c, r)
+    vpos = {v: i for i, v in enumerate(data.origins)}
+    n = len(vpos)
     groups = []  # per group, per end: position, dx, dy, blocks of the level by alpha
     for group in data.groups:
         power = {(0, 0): 1}
@@ -190,15 +198,19 @@ def _boundary_walk(c: SimplicialComplex, data: IdealComplexData) -> Iterator[int
             ends.append((vpos[v], vx - hx, vy - hy, [{m: sign * x for m, x in power.items()}]))
         groups.append((ends, []))  # the group's ends and its dead (alpha, beta)
     walks = [
-        _power_echelons(r, [_canonical_int_vector((f.a, f.b)) for f in data.partial_forms[v]])
+        [
+            _power_echelons(r, [_canonical_int_vector((f.a, f.b)) for f in forms[v]])
+            for forms in (data.vertex_forms, data.partial_forms)
+        ]
         for v in vpos
     ]
     slices = [[] for _ in vpos]  # per position, e > r: P'(v)_e's pivots by lead, None if full
     ech = SparseIntEchelon()
-    partial = 0  # sum_v dim P(v)_d
+    vertex = partial = 0  # sum_v dim J(v)_d and sum_v dim P(v)_d
     for k in count():
-        for pos, walk in enumerate(walks):
-            p_ech = next(walk)
+        for pos, (j_walk, p_walk) in enumerate(walks):
+            vertex += next(j_walk).rank
+            p_ech = next(p_walk)
             partial += p_ech.rank
             slices[pos].append(None if p_ech.rank > r + 1 + k else sorted(p_ech.pivots.items()))
         for ends, dead in groups:
@@ -228,32 +240,16 @@ def _boundary_walk(c: SimplicialComplex, data: IdealComplexData) -> Iterator[int
                         col[(base + j) * n + pos] = m * x
                 if not ech.insert(col):
                     dead.append((alpha, k - alpha))
-        yield partial + ech.rank
+        rank = partial + ech.rank
+        yield rank, vertex - rank
 
 
 def boundary_rank(c: SimplicialComplex, r: int, d: int) -> int:
     """Exact rank of the degree-d boundary map of the ideal complex, read
-    off a fresh boundary walk."""
+    off a fresh walk."""
     if d < r + 1:
         return 0
-    return next(islice(_boundary_walk(c, ideal_complex(c, r)), d - r - 1, None))
-
-
-def _h0_walk(c: SimplicialComplex, r: int) -> Iterator[int]:
-    """dim H0_d for d = r+1, r+2, ...: sum_v dim J(v)_d minus the rank of
-    the degree-d boundary map.  J(v)_d is the direct sum of the slices
-    t^{d-e} J'(v)_e for e <= d, so one running total of the slice ranks
-    dim J'(v)_e, read off the walk of J'(v) in v's frame (u, w), is
-    sum_v dim J(v)_d."""
-    data = ideal_complex(c, r)
-    walks = [
-        _power_echelons(r, [_canonical_int_vector((f.a, f.b)) for f in data.vertex_forms[v]])
-        for v in c.interior_vertices
-    ]
-    total = 0
-    for *echs, rank in zip(*walks, _boundary_walk(c, data)):
-        total += sum(ech.rank for ech in echs)
-        yield total - rank
+    return next(islice(_walk(c, r), d - r - 1, None))[0]
 
 
 def h0_hilbert_oracle(c: SimplicialComplex, r: int, d: int) -> int:
@@ -263,7 +259,7 @@ def h0_hilbert_oracle(c: SimplicialComplex, r: int, d: int) -> int:
         raise ValueError("degree must be nonnegative")
     if d < r + 1:
         return 0
-    return next(islice(_h0_walk(c, r), d - r - 1, None))
+    return next(islice(_walk(c, r), d - r - 1, None))[1]
 
 
 class H0Table:
@@ -275,16 +271,16 @@ class H0Table:
 
     def __init__(self, c: SimplicialComplex, r: int):
         self.r = r
-        self._walk = _h0_walk(c, r)  # builds nothing before its first degree
+        self._levels = _walk(c, r)  # builds nothing before its first degree
         self._dims = [0] * (r + 1)
 
     def upto(self, top: int) -> list[int]:
         """dim H0_d for d = 0..top."""
         dims = self._dims
         while len(dims) <= top and (len(dims) == self.r + 1 or dims[-1]):
-            dims.append(next(self._walk))
+            dims.append(next(self._levels)[1])
             if not dims[-1]:
-                self._walk = None  # no later degree is ranked: free the walk
+                self._levels = None  # no later degree is ranked: free the walk
         return dims[: top + 1] + [0] * (top + 1 - len(dims))
 
 

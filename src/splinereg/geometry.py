@@ -9,7 +9,8 @@ Slopes are compared exactly on coprime integer direction vectors.
 
 A complex is built in one integer frame: each coordinate is converted once,
 to an integer over the common denominator L of all of them, so the point p
-is held as the homogeneous integer triple (L p_x, L p_y, L).  Orientation,
+is held as the homogeneous integer triple (L p_x, L p_y, L), kept as
+`frame` for the chain oracle to read.  Orientation,
 the duplicate-vertex and embedding checks, and each interior edge's line
 and slope are then integer work, with no Fraction arithmetic.
 """
@@ -84,17 +85,23 @@ class LinearForm(NamedTuple):
 
 
 class SimplicialComplex:
-    """Validated pure 2-dimensional, connected, genus-0 planar complex."""
+    """Validated pure 2-dimensional, connected, genus-0 planar complex, from
+    vertices that are pairs of ints (not bools) or Fractions and triangles
+    that are triples of vertex indices."""
 
     def __init__(self, vertices, triangles):
-        self.vertices: tuple[Point, ...] = tuple(
-            (Fraction(x), Fraction(y)) for x, y in vertices
-        )
-        scale = lcm(*(x.denominator for p in self.vertices for x in p))
-        frame = [
+        points = []
+        for p in vertices:
+            if not (isinstance(p, (tuple, list)) and len(p) == 2):
+                raise ParseError(f"vertex {p!r} is not a coordinate pair")
+            points.append(tuple(map(_coordinate, p)))
+        self.vertices: tuple[Point, ...] = tuple(points)
+        scale = lcm(*(x.denominator for p in points for x in p))
+        frame: tuple[FramePoint, ...] = tuple(
             (x.numerator * (scale // x.denominator), y.numerator * (scale // y.denominator), scale)
-            for x, y in self.vertices
-        ]
+            for x, y in points
+        )
+        self.frame = frame
         if len(set(frame)) != len(frame):
             raise ParseError("duplicate vertex coordinates")
         n = len(frame)
@@ -172,6 +179,14 @@ class SimplicialComplex:
             "triangles": [list(t) for t in self.triangles],
         }
         return json.dumps(data, sort_keys=True)
+
+
+def _coordinate(x) -> Fraction:
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int) and not isinstance(x, bool):
+        return Fraction(x)
+    raise ParseError(f"coordinate {x!r} is not an int or a Fraction")
 
 
 def _orientation(a: FramePoint, b: FramePoint, c: FramePoint) -> int:
@@ -414,22 +429,17 @@ def one_edge_fan(lefts, mids) -> SimplicialComplex:
     `mids` on x = 3, strictly between -2 and 2.  Distinct nonzero ordinates
     give k(v1) = len(lefts) + 2 and k(v2) = len(mids) + 3; a zero one
     repeats the slope of the shared edge."""
-    lefts = sorted(map(Fraction, lefts), reverse=True)  # ccw from U down to D
-    right_s = [Fraction(-2)] + sorted(map(Fraction, mids)) + [Fraction(2)]
-    verts: list[tuple[Fraction, Fraction]] = [
-        (Fraction(0), Fraction(0)),
-        (Fraction(1), Fraction(0)),
-        (Fraction(0), Fraction(1)),
-        (Fraction(0), Fraction(-1)),
-    ]
+    lefts = sorted(lefts, reverse=True)  # ccw from U down to D
+    right_s = [-2, *sorted(mids), 2]
+    verts = [(0, 0), (1, 0), (0, 1), (0, -1)]
     left_idx = []
     for s in lefts:
         left_idx.append(len(verts))
-        verts.append((Fraction(-2), s))
+        verts.append((-2, s))
     right_idx = []
     for s in right_s:
         right_idx.append(len(verts))
-        verts.append((Fraction(3), s))
+        verts.append((3, s))
     U, D = 2, 3
     tris = [(0, 1, U)]
     chain = [U] + left_idx + [D]

@@ -166,3 +166,11 @@ def fraction_slope_key(p, q):
 def fraction_area2(a, b, c):
     """Twice the signed area of the triangle abc of rational points."""
     return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+
+def fraction_origins(c):
+    """(L p_x, L p_y) of each interior vertex p, in the order of
+    `interior_vertices`, with L the lcm of the interior vertices'
+    denominators only."""
+    scale = lcm(*(x.denominator for v in c.interior_vertices for x in c.vertices[v]))
+    return {v: tuple(int(x * scale) for x in c.vertices[v]) for v in c.interior_vertices}

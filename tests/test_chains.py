@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as hs
 
-from splinereg import chains
+from splinereg import chains, staircase
 from splinereg._echelon import SparseIntEchelon
 from splinereg.chains import (
     H0Table,
@@ -36,7 +36,15 @@ from splinereg.monomials import count_degree, hilbert_function, monomial_index, 
 from splinereg.ratlinalg import RatMatrix, rank
 from splinereg.staircase import _power_echelons, build_q
 
-from conftest import linear_poly, morgan_scott, poly_mul, poly_pow, rational_image, wheel_in_wheel
+from conftest import (
+    fraction_origins,
+    linear_poly,
+    morgan_scott,
+    poly_mul,
+    poly_pow,
+    rational_image,
+    wheel_in_wheel,
+)
 
 
 # -- naive boundary matrix in the global monomial basis, used to certify the
@@ -391,6 +399,18 @@ def test_quotient_walk_equals_the_whole_boundary_walk(name, r):
     assert H0Table(c, r).upto(4 * r + 2) == reference_table(c, r)
 
 
+def _counting(counts):
+    """A sparse echelon that adds its inserts and zero reductions to counts."""
+
+    class Counting(SparseIntEchelon):
+        def insert(self, vec):
+            counts["inserts"] += 1
+            counts["zeros"] += not (found := super().insert(vec))
+            return found
+
+    return Counting
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("r, reg, inserts, zeros", [(14, 35, 413, 20), (16, 40, 527, 22)])
 def test_boundary_walk_skips_the_columns_a_found_syzygy_kills(monkeypatch, r, reg, inserts, zeros):
@@ -399,16 +419,40 @@ def test_boundary_walk_skips_the_columns_a_found_syzygy_kills(monkeypatch, r, re
     # 506 totally interior columns at r = 14, 113 of them to zero, and 650
     # at r = 16, 145 of them to zero
     counts = Counter()
-
-    class Counting(SparseIntEchelon):
-        def insert(self, vec):
-            counts["inserts"] += 1
-            counts["zeros"] += not (found := super().insert(vec))
-            return found
-
-    monkeypatch.setattr(chains, "SparseIntEchelon", Counting)
+    monkeypatch.setattr(chains, "SparseIntEchelon", _counting(counts))
     assert h0_regularity_oracle(ce1_complex(), r) == reg
     assert counts == {"inserts": inserts, "zeros": zeros}
+
+
+_COUNT_CASES = [
+    pytest.param("ce1", 14, (215, 8), (413, 20), marks=pytest.mark.slow),
+    ("ce1", 8, (131, 8), (153, 12)),
+    ("one34", 8, (69, 7), (28, 2)),
+]
+
+
+@pytest.mark.parametrize("name, r, powers, main", _COUNT_CASES)
+def test_walk_insert_counts(monkeypatch, name, r, powers, main):
+    # (inserts, zero reductions) of one run to the first zero degree: the
+    # J'(v) and P'(v) walks insert through the staircase module, the
+    # totally interior columns through the chains module
+    walks, columns = Counter(), Counter()
+    monkeypatch.setattr(staircase, "SparseIntEchelon", _counting(walks))
+    monkeypatch.setattr(chains, "SparseIntEchelon", _counting(columns))
+    h0_regularity_oracle(_QUOTIENT_COMPLEXES[name](), r)
+    assert (walks["inserts"], walks["zeros"]) == powers
+    assert (columns["inserts"], columns["zeros"]) == main
+
+
+def test_origins_take_the_interior_scale_alone():
+    # the frame's scale is the lcm over the interior vertices' denominators,
+    # not the complex's: boundary denominators 3 and 5 that no interior
+    # vertex has give L = 15, while the interior vertices (0, 0) and (1, 0)
+    # keep the scale 1.  Every bundled complex, its rational image and the
+    # random fans are compared in tests/test_geometry.py
+    c = one_edge_fan([Fraction(1, 3)], [Fraction(1, 5)])
+    assert c.frame[1] == (15, 0, 15)
+    assert ideal_complex(c, 1).origins == fraction_origins(c) == {0: (0, 0), 1: (1, 0)}
 
 
 @pytest.mark.slow
@@ -536,9 +580,9 @@ def test_cap_exceeded_when_h0_never_vanishes(monkeypatch, complex_one33):
     def nonzero_everywhere(c, r):
         for d in count(r + 1):
             ranked.append(d)
-            yield 1
+            yield 0, 1
 
-    monkeypatch.setattr(chains, "_h0_walk", nonzero_everywhere)
+    monkeypatch.setattr(chains, "_walk", nonzero_everywhere)
     with pytest.raises(CapExceeded, match="degree 10 = 4r"):
         h0_regularity_oracle(complex_one33, r)
     assert ranked == list(range(r + 1, 4 * r + 3))
@@ -549,14 +593,14 @@ def test_h0_table_ranks_each_degree_once(monkeypatch, complex_ce1):
     full = [0] * (r + 1) + [h0_hilbert_oracle(complex_ce1, r, d) for d in range(r + 1, 11)]
     dims = [spline_dim_formula(complex_ce1, r, d) for d in range(11)]
     ranked = []
-    h0_walk = chains._h0_walk
+    walk = chains._walk
 
     def counted(c, r):
-        for d, dim in enumerate(h0_walk(c, r), r + 1):
+        for d, step in enumerate(walk(c, r), r + 1):
             ranked.append(d)
-            yield dim
+            yield step
 
-    monkeypatch.setattr(chains, "_h0_walk", counted)
+    monkeypatch.setattr(chains, "_walk", counted)
     table = chains.H0Table(complex_ce1, r)
     assert table.upto(4) == full[:5]
     assert table.upto(10) == full

@@ -292,19 +292,19 @@ def test_analyze_ranks_each_h0_degree_once(tmp_path, capsys, monkeypatch, comple
     # the regularity oracle and the spline-dimension formulas share one H0
     # table: one ideal complex, and each degree ranked once
     builds, ranked = [], []
-    build, h0_walk = chains.ideal_complex, chains._h0_walk
+    build, walk = chains.ideal_complex, chains._walk
 
     def counted_build(c, r):
         builds.append(r)
         return build(c, r)
 
     def counted_walk(c, r):
-        for d, dim in enumerate(h0_walk(c, r), r + 1):
+        for d, step in enumerate(walk(c, r), r + 1):
             ranked.append(d)
-            yield dim
+            yield step
 
     monkeypatch.setattr(chains, "ideal_complex", counted_build)
-    monkeypatch.setattr(chains, "_h0_walk", counted_walk)
+    monkeypatch.setattr(chains, "_walk", counted_walk)
     path = tmp_path / "complex.json"
     path.write_text(complex_().to_json())
     code, _, _ = run(capsys, "analyze", str(path), *argv)

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
 import splinereg
+from splinereg.chains import ideal_complex
 from splinereg.errors import (
     DegenerateTriangle,
     ExtraInteriorVertex,
@@ -43,6 +44,7 @@ from splinereg.regularity import path_bounds
 from conftest import (
     fraction_area2,
     fraction_form_through,
+    fraction_origins,
     fraction_slope_key,
     morgan_scott,
     rational_image,
@@ -130,6 +132,32 @@ def test_parse_rejects_boolean_vertex_indices():
     )
     with pytest.raises(ParseError, match="vertex indices"):
         parse_complex(text)
+
+
+@pytest.mark.parametrize(
+    "vertex, message",
+    [
+        ((0.1, 0), "coordinate 0.1 is not an int or a Fraction"),
+        ((True, 0), "coordinate True is not an int or a Fraction"),
+        (("1e1", 0), "coordinate '1e1' is not an int or a Fraction"),
+        ((0, 0, 1), "vertex (0, 0, 1) is not a coordinate pair"),
+        ({0: 0, 1: 0}, "vertex {0: 0, 1: 0} is not a coordinate pair"),
+    ],
+    ids=["float", "bool", "string", "triple", "dict"],
+)
+def test_constructor_takes_int_and_fraction_pairs_only(vertex, message):
+    # as a file does: a float would be stored as its binary value and
+    # written back to JSON, a bool or a numeric string read as a number
+    with pytest.raises(ParseError) as exc:
+        SimplicialComplex([vertex, (5, 0), (0, 5)], [(0, 1, 2)])
+    assert str(exc.value) == message
+
+
+def test_one_edge_fan_hands_its_ordinates_to_the_check():
+    with pytest.raises(ParseError, match="^coordinate 0.5 is not an int or a Fraction$"):
+        one_edge_fan([0.5], [])
+    ints = one_edge_fan([1, -1], [1])
+    assert ints.to_json() == one_edge_fan([Fraction(1), Fraction(-1)], [Fraction(1)]).to_json()
 
 
 @pytest.mark.parametrize(
@@ -451,6 +479,11 @@ def _assert_facts_match_a_fresh_derivation(c):
     assert c.edges_at == {v: tuple(e for e in c.edges if v in e) for v in c.interior_vertices}
     assert list(c.edges_at) == list(c.interior_vertices)
     assert c.totally_interior == tuple(e for e in c.edges if set(e) <= interior)
+    # the chain oracle's vertex origins, read off the frame, in the order
+    # the walk takes its positions
+    origins = ideal_complex(c, 1).origins
+    assert origins == fraction_origins(c)
+    assert list(origins) == list(c.interior_vertices)
 
 
 def test_stored_facts_match_a_fresh_derivation():

@@ -101,13 +101,13 @@ def test_worked_example_walks_h0_once(monkeypatch, capsys):
     from splinereg import chains
 
     walks = []
-    walk = chains._h0_walk
+    walk = chains._walk
 
     def counted(c, r):
         walks.append(r)
         return walk(c, r)
 
-    monkeypatch.setattr(chains, "_h0_walk", counted)
+    monkeypatch.setattr(chains, "_walk", counted)
     runpy.run_path(str(ROOT / "scripts" / "worked_example.py"), run_name="__main__")
     assert "H0 dimension at d=14:            3" in capsys.readouterr().out
     assert walks == [8]

@@ -150,10 +150,10 @@ def test_spline_dim_oracle_does_not_reach_the_formula():
     assert {"SparseIntEchelon", "_times_linear", "spline_dim_oracles"} <= names  # sees calls
     forbidden = {
         "H0Table",
-        "_h0_walk",
+        "_walk",
         "boundary_rank",
+        "h0_hilbert_oracle",
         "ideal_complex",
-        "_boundary_walk",
         "local_hilbert",
         "interior_stats",
         "spline_dim_local",
@@ -164,7 +164,7 @@ def test_spline_dim_oracle_does_not_reach_the_formula():
     # count_degree and the input type both take
     module = _module_names("chains.py")
     chain = _names_reached("chains.py", ["H0Table", "h0_regularity_oracle", "h0_hilbert_oracle"])
-    assert {"_h0_walk", "_boundary_walk", "_power_echelons"} <= chain  # sees calls
+    assert {"_walk", "ideal_complex", "_power_echelons"} <= chain  # sees calls
     kernels = _names_reached("chains.py", ["_times_linear"]) & module
     allowed = kernels | {"SparseIntEchelon", "_times_linear", "count_degree", "SimplicialComplex"}
     shared = names & chain & module
@@ -175,7 +175,7 @@ def test_local_hilbert_ranks_nothing():
     # the vertex term and the formula's local part are counts in closed
     # form, checked against the walk of J', the chain oracle's H0 and the
     # spline oracle, so they must not reach any of them
-    ranked = {"SparseIntEchelon", "_power_echelons", "H0Table", "_h0_walk"}
+    ranked = {"SparseIntEchelon", "_power_echelons", "H0Table", "_walk"}
     names = _names_reached("chains.py", ["local_hilbert"])
     assert "count_degree" in names  # sees calls
     assert not names & ranked
@@ -296,12 +296,15 @@ def test_cli_emit_is_the_only_json_writer():
 
 
 def test_chain_oracle_stays_on_integers():
-    # the boundary map is built in translated integer vertex frames, so
-    # neither it nor a chains helper it calls may need rational arithmetic
+    # the boundary map is built in translated integer vertex frames, read
+    # off the complex's integer frame, so neither the walk nor a chains
+    # helper it calls may need rational arithmetic, the rational vertices
     # or a frame inverse
-    names = _names_reached("chains.py", ["boundary_rank", "ideal_complex"])
-    assert {"SparseIntEchelon", "_times_linear", "IdealComplexData"} <= names  # sees calls
-    assert not names & {"Fraction", "_mat_inverse", "_row_times"}
+    names = _names_reached("chains.py", ["_walk", "ideal_complex", "boundary_rank", "H0Table"])
+    assert {"SparseIntEchelon", "_times_linear", "IdealComplexData", "frame"} <= names  # sees calls
+    assert not names & {
+        "Fraction", "vertices", "numerator", "denominator", "_mat_inverse", "_row_times"
+    }
     imported = set(_imported_modules(ast.parse((PACKAGE / "chains.py").read_text(encoding="utf-8"))))
     assert "splinereg.geometry.LinearForm" in imported  # the checker does see imports
     assert not imported & {
